@@ -43,7 +43,7 @@ Registry& bench_registry() {
     reg.gauge("online.watermark_lag_ns").set(2.5e6);
     auto& h = reg.histogram("core.diagnose.total_ns");
     for (int i = 0; i < 1000; ++i) h.record(50'000 + i * 997);
-    reg.gauge("shard.ring.depth_records").set(384);
+    reg.gauge("online.retained_batches").set(384);
     auto& d = reg.histogram("obs.render_ns");
     for (int i = 0; i < 1000; ++i) d.record(20'000 + i * 131);
     return true;

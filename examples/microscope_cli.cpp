@@ -27,14 +27,6 @@
 //                                     record instead of counting + resyncing
 //                                     (exit code 3)
 //     --window <ms>                   online window size (default 10)
-//     --shards <n>                    follow modes only: run the flow-
-//                                     sharded engine with n shard-local
-//                                     cores instead of the single-shard
-//                                     OnlineEngine (byte-identical windows)
-//     --shard-add t=<ms>              with --shards: add a shard when the
-//                                     stream reaches t (repeatable)
-//     --shard-remove t=<ms>[,slot=<k>]  with --shards: retire a shard at t
-//                                     (default: the highest active slot)
 //     --agg-memory-budget <bytes>     follow modes: cap the live culprit
 //                                     aggregation at this byte budget by
 //                                     switching to the count-min/heavy-
@@ -90,7 +82,6 @@
 // Examples:
 //   microscope_cli --duration 200 --burst t=60,n=2000 --patterns
 //   microscope_cli --interrupt nf=nat1,t=60,len=800 --follow --window 20
-//   microscope_cli --follow --shards 4 --shard-add t=50 --shard-remove t=100
 //   microscope_cli --save-stream trace.bin && microscope_cli --follow-file trace.bin
 //   microscope_cli --metrics=json | tail -1 | python3 -m json.tool
 //   microscope_cli --follow --http :9100 --pace 20 --http-linger 10000 &
@@ -105,7 +96,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <sstream>
 #include <thread>
 
@@ -198,84 +188,6 @@ online::WindowCallback follow_observer(std::size_t metrics_every,
   };
 }
 
-/// One scheduled live-resharding event (--shard-add / --shard-remove).
-struct ReshardSpec {
-  TimeNs t;
-  bool add;
-  std::int64_t slot;  // -1 = highest active slot (remove only)
-};
-
-/// StreamTarget shim that fires scheduled add/remove_shard calls when the
-/// record stream first reaches each event's timestamp, then forwards to
-/// the sharded engine. Works for both --follow (replay) and --follow-file
-/// (tailer) since both drive a StreamTarget.
-class ReshardingTarget : public online::StreamTarget {
- public:
-  ReshardingTarget(shard::ShardedEngine& eng, std::vector<ReshardSpec> events,
-                   std::ostream& note)
-      : eng_(eng), events_(std::move(events)), note_(note) {
-    std::sort(events_.begin(), events_.end(),
-              [](const ReshardSpec& a, const ReshardSpec& b) {
-                return a.t < b.t;
-              });
-  }
-
-  void register_node(NodeId id, bool full_flow) override {
-    eng_.register_node(id, full_flow);
-  }
-  void on_rx(NodeId id, TimeNs ts, std::span<const Packet> batch) override {
-    maybe_fire(ts);
-    eng_.on_rx(id, ts, batch);
-  }
-  void on_tx(NodeId id, NodeId peer, TimeNs ts,
-             std::span<const Packet> batch) override {
-    maybe_fire(ts);
-    eng_.on_tx(id, peer, ts, batch);
-  }
-  void feed_bytes(std::span<const std::byte> bytes) override {
-    eng_.feed_bytes(bytes);
-    // Byte-fed records bypass on_rx/on_tx on this shim; key the schedule
-    // off the stream's high-water mark instead.
-    maybe_fire(eng_.windows().global_watermark());
-  }
-  void set_wire_framing(collector::WireFraming framing) override {
-    eng_.set_wire_framing(framing);
-  }
-  std::vector<online::WindowResult> poll() override { return eng_.poll(); }
-  std::vector<online::WindowResult> finish() override {
-    return eng_.finish();
-  }
-
- private:
-  void maybe_fire(TimeNs ts) {
-    while (next_ < events_.size() && ts >= events_[next_].t) {
-      const ReshardSpec& e = events_[next_++];
-      try {
-        if (e.add) {
-          const std::uint32_t slot = eng_.add_shard();
-          note_ << "shard added @" << to_ms(e.t) << " ms: slot " << slot
-                << " (" << eng_.active_slots().size() << " active)\n";
-        } else {
-          const std::uint32_t slot =
-              e.slot >= 0 ? static_cast<std::uint32_t>(e.slot)
-                          : eng_.active_slots().back();
-          eng_.remove_shard(slot);
-          note_ << "shard removed @" << to_ms(e.t) << " ms: slot " << slot
-                << " (" << eng_.active_slots().size() << " active)\n";
-        }
-      } catch (const std::exception& ex) {
-        note_ << "reshard @" << to_ms(e.t) << " ms skipped: " << ex.what()
-              << "\n";
-      }
-    }
-  }
-
-  shard::ShardedEngine& eng_;
-  std::vector<ReshardSpec> events_;
-  std::ostream& note_;
-  std::size_t next_{0};
-};
-
 /// With --agg-memory-budget: one line of sketch internals (table shape,
 /// fill, evictions, current error bound). No-op in exact mode.
 void print_sketch_summary(const online::CulpritAggregator& agg) {
@@ -314,38 +226,6 @@ void print_follow_summary(const online::OnlineEngine& eng,
     }
     std::cout << "), " << ds.resync_bytes_skipped << " bytes resync-skipped\n";
   }
-  const auto top = eng.aggregator().top();
-  if (!top.empty()) {
-    std::cout << "live culprits (decayed):\n";
-    for (const auto& t : top)
-      std::cout << "  " << culprit_name(catalog, t.culprit.node) << " ["
-                << core::to_string(t.culprit.kind) << "]  score " << t.score
-                << "  (" << t.windows_seen << " windows)\n";
-  }
-  print_sketch_summary(eng.aggregator());
-}
-
-/// Sharded-mode counterpart of print_follow_summary: stream counters, the
-/// per-shard board (steered records, overruns, drain watermark), and the
-/// live culprit board. Non-const: stats() barriers the workers.
-void print_shard_summary(shard::ShardedEngine& eng,
-                         const autofocus::NfCatalog& catalog) {
-  const shard::ShardedStats st = eng.stats();
-  std::cout << "\nstream: " << st.records_ingested << " records ("
-            << st.packets_ingested << " pkts) -> " << st.subbatches_steered
-            << " sub-batches over " << eng.active_slots().size()
-            << " shards, " << st.windows_closed << " windows closed, "
-            << st.late_dropped_batches << " late-dropped, "
-            << st.backpressure_dropped_batches << " backpressure-dropped, "
-            << st.ring_overruns << " ring-overruns\n";
-  for (const shard::ShardSnapshot& sh : st.shards)
-    std::cout << "  shard " << sh.slot << (sh.retired ? " (retired)" : "")
-              << ": " << sh.records_steered << " records, "
-              << sh.packets_steered << " pkts, " << sh.ring_overruns
-              << " overruns, " << sh.retained_batches << " retained\n";
-  if (st.wire_decode_dropped > 0)
-    std::cout << "decode faults: " << st.wire_decode_dropped
-              << " records dropped\n";
   const auto top = eng.aggregator().top();
   if (!top.empty()) {
     std::cout << "live culprits (decayed):\n";
@@ -436,8 +316,6 @@ int main(int argc, char** argv) {
   std::string follow_file;
   bool follow = false;
   bool strict_decode = false;
-  std::size_t shards = 0;  // 0 = single-shard OnlineEngine
-  std::vector<ReshardSpec> reshard_events;
   DurationNs window = 10_ms;
   bool want_patterns = false;
   bool want_json = false;
@@ -487,18 +365,6 @@ int main(int argc, char** argv) {
       follow = true;
     } else if (arg == "--strict-decode") {
       strict_decode = true;
-    } else if (arg == "--shards") {
-      shards = static_cast<std::size_t>(std::atoll(next().c_str()));
-      if (shards == 0) usage_error("--shards needs a count >= 1");
-    } else if (arg == "--shard-add") {
-      const auto kv = parse_kv(next());
-      reshard_events.push_back(
-          {static_cast<TimeNs>(get_num(kv, "t", 0) * 1e6), true, -1});
-    } else if (arg == "--shard-remove") {
-      const auto kv = parse_kv(next());
-      reshard_events.push_back(
-          {static_cast<TimeNs>(get_num(kv, "t", 0) * 1e6), false,
-           static_cast<std::int64_t>(get_num(kv, "slot", -1))});
     } else if (arg == "--window") {
       window = static_cast<DurationNs>(std::atof(next().c_str()) * 1e6);
     } else if (arg == "--agg-memory-budget") {
@@ -583,10 +449,6 @@ int main(int argc, char** argv) {
   if (!explain_spec.empty() && follow)
     usage_error(
         "--explain needs the offline pass (drop --follow/--follow-file)");
-  if (shards > 0 && !follow)
-    usage_error("--shards needs --follow or --follow-file");
-  if (!reshard_events.empty() && shards == 0)
-    usage_error("--shard-add/--shard-remove need --shards");
   // --explain --json promises machine-readable stdout: route the setup
   // narrative to stderr so the provenance array can be piped straight into
   // a JSON parser.
@@ -700,42 +562,11 @@ int main(int argc, char** argv) {
     }
   };
 
-  // Pick the streaming engine for both follow modes: the single-shard
-  // OnlineEngine, or (--shards N) the flow-sharded engine wrapped in the
-  // reshard scheduler. Built lazily so offline runs pay nothing.
-  std::unique_ptr<online::OnlineEngine> single_eng;
-  std::unique_ptr<shard::ShardedEngine> sharded_eng;
-  std::unique_ptr<ReshardingTarget> reshard_target;
-  auto make_follow_target = [&]() -> online::StreamTarget& {
-    if (shards > 0) {
-      shard::ShardedOptions sopt;
-      sopt.shards = shards;
-      sopt.online = oopt;
-      sharded_eng = std::make_unique<shard::ShardedEngine>(
-          trace::graph_view(topo), topo.peak_rates(), sopt);
-      reshard_target = std::make_unique<ReshardingTarget>(
-          *sharded_eng, reshard_events, note);
-      return *reshard_target;
-    }
-    single_eng = std::make_unique<online::OnlineEngine>(
-        trace::graph_view(topo), topo.peak_rates(), oopt);
-    return *single_eng;
-  };
-  auto print_stream_summary = [&](const autofocus::NfCatalog& catalog) {
-    if (sharded_eng)
-      print_shard_summary(*sharded_eng, catalog);
-    else
-      print_follow_summary(*single_eng, catalog);
-  };
-  auto follow_aggregator = [&]() -> const online::CulpritAggregator& {
-    return sharded_eng ? sharded_eng->aggregator() : single_eng->aggregator();
-  };
-
   if (!follow_file.empty()) {
     // Tail a previously saved stream trace: no simulation at all. The
     // node table in the file header registers the nodes on the engine.
     const auto catalog = eval::make_catalog(topo);
-    online::StreamTarget& eng = make_follow_target();
+    online::OnlineEngine eng(trace::graph_view(topo), topo.peak_rates(), oopt);
     online::TraceFileTailer tailer(follow_file, eng);
     std::vector<online::WindowResult> windows;
     try {
@@ -748,12 +579,12 @@ int main(int argc, char** argv) {
                    "readable records\n";
       return 3;
     }
-    print_stream_summary(catalog);
+    print_follow_summary(eng, catalog);
     std::vector<core::Diagnosis> diagnoses;
     for (const online::WindowResult& w : windows)
       for (const core::Diagnosis& d : w.diagnoses) diagnoses.push_back(d);
     std::vector<autofocus::Pattern> patterns;
-    if (want_patterns) patterns = follow_aggregator().patterns(catalog);
+    if (want_patterns) patterns = eng.aggregator().patterns(catalog);
     if (want_json) {
       std::cout << eval::report_to_json(diagnoses, catalog, patterns) << "\n";
     } else {
@@ -845,15 +676,15 @@ int main(int argc, char** argv) {
   if (follow) {
     // Stream the collected records through the online engine instead of
     // one offline pass: windowed diagnosis + live culprit board.
-    online::StreamTarget& eng = make_follow_target();
+    online::OnlineEngine eng(trace::graph_view(topo), topo.peak_rates(), oopt);
     const auto windows = online::replay_collector(
         col, eng, 64, true,
         follow_observer(want_metrics ? metrics_every : 0, pace_ms));
-    print_stream_summary(catalog);
+    print_follow_summary(eng, catalog);
     std::cout << "\n";
     for (const online::WindowResult& w : windows)
       for (const core::Diagnosis& d : w.diagnoses) diagnoses.push_back(d);
-    if (want_patterns) patterns = follow_aggregator().patterns(catalog);
+    if (want_patterns) patterns = eng.aggregator().patterns(catalog);
   } else {
     trace::ReconstructOptions ropt;
     ropt.prop_delay = topo.options().prop_delay;

@@ -49,27 +49,32 @@ TimeNs Collector::noisy(TimeNs ts) {
 void Collector::on_rx(NodeId id, TimeNs ts, std::span<const Packet> batch) {
   rx_batches_->add();
   rx_packets_->add(batch.size());
-  NodeTrace& t = mutable_node(id);
-  BatchRecord rec;
-  rec.ts = noisy(ts);
-  rec.begin = static_cast<std::uint32_t>(t.rx_ipids.size());
-  rec.count = static_cast<std::uint16_t>(batch.size());
-  t.rx_batches.push_back(rec);
-  for (const Packet& p : batch) {
-    t.rx_ipids.push_back(p.ipid);
-    if (opts_.ground_truth) t.rx_uids.push_back(p.uid);
-  }
+  append(Direction::kRx, id, kInvalidNode, ts, batch);
 }
 
 void Collector::on_tx(NodeId id, NodeId peer, TimeNs ts,
                       std::span<const Packet> batch) {
   tx_batches_->add();
   tx_packets_->add(batch.size());
+  append(Direction::kTx, id, peer, ts, batch);
+}
+
+void Collector::append(Direction dir, NodeId id, NodeId peer, TimeNs ts,
+                       std::span<const Packet> batch) {
   NodeTrace& t = mutable_node(id);
   BatchRecord rec;
   rec.ts = noisy(ts);
-  rec.begin = static_cast<std::uint32_t>(t.tx_ipids.size());
   rec.count = static_cast<std::uint16_t>(batch.size());
+  if (dir == Direction::kRx) {
+    rec.begin = static_cast<std::uint32_t>(t.rx_ipids.size());
+    t.rx_batches.push_back(rec);
+    for (const Packet& p : batch) {
+      t.rx_ipids.push_back(p.ipid);
+      if (opts_.ground_truth) t.rx_uids.push_back(p.uid);
+    }
+    return;
+  }
+  rec.begin = static_cast<std::uint32_t>(t.tx_ipids.size());
   rec.peer = peer;
   t.tx_batches.push_back(rec);
   for (const Packet& p : batch) {

@@ -41,6 +41,13 @@ class Collector {
   /// Record a batch written toward `peer` (DPDK tx hook).
   void on_tx(NodeId id, NodeId peer, TimeNs ts, std::span<const Packet> batch);
 
+  /// The store behind both hooks, without their collector.* counters: for
+  /// rebuilding a store from records that were already counted when first
+  /// collected (the online engine's window slices). `peer` is ignored for
+  /// rx batches.
+  void append(Direction dir, NodeId id, NodeId peer, TimeNs ts,
+              std::span<const Packet> batch);
+
   std::size_t node_count() const { return traces_.size(); }
   bool has_node(NodeId id) const {
     return id < traces_.size() && registered_[id];

@@ -9,21 +9,22 @@ namespace {
 /// parallel_for calls from inside a task execute inline.
 thread_local bool t_inside_pool_task = false;
 
+/// Lives on parallel_for's stack, so wait() returning ends its lifetime.
+/// The count is only touched under `m`: the last count_down must be done
+/// with the latch (decrement and notify) before wait() can observe zero.
 struct Latch {
   explicit Latch(std::size_t n) : remaining(n) {}
-  std::atomic<std::size_t> remaining;
+  std::size_t remaining;  // guarded by m
   std::mutex m;
   std::condition_variable cv;
 
   void count_down() {
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lk(m);
-      cv.notify_all();
-    }
+    std::lock_guard<std::mutex> lk(m);
+    if (--remaining == 0) cv.notify_all();
   }
   void wait() {
     std::unique_lock<std::mutex> lk(m);
-    cv.wait(lk, [this] { return remaining.load(std::memory_order_acquire) == 0; });
+    cv.wait(lk, [this] { return remaining == 0; });
   }
 };
 }  // namespace

@@ -15,8 +15,6 @@
 //   sketch/     bounded-memory aggregation: count-min sketch + heavy-
 //               hitter pattern board under a byte budget
 //   online/     streaming diagnosis: windows, watermarks, live aggregation
-//   shard/      flow-sharded ingestion: SPSC rings, Maglev steering,
-//               merging multi-shard coordinator
 //   netmedic/   the time-window-correlation baseline
 //   eval/       paper scenarios, experiment runner, oracle, reports
 #pragma once
@@ -77,13 +75,7 @@
 #include "online/engine.hpp"
 #include "online/replay.hpp"
 #include "online/stream_store.hpp"
-#include "online/stream_target.hpp"
 #include "online/window.hpp"
-#include "online/window_diagnoser.hpp"
-
-#include "shard/maglev.hpp"
-#include "shard/sharded_engine.hpp"
-#include "shard/spsc_ring.hpp"
 
 #include "netmedic/netmedic.hpp"
 

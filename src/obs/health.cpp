@@ -8,10 +8,9 @@ namespace microscope::obs {
 
 namespace {
 
-constexpr std::size_t kNumSignals = 5;
+constexpr std::size_t kNumSignals = 4;
 constexpr const char* kSignalNames[kNumSignals] = {
-    "watermark_lag", "drop_rate", "ring_overruns", "sketch_fill",
-    "board_evictions"};
+    "watermark_lag", "drop_rate", "sketch_fill", "board_evictions"};
 
 double p95_of(std::vector<double> vals) {
   if (vals.empty()) return 0.0;
@@ -65,12 +64,10 @@ HealthWatchdog::HealthWatchdog(Registry& reg, const TimeSeriesStore& store,
     : reg_(reg), store_(store), opts_(opts) {
   const double degraded_at[kNumSignals] = {
       opts_.lag_p95_degraded_ns, opts_.drop_rate_degraded,
-      opts_.overrun_rate_degraded, opts_.sketch_fill_degraded,
-      opts_.evict_rate_degraded};
+      opts_.sketch_fill_degraded, opts_.evict_rate_degraded};
   const double unhealthy_at[kNumSignals] = {
       opts_.lag_p95_unhealthy_ns, opts_.drop_rate_unhealthy,
-      opts_.overrun_rate_unhealthy, opts_.sketch_fill_unhealthy,
-      opts_.evict_rate_unhealthy};
+      opts_.sketch_fill_unhealthy, opts_.evict_rate_unhealthy};
   trackers_.resize(kNumSignals);
   for (std::size_t i = 0; i < kNumSignals; ++i) {
     Tracker& t = trackers_[i];
@@ -130,12 +127,10 @@ void HealthWatchdog::evaluate(const Snapshot& snap) {
       newest_rate(store_, "online.late_dropped_batches") +
       newest_rate(store_, "online.backpressure_dropped_batches") +
       newest_rate(store_, "online.ring_dropped_records");
-  const double overrun_rate = newest_rate(store_, "shard.ring.overruns");
   const double fill = gauge_value(snap, "sketch.fill_frac");
   const double evict_rate = newest_rate(store_, "agg.board_evicted");
 
-  const double values[kNumSignals] = {lag_p95, drop_rate, overrun_rate, fill,
-                                      evict_rate};
+  const double values[kNumSignals] = {lag_p95, drop_rate, fill, evict_rate};
 
   std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < kNumSignals; ++i) feed(trackers_[i], values[i]);

@@ -2,12 +2,11 @@
 // ok -> degraded -> unhealthy state machine with hysteresis.
 //
 // Raw metrics say what the pipeline did; operators polling /healthz want a
-// verdict: is the engine keeping up? The watchdog derives five signals on
+// verdict: is the engine keeping up? The watchdog derives four signals on
 // every sampler tick (timeseries.hpp invokes evaluate() as its hook):
 //
 //   watermark_lag    p95 of online.watermark_lag_ns over recent history
 //   drop_rate        late + backpressure + ring drops per second
-//   ring_overruns    shard.ring.overruns per second
 //   sketch_fill      sketch.fill_frac, instantaneous
 //   board_evictions  agg.board_evicted per second
 //
@@ -43,9 +42,6 @@ struct HealthOptions {
   /// Dropped batches/records per second (late + backpressure + ring).
   double drop_rate_degraded = 1.0;
   double drop_rate_unhealthy = 50.0;
-  /// Shard ring overruns per second.
-  double overrun_rate_degraded = 1.0;
-  double overrun_rate_unhealthy = 50.0;
   /// Sketch occupancy (0..1); past ~0.7 the CM error bound degrades fast.
   double sketch_fill_degraded = 0.70;
   double sketch_fill_unhealthy = 0.95;

@@ -230,7 +230,6 @@ const std::map<std::string, std::string>& metric_renames() {
   // values present (pinned by test_obs.UnitAuditRenames).
   static const std::map<std::string, std::string> renames = {
       {"core.diagnose.ns", "core.diagnose.total_ns"},
-      {"shard.ring.depth", "shard.ring.depth_records"},
   };
   return renames;
 }
@@ -295,17 +294,6 @@ void register_pipeline_metrics(Registry& reg) {
   reg.counter("online.windows_skipped_empty");
   reg.histogram("online.window_close_ns");
   reg.gauge("online.watermark_lag_ns");
-  // Stage 5b: flow-sharded ingestion (steering, per-shard rings, merge).
-  reg.counter("shard.steer.records");
-  reg.counter("shard.steer.packets");
-  reg.counter("shard.steer.subbatches");
-  reg.counter("shard.ring.overruns");
-  reg.gauge("shard.ring.depth_records");
-  reg.gauge("shard.steer.imbalance");
-  reg.gauge("shard.active");
-  reg.gauge("shard.drain_lag_records");
-  reg.histogram("shard.merge_ns");
-  reg.histogram("shard.barrier_ns");
   reg.gauge("online.ring_dropped_records");
   reg.gauge("online.retained_batches");
   reg.gauge("online.retained_bytes");
@@ -328,7 +316,6 @@ void register_pipeline_metrics(Registry& reg) {
 
   // Units for names the suffix heuristic cannot classify (shares, scores,
   // plain entry counts). Everything else derives from its suffix.
-  note_unit("shard.steer.imbalance", MetricUnit::kRatio);
   note_unit("sketch.est_error_bound", MetricUnit::kRatio);
   note_unit("core.diagnosis.attribution_residual", MetricUnit::kPackets);
   note_unit("obs.health.state", MetricUnit::kNone);

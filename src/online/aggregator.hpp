@@ -43,7 +43,7 @@ struct TopCulprit {
   TimeNs last_seen{0};
 };
 
-/// The aggregation surface both engines drive at window close.
+/// The aggregation surface the online engine drives at window close.
 class CulpritAggregator {
  public:
   virtual ~CulpritAggregator() = default;

@@ -1,12 +1,30 @@
 #include "online/engine.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <limits>
+#include <numeric>
+#include <string>
 #include <utility>
 
+#include "obs/introspect.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracing.hpp"
 
 namespace microscope::online {
+
+core::DiagnoserOptions streaming_diagnoser_defaults() {
+  core::DiagnoserOptions opts;
+  opts.abnormal_stddev_k = std::numeric_limits<double>::infinity();
+  return opts;
+}
+
+DurationNs derive_history(const OnlineOptions& o) {
+  if (o.history_ns > 0) return o.history_ns;
+  const auto& d = o.diagnoser;
+  return d.max_depth * (d.period.max_lookback + o.reconstruct.prop_delay) +
+         o.slack_ns;
+}
 
 namespace {
 
@@ -46,13 +64,35 @@ struct OnlineMetrics {
   }
 };
 
+double diagnosis_score(const core::Diagnosis& d) {
+  double s = 0.0;
+  for (const core::CausalRelation& r : d.relations) s += r.score;
+  return s;
+}
+
+std::string victim_summary(const core::Diagnosis& d, double score,
+                           const std::vector<std::string>& names) {
+  const core::Victim& v = d.victim;
+  std::string name = v.node < names.size() && !names[v.node].empty()
+                         ? names[v.node]
+                         : "node" + std::to_string(v.node);
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "victim at %s, t=%.3f ms, %zu relations, score=%.3f",
+                name.c_str(), static_cast<double>(v.time) / 1e6,
+                d.relations.size(), score);
+  return buf;
+}
+
 }  // namespace
 
 OnlineEngine::OnlineEngine(trace::GraphView graph,
                            std::vector<RatePerNs> peak_rates,
                            OnlineOptions opts)
     : opts_(opts),
-      wd_(std::move(graph), std::move(peak_rates), opts),
+      graph_(std::move(graph)),
+      peak_rates_(std::move(peak_rates)),
+      history_(derive_history(opts)),
       wm_(opts.window_ns, opts.slack_ns, opts.idle_timeout_ns),
       agg_(make_aggregator(opts.aggregator, opts.agg_memory_budget,
                            opts.agg_catalog)),
@@ -175,8 +215,8 @@ std::vector<WindowResult> OnlineEngine::close_ready(bool finishing) {
     const auto wscope = obs::CorrelationScope::for_window(b.index);
     obs::TraceSpan wspan("online", "window.close");
     obs::ScopedTimer close_timer(m.window_close_ns);
-    WindowResult res = diagnose_window(b);
-    wd_.publish(res);
+    WindowResult res = diagnose(b);
+    publish(res);
     agg_->ingest(res.diagnoses);
     close_timer.stop();
     wspan.set_items(res.diagnoses.size());
@@ -191,7 +231,7 @@ std::vector<WindowResult> OnlineEngine::close_ready(bool finishing) {
     // Everything older than what the *next* window can reach is dead. The
     // extra slack_ns covers the tx-side alignment warm-up margin that the
     // next materialization will extend below its rx cut.
-    store_.evict_before(b.end - wd_.history_ns() - opts_.slack_ns);
+    store_.evict_before(b.end - history_ - opts_.slack_ns);
     out.push_back(std::move(res));
   }
   m.retained_batches.set(static_cast<double>(store_.retained_batches()));
@@ -199,24 +239,100 @@ std::vector<WindowResult> OnlineEngine::close_ready(bool finishing) {
   return out;
 }
 
-WindowResult OnlineEngine::diagnose_window(const WindowBounds& b) {
-  const TimeNs lo = wd_.slice_lo(b);
-  const TimeNs hi = wd_.slice_hi(b);
+WindowResult OnlineEngine::diagnose(const WindowBounds& b) {
+  WindowResult res;
+  res.index = b.index;
+  res.start = b.start;
+  res.end = b.end;
+  res.idle_forced = b.idle_forced;
+
+  const TimeNs lo = slice_lo(b);
+  const TimeNs hi = slice_hi(b);
   if (store_.empty_in(lo, hi)) {
-    WindowResult res;
-    res.index = b.index;
-    res.start = b.start;
-    res.end = b.end;
-    res.idle_forced = b.idle_forced;
     ++stats_.windows_skipped_empty;
     OnlineMetrics::get().windows_skipped_empty.add();
     return res;
   }
 
-  // Tx side reaches slack below the rx cut so that every in-slice rx
-  // entry's origin tx is present — see StreamStore::materialize.
-  collector::Collector col = store_.materialize(lo, hi, wd_.slice_tx_lo(b));
-  return wd_.diagnose(b, col);
+  const collector::Collector col = store_.materialize(lo, hi, slice_tx_lo(b));
+  const trace::ReconstructedTrace rt =
+      trace::reconstruct(col, graph_, opts_.reconstruct);
+  res.journeys = rt.journeys().size();
+
+  // The window id rides through options because diagnose_all fans out to
+  // pool threads, out of reach of this thread's correlation scope.
+  core::DiagnoserOptions dopts = opts_.diagnoser;
+  dopts.trace_window = b.index;
+  core::Diagnoser diag(rt, peak_rates_, dopts);
+  std::vector<core::Victim> victims;
+  auto keep = [&](const core::Victim& v) {
+    return v.time >= b.start && v.time < b.end;
+  };
+  if (opts_.diagnose_latency)
+    for (const core::Victim& v :
+         diag.latency_victims_by_threshold(opts_.latency_threshold))
+      if (keep(v)) victims.push_back(v);
+  if (opts_.diagnose_drops)
+    for (const core::Victim& v : diag.drop_victims())
+      if (keep(v)) victims.push_back(v);
+
+  if (opts_.capture_provenance || opts_.introspection) {
+    res.diagnoses.reserve(victims.size());
+    res.provenances.resize(victims.size());
+    for (std::size_t i = 0; i < victims.size(); ++i)
+      res.diagnoses.push_back(diag.diagnose(victims[i], &res.provenances[i]));
+  } else {
+    res.diagnoses = diag.diagnose_all(victims);
+  }
+  return res;
+}
+
+void OnlineEngine::publish(const WindowResult& res) const {
+  obs::IntrospectionHub* hub = opts_.introspection.get();
+  if (!hub) return;
+
+  std::vector<double> scores(res.diagnoses.size());
+  for (std::size_t i = 0; i < res.diagnoses.size(); ++i)
+    scores[i] = diagnosis_score(res.diagnoses[i]);
+
+  obs::WindowNote note;
+  note.index = res.index;
+  note.start_ns = res.start;
+  note.end_ns = res.end;
+  note.idle_forced = res.idle_forced;
+  note.journeys = res.journeys;
+  note.diagnoses = res.diagnoses.size();
+  note.top_score = scores.empty() ? 0.0
+                                  : *std::max_element(scores.begin(),
+                                                      scores.end());
+  hub->publish_window(note);
+
+  // /explain tracks the newest window that actually diagnosed something;
+  // quiet windows leave the last interesting explanation in place.
+  if (res.diagnoses.empty() ||
+      res.provenances.size() != res.diagnoses.size()) {
+    return;
+  }
+  std::vector<std::size_t> order(res.diagnoses.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return scores[a] > scores[b];
+                   });
+  if (order.size() > opts_.explain_top_max)
+    order.resize(opts_.explain_top_max);
+
+  const std::vector<std::string>& names = opts_.agg_catalog.node_names;
+  std::vector<obs::ExplainEntry> entries;
+  entries.reserve(order.size());
+  for (const std::size_t i : order) {
+    obs::ExplainEntry e;
+    e.summary = victim_summary(res.diagnoses[i], scores[i], names);
+    e.tree = core::render_explain_tree(res.provenances[i], names);
+    e.json = core::provenance_to_json(res.provenances[i], names);
+    entries.push_back(std::move(e));
+  }
+  hub->publish_explain(res.index, std::move(entries));
 }
 
 OnlineStats OnlineEngine::stats() const {

@@ -1,14 +1,12 @@
-// Streaming diagnosis engine (online mode, single shard).
+// Streaming diagnosis engine (online mode).
 //
 // Incrementally ingests collector record streams — direct hook calls, raw
 // wire bytes, or an external-drain RingCollector — segments them into fixed
 // time windows, and when a window closes (watermark coverage, see
 // window.hpp) materializes the retained records around it, reconstructs,
-// and diagnoses exactly as the offline pipeline would. The per-window
-// analysis itself lives in WindowDiagnoser (window_diagnoser.hpp), shared
-// with the flow-sharded engine (shard/sharded_engine.hpp); this class is
-// the single-store composition: one StreamStore, one WindowManager, one
-// thread.
+// and diagnoses exactly as the offline pipeline would. One StreamStore, one
+// WindowManager, one thread; multi-core speed comes from the analysis pool
+// (OnlineOptions::reconstruct.parallel and diagnoser.parallel).
 //
 // Equivalence guarantee: for every closed window, the emitted diagnoses are
 // byte-identical to running the offline Diagnoser over the full trace with
@@ -33,22 +31,148 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "collector/ring.hpp"
 #include "collector/wire.hpp"
+#include "common/packet.hpp"
+#include "common/time.hpp"
 #include "core/diagnosis.hpp"
 #include "core/provenance.hpp"
 #include "online/aggregator.hpp"
 #include "online/stream_store.hpp"
-#include "online/stream_target.hpp"
 #include "online/window.hpp"
-#include "online/window_diagnoser.hpp"
 #include "trace/graph.hpp"
 #include "trace/reconstruct.hpp"
 
+namespace microscope::obs {
+class IntrospectionHub;
+}
+
 namespace microscope::online {
+
+/// Diagnoser options tuned for streaming: the offline default anchors a
+/// latency victim at the first hop whose local latency is abnormal vs the
+/// *whole-trace* per-hop statistics — a global quantity no online engine
+/// can know. Disabling the stddev test (k = inf) anchors at the journey's
+/// max-latency hop, a pure per-journey function, which makes per-window
+/// output independent of what else is in the trace. Use the same options
+/// offline when comparing.
+core::DiagnoserOptions streaming_diagnoser_defaults();
+
+struct OnlineOptions {
+  /// Window core length.
+  DurationNs window_ns = 10_ms;
+  /// Watermark slack past a window's end before it may close (covers
+  /// propagation + queueing of packets anchored inside the core).
+  DurationNs slack_ns = 2_ms;
+  /// Records older than window_start - history are evicted; 0 derives a
+  /// bound from the diagnoser's recursion depth and period lookback.
+  DurationNs history_ns = 0;
+  /// Force-close a window when the global watermark runs this far past its
+  /// due point while some node's stream is stalled. 0 = wait forever.
+  DurationNs idle_timeout_ns = 0;
+  /// Latency victims: delivered packets with e2e latency above this.
+  DurationNs latency_threshold = 1_ms;
+  bool diagnose_latency = true;
+  bool diagnose_drops = false;
+  /// Backpressure: when the store holds this many batches, further
+  /// ingestion is dropped (and counted) instead of growing memory.
+  /// 0 = unlimited.
+  std::size_t max_retained_batches = 0;
+  /// Record full attribution provenance per diagnosis into
+  /// WindowResult::provenances (for invariant auditing — e.g. the chaos
+  /// suite's conservation check). Victims are then diagnosed sequentially
+  /// on the calling thread instead of through diagnose_all's pool, so
+  /// leave this off on latency-sensitive paths.
+  bool capture_provenance = false;
+  core::DiagnoserOptions diagnoser = streaming_diagnoser_defaults();
+  trace::ReconstructOptions reconstruct{};
+  StreamingAggregatorOptions aggregator{};
+  /// Nonzero selects the bounded-memory sketch aggregator sized to this
+  /// byte budget (DESIGN.md §14, CLI --agg-memory-budget); 0 keeps the
+  /// exact StreamingAggregator.
+  std::size_t agg_memory_budget = 0;
+  /// NF catalog for the sketch's instance -> type generalization ladder
+  /// (consulted when agg_memory_budget > 0); its node_names also label
+  /// nodes in the introspection hub's /explain renderings.
+  autofocus::NfCatalog agg_catalog{};
+  /// Live introspection hub (obs/introspect.hpp). When set, every closed
+  /// window is published as a /windows board note, and diagnosed windows
+  /// additionally publish rendered --explain output (attribution tree +
+  /// provenance JSON) for their top victims. Provenance capture forces
+  /// the sequential per-victim diagnosis path, same as
+  /// capture_provenance — leave unset on latency-critical runs.
+  std::shared_ptr<obs::IntrospectionHub> introspection{};
+  /// Max victims rendered per window for /explain, ranked by descending
+  /// total attribution score (/explain?top=k serves a prefix of these).
+  std::size_t explain_top_max = 8;
+  /// Wire decode validation for feed_bytes/drain_ring ingestion. Defaults
+  /// to lenient raw decode with the timestamp check off (the ring is a
+  /// trusted in-process stream); tailing a file from another process is
+  /// where kStrict or a timestamp tolerance earns its keep. The framing is
+  /// switched per-source via set_wire_framing (a v2 trace header does it).
+  collector::DecodeOptions decode{};
+};
+
+/// Effective history horizon: the given history_ns, or (when 0) the
+/// worst-case lookback of a recursive diagnosis anchored at the window
+/// start — each of the max_depth levels can walk one queuing period
+/// (<= max_lookback) plus a propagation hop, and the victim's own journey
+/// spans at most slack back to its source record.
+DurationNs derive_history(const OnlineOptions& opts);
+
+/// One closed window's diagnosis output.
+struct WindowResult {
+  std::int64_t index{0};
+  TimeNs start{0};
+  TimeNs end{0};  // exclusive
+  bool idle_forced{false};
+  /// Journeys reconstructed in the window slice (0 when skipped empty).
+  std::size_t journeys{0};
+  /// Diagnoses of victims anchored in [start, end), in deterministic
+  /// victim order. victim.journey is window-local bookkeeping.
+  std::vector<core::Diagnosis> diagnoses;
+  /// Parallel to `diagnoses` when OnlineOptions::capture_provenance is
+  /// set or an introspection hub is attached; empty otherwise.
+  std::vector<core::Provenance> provenances;
+};
+
+/// The ingestion-facing interface of the streaming engine. The replay and
+/// file-tail drivers (replay.hpp) are written against it, so anything that
+/// consumes the same record stream — OnlineEngine, or a recorder capturing
+/// a replay — can stand behind them.
+class StreamTarget {
+ public:
+  virtual ~StreamTarget() = default;
+
+  /// Declare a node before feeding its records (mirrors Collector).
+  virtual void register_node(NodeId id, bool full_flow) = 0;
+
+  // --- ingestion (any mix; per-node streams must be time-ordered) -------
+  virtual void on_rx(NodeId id, TimeNs ts, std::span<const Packet> batch) = 0;
+  virtual void on_tx(NodeId id, NodeId peer, TimeNs ts,
+                     std::span<const Packet> batch) = 0;
+
+  /// Feed raw wire-format bytes (chunk boundaries arbitrary; partial
+  /// records are buffered).
+  virtual void feed_bytes(std::span<const std::byte> bytes) = 0;
+
+  /// Select the wire framing for subsequent feed_bytes data (a v2 trace
+  /// file header switches to kFramed).
+  virtual void set_wire_framing(collector::WireFraming framing) = 0;
+
+  /// Close and diagnose every window whose watermark coverage (or idle
+  /// timeout) allows it. Cheap when nothing is closable.
+  virtual std::vector<WindowResult> poll() = 0;
+
+  /// End of stream: finalize decode, then close every remaining window
+  /// that could contain a victim, regardless of watermarks.
+  virtual std::vector<WindowResult> finish() = 0;
+};
 
 struct OnlineStats {
   std::uint64_t batches_ingested{0};
@@ -77,23 +201,18 @@ class OnlineEngine : public StreamTarget {
   OnlineEngine(trace::GraphView graph, std::vector<RatePerNs> peak_rates,
                OnlineOptions opts = {});
 
-  /// Declare a node before feeding its records (mirrors Collector).
   void register_node(NodeId id, bool full_flow) override;
-
-  // --- ingestion (any mix; per-node streams must be time-ordered) -------
   void on_rx(NodeId id, TimeNs ts, std::span<const Packet> batch) override;
   void on_tx(NodeId id, NodeId peer, TimeNs ts,
              std::span<const Packet> batch) override;
 
-  /// Feed raw wire-format bytes (chunk boundaries arbitrary; partial
-  /// records are buffered). Bytes are validated per OnlineOptions::decode:
-  /// lenient faults are counted (decode_stats()) and resynced past; strict
-  /// faults throw collector::DecodeError.
+  /// Bytes are validated per OnlineOptions::decode: lenient faults are
+  /// counted (decode_stats()) and resynced past; strict faults throw
+  /// collector::DecodeError.
   void feed_bytes(std::span<const std::byte> bytes) override;
 
-  /// Select the wire framing for subsequent feed_bytes data (a v2 trace
-  /// file header switches to kFramed). Only legal while no partial record
-  /// is buffered (throws std::logic_error otherwise).
+  /// Only legal while no partial record is buffered (throws
+  /// std::logic_error otherwise).
   void set_wire_framing(collector::WireFraming framing) override;
 
   /// Fault accounting of the byte-fed ingestion path.
@@ -107,14 +226,10 @@ class OnlineEngine : public StreamTarget {
   std::size_t drain_ring(collector::RingCollector& ring,
                          std::size_t max_bytes = 1 << 16);
 
-  // --- window lifecycle -------------------------------------------------
-  /// Close and diagnose every window whose watermark coverage (or idle
-  /// timeout) allows it. Cheap when nothing is closable.
   std::vector<WindowResult> poll() override;
 
-  /// End of stream: finalizes the wire decoder (a buffered partial record
-  /// becomes a truncated_tail fault), then closes every remaining window
-  /// that could contain a victim, regardless of watermarks.
+  /// Also finalizes the wire decoder: a buffered partial record becomes a
+  /// truncated_tail fault before the final window sweep.
   std::vector<WindowResult> finish() override;
 
   /// Stats snapshot (retained_* recomputed at call time).
@@ -123,16 +238,39 @@ class OnlineEngine : public StreamTarget {
   const CulpritAggregator& aggregator() const { return *agg_; }
   const WindowManager& windows() const { return wm_; }
   /// Effective history (after derivation when options.history_ns == 0).
-  DurationNs history_ns() const { return wd_.history_ns(); }
+  DurationNs history_ns() const { return history_; }
 
  private:
   void ingest(collector::Direction dir, NodeId node, NodeId peer, TimeNs ts,
               std::span<const Packet> pkts);
   std::vector<WindowResult> close_ready(bool finishing);
-  WindowResult diagnose_window(const WindowBounds& b);
+
+  /// Slice bounds a window's diagnosis may touch: records in
+  /// [slice_lo, slice_hi] on the rx side, [slice_tx_lo, slice_hi] on tx
+  /// (the tx side reaches slack below the rx cut so every in-slice rx
+  /// entry's origin tx is present — see StreamStore::materialize).
+  TimeNs slice_lo(const WindowBounds& b) const { return b.start - history_; }
+  TimeNs slice_hi(const WindowBounds& b) const {
+    return b.end + opts_.slack_ns;
+  }
+  TimeNs slice_tx_lo(const WindowBounds& b) const {
+    return slice_lo(b) - opts_.slack_ns;
+  }
+
+  /// Materialize the window's slice, reconstruct it, and diagnose the
+  /// victims anchored inside `b` (an empty slice is counted and skipped).
+  WindowResult diagnose(const WindowBounds& b);
+
+  /// Publish a closed window onto the introspection hub: a /windows board
+  /// note always, plus rendered /explain entries when the window carries
+  /// provenances. No-op without a hub. Called once per closed window —
+  /// including skipped-empty ones, so the board has no gaps.
+  void publish(const WindowResult& res) const;
 
   OnlineOptions opts_;
-  WindowDiagnoser wd_;
+  trace::GraphView graph_;
+  std::vector<RatePerNs> peak_rates_;
+  DurationNs history_;
   StreamStore store_;
   WindowManager wm_;
   std::unique_ptr<CulpritAggregator> agg_;

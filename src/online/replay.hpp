@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "collector/collector.hpp"
-#include "online/stream_target.hpp"
+#include "online/engine.hpp"
 
 namespace microscope::online {
 

@@ -40,13 +40,13 @@ collector::Collector StreamStore::materialize(TimeNs t_lo, TimeNs t_hi,
   collector::Collector col(opts);
   for (NodeId id = 0; id < registered_.size(); ++id)
     if (registered_[id]) col.register_node(id, full_flow_[id]);
-  visit_slice(t_lo, t_hi, tx_lo, [&](NodeId id, const StreamBatch& b) {
-    if (b.dir == collector::Direction::kRx) {
-      col.on_rx(id, b.ts, b.pkts);
-    } else {
-      col.on_tx(id, b.peer, b.ts, b.pkts);
+  for (NodeId id = 0; id < streams_.size(); ++id) {
+    for (const StreamBatch& b : streams_[id]) {
+      const TimeNs lo = b.dir == collector::Direction::kTx ? tx_lo : t_lo;
+      if (b.ts < lo || b.ts > t_hi) continue;
+      col.append(b.dir, id, b.peer, b.ts, b.pkts);
     }
-  });
+  }
   return col;
 }
 

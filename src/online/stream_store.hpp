@@ -21,27 +21,14 @@
 namespace microscope::online {
 
 /// One ingested batch, self-contained (no shared entry arrays).
-///
-/// The last three fields are flow-sharded ingestion bookkeeping
-/// (shard/sharded_engine.hpp); single-shard ingestion leaves them
-/// defaulted. A sharded steering thread splits each original record into
-/// per-shard sub-batches: `seq` is the global ingest sequence of the
-/// original record (shared by all its sub-batches), `origin_count` its
-/// original packet count, and `origin[i]` the position pkts[i] held in it
-/// (empty = identity, i.e. this sub-batch is the whole record). The
-/// coordinator's merge uses them to reassemble the exact original batch.
 struct StreamBatch {
   collector::Direction dir{collector::Direction::kRx};
   NodeId peer{kInvalidNode};  // tx only
   TimeNs ts{0};
   std::vector<Packet> pkts;
-  std::uint64_t seq{0};
-  std::uint16_t origin_count{0};
-  std::vector<std::uint16_t> origin;
 
   std::size_t bytes() const {
-    return sizeof(StreamBatch) + pkts.size() * sizeof(Packet) +
-           origin.size() * sizeof(std::uint16_t);
+    return sizeof(StreamBatch) + pkts.size() * sizeof(Packet);
   }
 };
 
@@ -83,24 +70,12 @@ class StreamStore {
   /// entry's origin present, so mismatches are confined to the margin:
   /// stale tx entries (whose rx predates the slice) are skipped as
   /// inferred drops and the stream heads resync exactly.
+  ///
+  /// The slice is filled through Collector::append, so rebuilding it does
+  /// not touch the collector.* hook counters: those count dataplane
+  /// collection, and these records were counted once when first collected.
   collector::Collector materialize(TimeNs t_lo, TimeNs t_hi,
                                    TimeNs tx_lo) const;
-
-  /// Invoke `fn(node, batch)` for every retained batch inside the same
-  /// asymmetric cut materialize() applies ([t_lo, t_hi] rx,
-  /// [tx_lo, t_hi] tx), in per-node ingestion order. The sharded engine's
-  /// merge walks every shard store through this to collect a window's
-  /// sub-batches before reassembly.
-  template <typename Fn>
-  void visit_slice(TimeNs t_lo, TimeNs t_hi, TimeNs tx_lo, Fn&& fn) const {
-    for (NodeId id = 0; id < streams_.size(); ++id) {
-      for (const StreamBatch& b : streams_[id]) {
-        const TimeNs lo = b.dir == collector::Direction::kTx ? tx_lo : t_lo;
-        if (b.ts < lo || b.ts > t_hi) continue;
-        fn(id, b);
-      }
-    }
-  }
 
   /// True when no batch with ts in [t_lo, t_hi] is retained.
   bool empty_in(TimeNs t_lo, TimeNs t_hi) const;

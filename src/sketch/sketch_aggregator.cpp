@@ -76,9 +76,9 @@ void clamp_side(autofocus::SideKey& s, int level) {
   if (level >= 7) s = autofocus::SideKey{};
 }
 
-/// SideKey::leaf that tolerates nodes missing from the catalog (sharded
-/// replay against a partial catalog): falls back to type 0 instead of
-/// throwing out of type_of.at().
+/// SideKey::leaf that tolerates nodes missing from the catalog (a replay
+/// against a partial catalog): falls back to type 0 instead of throwing
+/// out of type_of.at().
 autofocus::SideKey leaf_side(const FiveTuple& ft, NodeId node,
                              const autofocus::NfCatalog& cat) {
   using autofocus::NfSet;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <thread>
 
 #include "common/crc32c.hpp"
 #include "common/rng.hpp"
@@ -245,136 +244,6 @@ ChaosReport run_chaos(const collector::Collector& col, trace::GraphView graph,
   collect(engine.finish());
 
   // 6. Audit: every captured propagation step must conserve its score.
-  for (const online::WindowResult& w : report.results) {
-    ++report.windows;
-    report.diagnoses += w.diagnoses.size();
-    for (const core::Provenance& prov : w.provenances) {
-      for (const core::PropagationStep& st : prov.steps) {
-        ++report.provenance_steps;
-        const double rel =
-            std::abs(st.residual) / std::max(1.0, st.base_score);
-        report.max_conservation_residual =
-            std::max(report.max_conservation_residual, rel);
-        if (rel > 1e-6) report.conservation_ok = false;
-      }
-    }
-  }
-  report.decode = engine.decode_stats();
-  report.stats = engine.stats();
-  return report;
-}
-
-ShardChaosReport run_shard_chaos(const collector::Collector& col,
-                                 trace::GraphView graph,
-                                 std::vector<RatePerNs> peak_rates,
-                                 online::OnlineOptions engine_opts,
-                                 const ShardChaosOptions& chaos) {
-  ShardChaosReport report;
-  Rng rng(chaos.seed ^ 0x5A4DC4A05ULL);
-
-  std::vector<std::size_t> frames;
-  const std::vector<std::byte> stream = encode_framed_stream(col, &frames);
-  report.frames = frames.size();
-  report.stream_bytes = stream.size();
-
-  engine_opts.capture_provenance = true;
-  engine_opts.decode.framing = collector::WireFraming::kFramed;
-  shard::ShardedOptions sopt;
-  sopt.shards = chaos.shards;
-  sopt.ring_capacity = chaos.ring_capacity;
-  sopt.ring_full = shard::RingFullPolicy::kDrop;  // see ShardChaosOptions
-  sopt.spawn_workers = true;
-  sopt.online = engine_opts;
-  shard::ShardedEngine engine(graph, std::move(peak_rates), sopt);
-  for (NodeId id = 0; id < col.node_count(); ++id)
-    if (col.has_node(id)) engine.register_node(id, col.node(id).full_flow);
-
-  // Schedule resharding and stall events on chunk indices, spread over the
-  // middle of the stream so windows are open when they fire.
-  const std::size_t total_chunks =
-      (stream.size() + chaos.chunk_bytes - 1) / chaos.chunk_bytes;
-  const std::size_t events = static_cast<std::size_t>(
-      std::max(0, chaos.shard_adds) + std::max(0, chaos.shard_removes) +
-      std::max(0, chaos.worker_stalls));
-  std::vector<std::size_t> when(events, 0);
-  for (std::size_t i = 0; i < events; ++i)
-    when[i] = total_chunks * (i + 1) / (events + 1);
-
-  std::size_t next_event = 0;
-  int adds_left = std::max(0, chaos.shard_adds);
-  int removes_left = std::max(0, chaos.shard_removes);
-  int stalls_left = std::max(0, chaos.worker_stalls);
-  std::vector<std::uint32_t> added_slots;
-  std::int64_t stalled_slot = -1;  // -1 = no worker currently paused
-  std::size_t stall_until = 0;     // chunk index the stall ends at
-
-  auto collect = [&report](std::vector<online::WindowResult> ws) {
-    for (auto& w : ws) report.results.push_back(std::move(w));
-  };
-  auto end_stall = [&] {
-    if (stalled_slot < 0) return;
-    engine.set_worker_paused(static_cast<std::uint32_t>(stalled_slot), false);
-    stalled_slot = -1;
-  };
-
-  std::size_t chunk_idx = 0;
-  for (std::size_t pos = 0; pos < stream.size();
-       pos += chaos.chunk_bytes, ++chunk_idx) {
-    if (stalled_slot >= 0 && chunk_idx >= stall_until) end_stall();
-
-    if (next_event < events && chunk_idx >= when[next_event]) {
-      ++next_event;
-      // Every event type barriers or polls, so any in-flight stall ends.
-      end_stall();
-      // Interleave: stall, add, remove, stall, ... whichever still has
-      // budget (deterministic order keeps the harness reproducible).
-      if (stalls_left > 0 &&
-          (stalls_left >= adds_left + removes_left || rng.bernoulli(0.5))) {
-        --stalls_left;
-        const auto slots = engine.active_slots();
-        stalled_slot =
-            static_cast<std::int64_t>(slots[rng.uniform_u64(slots.size())]);
-        stall_until = chunk_idx + chaos.stall_chunks;
-        engine.set_worker_paused(static_cast<std::uint32_t>(stalled_slot),
-                                 true);
-        ++report.stalls_applied;
-      } else if (adds_left > 0 && (removes_left == 0 || rng.bernoulli(0.5))) {
-        --adds_left;
-        added_slots.push_back(engine.add_shard());
-        ++report.shards_added;
-      } else if (removes_left > 0 && engine.active_slots().size() > 1) {
-        --removes_left;
-        // Prefer retiring a shard added above (exercises the full add →
-        // carry traffic → retire → drain-out cycle); fall back to the
-        // highest original slot.
-        std::uint32_t victim;
-        if (!added_slots.empty()) {
-          victim = added_slots.back();
-          added_slots.pop_back();
-        } else {
-          victim = engine.active_slots().back();
-        }
-        engine.remove_shard(victim);
-        ++report.shards_removed;
-      }
-    }
-
-    const std::size_t len = std::min(chaos.chunk_bytes, stream.size() - pos);
-    ++report.chunks;
-    engine.feed_bytes({stream.data() + pos, len});
-    // A paused shard cannot pass the close barrier; hold polling while a
-    // stall is in flight (this is exactly the watermark-lag window).
-    if (stalled_slot < 0) {
-      collect(engine.poll());
-      // Paced dumper: yield the core so the drain workers keep up between
-      // chunks (see ShardChaosOptions::chunk_pace).
-      if (chaos.chunk_pace.count() > 0)
-        std::this_thread::sleep_for(chaos.chunk_pace);
-    }
-  }
-  end_stall();
-  collect(engine.finish());
-
   for (const online::WindowResult& w : report.results) {
     ++report.windows;
     report.diagnoses += w.diagnoses.size();

@@ -12,14 +12,12 @@
 // invariant (PropagationStep::residual ~ 0).
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "collector/collector.hpp"
 #include "online/engine.hpp"
-#include "shard/sharded_engine.hpp"
 #include "testing/corrupt.hpp"
 #include "trace/graph.hpp"
 
@@ -101,80 +99,5 @@ ChaosReport run_chaos(const collector::Collector& col, trace::GraphView graph,
                       std::vector<RatePerNs> peak_rates,
                       online::OnlineOptions engine_opts,
                       const ChaosOptions& chaos = {});
-
-// --- sharded-ingestion chaos (the ring / shared-memory path) --------------
-//
-// Same survival contract as run_chaos, aimed at the ShardedEngine's moving
-// parts instead of the wire: undersized SPSC rings under RingFullPolicy::
-// kDrop (overrun storms), workers stalled mid-stream (drain watermark lag,
-// then catch-up), and shards added/removed while windows are open. Every
-// diagnosis that comes out of the degraded stream must still satisfy the
-// attribution conservation invariant.
-
-struct ShardChaosOptions {
-  std::uint64_t seed = 1;
-  /// Dumper chunk size the framed stream is fed in.
-  std::size_t chunk_bytes = 4096;
-  /// Initial shard count.
-  std::size_t shards = 4;
-  /// Deliberately undersized per-shard ring so bursts overrun it (while
-  /// still letting enough of the stream through for diagnosis to fire).
-  /// The harness always runs RingFullPolicy::kDrop: a blocking ring cannot
-  /// storm, and stalled workers would deadlock the steering thread.
-  std::size_t ring_capacity = 256;
-  /// Worker stalls: a random active worker is paused for `stall_chunks`
-  /// consecutive chunks (no polling while stalled — a paused shard cannot
-  /// pass the close barrier), then resumed before the next poll. The
-  /// default stall is sized to overflow `ring_capacity` from *load* alone
-  /// (a 4 KiB chunk steers ~30-40 sub-batches to each of 4 shards, so
-  /// ~24 stalled chunks must overrun a 256-slot ring even if the worker
-  /// had fully drained it) — overruns then occur deterministically, not
-  /// only when the scheduler lets the steering thread outrun a worker
-  /// (under TSan's ~10x slowdown it never does).
-  int worker_stalls = 2;
-  std::size_t stall_chunks = 24;
-  /// Live resharding events, spread across the stream: each add grows the
-  /// fleet mid-window; each remove retires a random non-original shard
-  /// (or the highest original slot when none were added).
-  int shard_adds = 1;
-  int shard_removes = 1;
-  /// Steering-thread pause after each chunk (a rate-limited dumper). This
-  /// is what makes the storm meaningful on a loaded box: without pacing
-  /// the feed loop starves the workers of CPU and the rings drop nearly
-  /// everything, leaving nothing for diagnosis to audit. With it, overruns
-  /// come from bursts bigger than the ring and from stalled workers — the
-  /// failure modes under test. Stalled chunks are never paced (the stall
-  /// IS the backlog).
-  std::chrono::microseconds chunk_pace{20};
-};
-
-struct ShardChaosReport {
-  std::size_t stream_bytes{0};
-  std::size_t frames{0};
-  std::size_t chunks{0};
-  std::size_t stalls_applied{0};
-  int shards_added{0};
-  int shards_removed{0};
-
-  collector::DecodeStats decode{};
-  shard::ShardedStats stats{};
-  std::size_t windows{0};
-  std::size_t diagnoses{0};
-  std::size_t provenance_steps{0};
-  /// Largest |residual| / max(1, base_score) over every propagation step.
-  double max_conservation_residual{0.0};
-  bool conservation_ok{true};
-  std::vector<online::WindowResult> results;
-};
-
-/// Run the sharded chaos pipeline: encode the recording to a framed
-/// stream, feed it chunk-by-chunk through a ShardedEngine with storm-sized
-/// rings, stalling workers and resharding along the way, finish, and audit
-/// conservation. Framed decode and provenance capture are forced on.
-ShardChaosReport run_shard_chaos(const collector::Collector& col,
-                                 trace::GraphView graph,
-                                 std::vector<RatePerNs> peak_rates,
-                                 online::OnlineOptions engine_opts,
-                                 const ShardChaosOptions& chaos = {});
 
 }  // namespace microscope::testing

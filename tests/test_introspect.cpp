@@ -523,8 +523,9 @@ TEST(EndToEnd, HubPublishingMatchesCaptureProvenancePath) {
   for (std::size_t i = 0; i < w1.size(); ++i) {
     EXPECT_EQ(w1[i].diagnoses, w2[i].diagnoses) << "window " << i;
     EXPECT_TRUE(w1[i].provenances.empty());
-    if (!w2[i].diagnoses.empty())
+    if (!w2[i].diagnoses.empty()) {
       EXPECT_EQ(w2[i].provenances.size(), w2[i].diagnoses.size());
+    }
   }
 }
 

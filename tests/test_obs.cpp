@@ -349,9 +349,9 @@ TEST(Export, MetricUnitsClassifyCanonicalNames) {
   register_pipeline_metrics(reg);  // fills the explicit unit map
   EXPECT_EQ(metric_unit("online.watermark_lag_ns"), MetricUnit::kNanoseconds);
   EXPECT_EQ(metric_unit("online.retained_bytes"), MetricUnit::kBytes);
-  EXPECT_EQ(metric_unit("shard.ring.depth_records"), MetricUnit::kRecords);
+  EXPECT_EQ(metric_unit("online.ring_dropped_records"), MetricUnit::kRecords);
   EXPECT_EQ(metric_unit("sketch.fill_frac"), MetricUnit::kRatio);
-  EXPECT_EQ(metric_unit("shard.steer.imbalance"), MetricUnit::kRatio);
+  EXPECT_EQ(metric_unit("sketch.est_error_bound"), MetricUnit::kRatio);
   EXPECT_EQ(metric_unit("obs.start_time_unix"), MetricUnit::kUnixTime);
   EXPECT_EQ(metric_unit("obs.uptime_seconds"), MetricUnit::kSeconds);
   EXPECT_EQ(metric_unit("online.packets_ingested"), MetricUnit::kNone);

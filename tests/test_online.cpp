@@ -1,10 +1,12 @@
 // Online streaming diagnosis: the headline property is that concatenating
 // the closed-window diagnoses of the streaming engine reproduces, byte for
 // byte, the offline Diagnoser's output restricted to those windows — for
-// any window size, thread count, and drain-chunk granularity (modulo
-// victim.journey, a reconstruction-instance-local id). Plus: bounded
-// memory over long streams, idle-node timeouts, late-record and
-// backpressure drop accounting, ring draining, and the live aggregator.
+// any window size, thread count, and drain-chunk granularity, replayed in
+// memory or tailed from a stream file (modulo victim.journey, a
+// reconstruction-instance-local id). Plus: bounded memory over long
+// streams, idle-node timeouts, late-record and backpressure drop
+// accounting, ring draining, collector counters left alone by window
+// slices, and the live aggregator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include "eval/scenarios.hpp"
 #include "nf/inject.hpp"
 #include "nf/traffic.hpp"
+#include "obs/metrics.hpp"
 #include "online/aggregator.hpp"
 #include "online/engine.hpp"
 #include "online/replay.hpp"
@@ -161,19 +164,29 @@ void expect_windows_match_offline(const Scenario& s, const OnlineOptions& oopt,
 }
 
 void check_equivalence_matrix(const Scenario& s, DurationNs threshold) {
+  // Byte-fed leg: the same records as a framed v2 stream file, tailed and
+  // wire-decoded in fixed chunks.
+  const std::string path = "test_online_matrix.trace";
+  collector::save_trace_stream(s.col, path, collector::kTraceFileV2);
   for (const DurationNs window : {2_ms, 5_ms, 10_ms}) {
     for (const unsigned threads : {1u, 4u}) {
+      const OnlineOptions oopt = base_options(s, window, threads, threshold);
+      const std::string label = "window=" + std::to_string(window) +
+                                " threads=" + std::to_string(threads);
       for (const std::size_t poll_every : {std::size_t{7}, std::size_t{256}}) {
-        const OnlineOptions oopt = base_options(s, window, threads, threshold);
         OnlineEngine eng(s.graph, s.rates, oopt);
         const auto windows = replay_collector(s.col, eng, poll_every);
-        const std::string label = "window=" + std::to_string(window) +
-                                  " threads=" + std::to_string(threads) +
-                                  " chunk=" + std::to_string(poll_every);
-        expect_windows_match_offline(s, oopt, windows, label);
+        expect_windows_match_offline(
+            s, oopt, windows, label + " chunk=" + std::to_string(poll_every));
       }
+      OnlineEngine eng(s.graph, s.rates, oopt);
+      TraceFileTailer tail(path, eng);
+      expect_windows_match_offline(s, oopt, tail.drain_to_end(1 << 10),
+                                   label + " file-tail");
+      EXPECT_EQ(eng.stats().wire_decode_dropped, 0u) << label;
     }
   }
+  std::remove(path.c_str());
 }
 
 TEST(Online, Fig10MultiHopMatchesOffline) {
@@ -667,6 +680,31 @@ TEST(Online, AggregatorPatternsNewestWindowScaleIsExactlyOne) {
     }
   }
   EXPECT_GT(total, 0.0);
+}
+
+TEST(Online, MaterializedSlicesLeaveCollectorCountersAlone) {
+  if constexpr (!obs::kMetricsEnabled) {
+    GTEST_SKIP() << "metrics compiled out (MICROSCOPE_NO_METRICS)";
+  }
+  // collector.* counts dataplane collection. Every closed window rebuilds a
+  // Collector from the engine's store; those records were counted once,
+  // when the simulation collected them, and must not count again.
+  const Scenario s = make_fig10_scenario();
+  obs::Registry& reg = obs::Registry::global();
+  const char* const names[] = {"collector.rx_batches", "collector.rx_packets",
+                               "collector.tx_batches", "collector.tx_packets"};
+  std::vector<std::uint64_t> before;
+  for (const char* n : names) before.push_back(reg.counter(n).value());
+  const std::uint64_t ingested = reg.counter("online.batches_ingested").value();
+
+  OnlineEngine eng(s.graph, s.rates, base_options(s, 5_ms, 1, 100_us));
+  const auto windows = replay_collector(s.col, eng, 64);
+  ASSERT_FALSE(windows.empty());
+  EXPECT_GT(eng.stats().windows_closed, eng.stats().windows_skipped_empty);
+
+  EXPECT_GT(reg.counter("online.batches_ingested").value(), ingested);
+  for (std::size_t i = 0; i < before.size(); ++i)
+    EXPECT_EQ(reg.counter(names[i]).value(), before[i]) << names[i];
 }
 
 TEST(Online, EngineFeedsAggregatorAcrossWindows) {

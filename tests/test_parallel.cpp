@@ -303,6 +303,25 @@ TEST(Parallel, ThreadPoolCoversEveryIndexOnce) {
   }
 }
 
+TEST(Parallel, ThreadPoolLatchOutlivesLastCountDown) {
+  // parallel_for's completion latch lives on the caller's stack, so the
+  // last chunk must be done with it before the caller can return. Many
+  // short fan-outs race that hand-off often enough for TSan to catch a
+  // latch still being touched after parallel_for returned.
+  ThreadPool pool(3);
+  constexpr std::size_t kCalls = 5000;
+  std::atomic<std::size_t> total{0};
+  for (std::size_t call = 0; call < kCalls; ++call) {
+    pool.parallel_for(
+        4,
+        [&](std::size_t b, std::size_t e) {
+          total.fetch_add(e - b, std::memory_order_relaxed);
+        },
+        1);
+  }
+  EXPECT_EQ(total.load(), 4 * kCalls);
+}
+
 TEST(Parallel, ThreadPoolNestedCallsRunInline) {
   ThreadPool pool(2);
   std::atomic<int> total{0};

@@ -388,10 +388,11 @@ TEST(SketchAggregator, SoakHoldsMemoryFlat) {
 #ifdef __linux__
   // Whole-process RSS flat within 5% (+4 MiB allocator slack).
   const std::size_t final_rss_kb = read_vm_rss_kb();
-  if (warm_rss_kb > 0 && final_rss_kb > 0)
+  if (warm_rss_kb > 0 && final_rss_kb > 0) {
     EXPECT_LE(final_rss_kb, warm_rss_kb + warm_rss_kb / 20 + 4096)
         << "RSS grew from " << warm_rss_kb << " kB to " << final_rss_kb
         << " kB over " << windows << " windows";
+  }
 #endif
 }
 
