@@ -41,13 +41,6 @@ class Collector {
   /// Record a batch written toward `peer` (DPDK tx hook).
   void on_tx(NodeId id, NodeId peer, TimeNs ts, std::span<const Packet> batch);
 
-  /// The store behind both hooks, without their collector.* counters: for
-  /// rebuilding a store from records that were already counted when first
-  /// collected (the online engine's window slices). `peer` is ignored for
-  /// rx batches.
-  void append(Direction dir, NodeId id, NodeId peer, TimeNs ts,
-              std::span<const Packet> batch);
-
   std::size_t node_count() const { return traces_.size(); }
   bool has_node(NodeId id) const {
     return id < traces_.size() && registered_[id];
@@ -62,6 +55,10 @@ class Collector {
   const CollectorOptions& options() const { return opts_; }
 
  private:
+  /// The store behind both hooks, after they count the batch. `peer` is
+  /// ignored for rx batches.
+  void append(Direction dir, NodeId id, NodeId peer, TimeNs ts,
+              std::span<const Packet> batch);
   TimeNs noisy(TimeNs ts);
 
   CollectorOptions opts_;

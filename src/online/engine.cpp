@@ -97,7 +97,7 @@ OnlineEngine::OnlineEngine(trace::GraphView graph,
       agg_(make_aggregator(opts.aggregator, opts.agg_memory_budget,
                            opts.agg_catalog)),
       decoder_(
-          [this](NodeId n) { return store_.has_node(n) && store_.full_flow(n); },
+          [this](NodeId n) { return store_.full_flow(n); },
           [this](const collector::DecodedBatch& b) {
             ingest(b.dir, b.node, b.peer, b.ts, b.pkts);
           },
@@ -177,12 +177,7 @@ void OnlineEngine::ingest(collector::Direction dir, NodeId node, NodeId peer,
     m.backpressure_dropped.add();
     return;
   }
-  StreamBatch b;
-  b.dir = dir;
-  b.peer = peer;
-  b.ts = ts;
-  b.pkts.assign(pkts.begin(), pkts.end());
-  store_.add(node, std::move(b));
+  store_.add(dir, node, peer, ts, pkts);
   ++stats_.batches_ingested;
   stats_.packets_ingested += pkts.size();
   m.batches_ingested.add();
@@ -254,7 +249,8 @@ WindowResult OnlineEngine::diagnose(const WindowBounds& b) {
     return res;
   }
 
-  const collector::Collector col = store_.materialize(lo, hi, slice_tx_lo(b));
+  const collector::Collector& col =
+      store_.materialize(lo, hi, slice_tx_lo(b));
   const trace::ReconstructedTrace rt =
       trace::reconstruct(col, graph_, opts_.reconstruct);
   res.journeys = rt.journeys().size();

@@ -1,12 +1,14 @@
 // Streaming diagnosis engine (online mode).
 //
 // Incrementally ingests collector record streams — direct hook calls, raw
-// wire bytes, or an external-drain RingCollector — segments them into fixed
-// time windows, and when a window closes (watermark coverage, see
-// window.hpp) materializes the retained records around it, reconstructs,
-// and diagnoses exactly as the offline pipeline would. One StreamStore, one
-// WindowManager, one thread; multi-core speed comes from the analysis pool
-// (OnlineOptions::reconstruct.parallel and diagnoser.parallel).
+// wire bytes, or an external-drain RingCollector — appending each batch to
+// the StreamStore's per-node columnar lanes, segments them into fixed time
+// windows, and when a window closes (watermark coverage, see window.hpp)
+// cuts the retained records around it into the store's reused slice
+// Collector, reconstructs, and diagnoses exactly as the offline pipeline
+// would. One StreamStore, one WindowManager, one thread; multi-core speed
+// comes from the analysis pool (OnlineOptions::reconstruct.parallel and
+// diagnoser.parallel).
 //
 // Equivalence guarantee: for every closed window, the emitted diagnoses are
 // byte-identical to running the offline Diagnoser over the full trace with
@@ -27,7 +29,8 @@
 //
 // Memory is bounded: records are evicted as soon as the last window that
 // may need them closes, so the retained span never exceeds
-// history + window + 2*slack (plus the not-yet-closed tail of the stream).
+// history + window + 2*slack (plus the not-yet-closed tail of the stream),
+// and evicted lane prefixes are compacted away (see stream_store.hpp).
 #pragma once
 
 #include <cstddef>
@@ -192,6 +195,8 @@ struct OnlineStats {
   /// Closed windows whose slice held no records (no diagnosis run).
   std::uint64_t windows_skipped_empty{0};
   std::size_t retained_batches{0};
+  /// Bytes of the store's live lane records (batch records, IPIDs,
+  /// five-tuples); see StreamStore::retained_bytes.
   std::size_t retained_bytes{0};
   DurationNs retained_span_ns{0};
 };

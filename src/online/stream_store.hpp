@@ -1,16 +1,22 @@
-// Bounded in-memory record buffer for the streaming diagnosis engine.
+// Bounded in-memory record store for the streaming diagnosis engine.
 //
-// Holds the batches of every node's record stream between the eviction
-// horizon (oldest data any still-open window may need) and the newest data
-// drained so far. Per-node record order is preserved exactly as ingested —
-// the same order the offline collector would hold them in — so a window's
-// records can be materialized into a throwaway `collector::Collector` whose
-// contents are a contiguous time-slice of the offline store.
+// Holds every node's record stream between the eviction horizon (oldest
+// data any still-open window may need) and the newest data drained so far,
+// in the collector's own columnar layout: per node one `collector::NodeTrace`
+// whose rx/tx `BatchRecord` lanes and IPID lanes (plus five-tuple lanes on a
+// full-flow node's tx side) are appended to directly, with no allocation per
+// batch. Per-direction record order is preserved exactly as ingested — the
+// order the offline collector would hold them in — so a window's records cut
+// out of the lanes form a contiguous time-slice of the offline store.
+//
+// Each (node, direction) lane keeps a live-head index. Eviction advances it
+// past the front batches older than the horizon, then compacts the lane in
+// place once the dead prefix is at least as long as the live tail (erase the
+// prefix, rebase `begin`), so eviction is amortized O(1) per batch.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <deque>
+#include <span>
 #include <vector>
 
 #include "collector/collector.hpp"
@@ -20,45 +26,41 @@
 
 namespace microscope::online {
 
-/// One ingested batch, self-contained (no shared entry arrays).
-struct StreamBatch {
-  collector::Direction dir{collector::Direction::kRx};
-  NodeId peer{kInvalidNode};  // tx only
-  TimeNs ts{0};
-  std::vector<Packet> pkts;
-
-  std::size_t bytes() const {
-    return sizeof(StreamBatch) + pkts.size() * sizeof(Packet);
-  }
-};
-
 class StreamStore {
  public:
+  StreamStore();
+
   /// Declare a node (idempotent). `full_flow` mirrors the collector flag:
-  /// materialized stores re-register nodes with it so reconstruction sees
-  /// five-tuples exactly where the offline path would.
+  /// the node's tx side then keeps five-tuples, and the slice registers the
+  /// node with it so reconstruction sees five-tuples exactly where the
+  /// offline path would. Turning the flag on for a node that already holds
+  /// tx records gives those records default five-tuples.
   void register_node(NodeId id, bool full_flow);
 
-  bool has_node(NodeId id) const {
-    return id < registered_.size() && registered_[id];
-  }
+  bool has_node(NodeId id) const { return slice_.has_node(id); }
   bool full_flow(NodeId id) const {
-    return id < full_flow_.size() && full_flow_[id];
+    return has_node(id) && lanes_[id].trace.full_flow;
   }
-  std::size_t node_count() const { return registered_.size(); }
 
-  /// Append a batch to `node`'s stream (must be registered).
-  void add(NodeId node, StreamBatch batch);
+  /// Append one batch to `node`'s rx or tx lanes (node must be registered).
+  /// Only the packets' IPIDs are kept, plus their five-tuples on a full-flow
+  /// node's tx side; `peer` is ignored for rx batches.
+  void add(collector::Direction dir, NodeId node, NodeId peer, TimeNs ts,
+           std::span<const Packet> pkts);
 
-  /// Drop every batch with ts < horizon. Batches are evicted from the
-  /// front of each per-node stream; per-node streams are expected to be
-  /// (approximately) time-ordered, so this is O(evicted).
+  /// Evict every batch with ts < horizon from the front of each
+  /// (node, direction) lane. Lanes are expected to be (approximately)
+  /// time-ordered: a regressed batch waits behind its positional
+  /// predecessor, and is released once that one passes the horizon too.
   void evict_before(TimeNs horizon);
 
-  /// Build a Collector holding exactly the retained batches with
-  /// ts in [t_lo, t_hi] (rx) / [tx_lo, t_hi] (tx), per-node order
-  /// preserved. Every registered node is registered in the result even if
-  /// it contributes no batch.
+  /// Fill the store's slice Collector with exactly the retained batches
+  /// with ts in [t_lo, t_hi] (rx) / [tx_lo, t_hi] (tx), per-direction order
+  /// preserved, and return it. Every registered node is registered in the
+  /// slice even if it contributes no batch. The slice is reused: each call
+  /// clears its record vectors (keeping their capacity) and copies each run
+  /// of consecutive kept batches' entries with one range insert, so the
+  /// reference is valid until the next call.
   ///
   /// The asymmetric lower cut (tx_lo <= t_lo) exists for link alignment:
   /// a packet in flight across the cut leaves an rx record inside the
@@ -71,27 +73,37 @@ class StreamStore {
   /// stale tx entries (whose rx predates the slice) are skipped as
   /// inferred drops and the stream heads resync exactly.
   ///
-  /// The slice is filled through Collector::append, so rebuilding it does
-  /// not touch the collector.* hook counters: those count dataplane
-  /// collection, and these records were counted once when first collected.
-  collector::Collector materialize(TimeNs t_lo, TimeNs t_hi,
-                                   TimeNs tx_lo) const;
+  /// The slice is filled from the lanes, never through the collector's
+  /// hooks, so rebuilding it does not touch the collector.* counters: those
+  /// count dataplane collection, and these records were counted once when
+  /// first collected.
+  const collector::Collector& materialize(TimeNs t_lo, TimeNs t_hi,
+                                          TimeNs tx_lo);
 
   /// True when no batch with ts in [t_lo, t_hi] is retained.
   bool empty_in(TimeNs t_lo, TimeNs t_hi) const;
 
   std::size_t retained_batches() const { return retained_batches_; }
-  std::size_t retained_bytes() const { return retained_bytes_; }
+  /// Bytes of the live lane records: batch records, IPIDs and five-tuples
+  /// (the compacted-away prefix and spare capacity are not counted).
+  std::size_t retained_bytes() const;
   /// Timestamp span covered by retained batches (0 when empty) — the
   /// quantity the bounded-memory guarantee is stated over.
   DurationNs retained_span() const;
 
  private:
-  std::vector<std::deque<StreamBatch>> streams_;  // by node id
-  std::vector<bool> registered_;
-  std::vector<bool> full_flow_;
+  /// One node's lanes. `head` holds each direction's first live batch
+  /// (indexed by collector::Direction); the batches before it are evicted
+  /// and wait for compaction.
+  struct Lanes {
+    collector::NodeTrace trace;
+    std::size_t head[2]{0, 0};
+  };
+
+  std::vector<Lanes> lanes_;  // by node id
+  /// The reused slice; its registration table is also the store's.
+  collector::Collector slice_;
   std::size_t retained_batches_{0};
-  std::size_t retained_bytes_{0};
 };
 
 }  // namespace microscope::online

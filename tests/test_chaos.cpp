@@ -175,19 +175,17 @@ TEST(ChaosTest, SalvageClockSkewedTrace) {
 TEST(ChaosTest, StreamStoreSkewedEvictionDoesNotLeak) {
   online::StreamStore store;
   store.register_node(1, false);
-  auto batch = [](TimeNs ts) {
-    online::StreamBatch b;
-    b.ts = ts;
-    b.pkts.assign(1, Packet{});
-    return b;
+  const Packet pkt{};
+  auto add = [&](TimeNs ts) {
+    store.add(collector::Direction::kRx, 1, kInvalidNode, ts, {&pkt, 1});
   };
   // A skewed stream: 10 ms, 20 ms, then a regressed 12 ms batch.
-  store.add(1, batch(10_ms));
-  store.add(1, batch(20_ms));
-  store.add(1, batch(12_ms));
+  add(10_ms);
+  add(20_ms);
+  add(12_ms);
 
   // The regressed batch is still materialized by range.
-  const collector::Collector slice = store.materialize(11_ms, 13_ms, 11_ms);
+  const collector::Collector& slice = store.materialize(11_ms, 13_ms, 11_ms);
   EXPECT_EQ(slice.node(1).rx_batches.size(), 1u);
   EXPECT_EQ(slice.node(1).rx_batches[0].ts, 12_ms);
 

@@ -5,13 +5,17 @@
 // memory or tailed from a stream file (modulo victim.journey, a
 // reconstruction-instance-local id). Plus: bounded memory over long
 // streams, idle-node timeouts, late-record and backpressure drop
-// accounting, ring draining, collector counters left alone by window
-// slices, and the live aggregator.
+// accounting, ring draining, the stream store's slices against a plain
+// collector, collector counters left alone by window slices, and the live
+// aggregator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "collector/file.hpp"
@@ -682,13 +686,161 @@ TEST(Online, AggregatorPatternsNewestWindowScaleIsExactlyOne) {
   EXPECT_GT(total, 0.0);
 }
 
+/// Field-by-field equality of two batch-record lanes (`begin` included,
+/// so the slice's rebasing is checked too).
+void expect_same_batches(const std::vector<collector::BatchRecord>& got,
+                         const std::vector<collector::BatchRecord>& want,
+                         const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].ts, want[i].ts) << what << "[" << i << "]";
+    EXPECT_EQ(got[i].count, want[i].count) << what << "[" << i << "]";
+    EXPECT_EQ(got[i].peer, want[i].peer) << what << "[" << i << "]";
+    EXPECT_EQ(got[i].begin, want[i].begin) << what << "[" << i << "]";
+  }
+}
+
+TEST(Online, StreamStoreSlicesMatchCollector) {
+  // Differential check of the columnar store: after any mix of appends,
+  // evictions (with in-place lane compaction) and slicing, a slice must
+  // equal a plain Collector fed every batch ever added, filtered by the
+  // same [lo, hi] / [tx_lo, hi] rule. Lanes: a full-flow source (tx only)
+  // and two NFs with rx and tx toward two peers each; 0-3 batches of 1-4
+  // packets per lane per 100 us round, and one regressed timestamp per lane.
+  using collector::Direction;
+  constexpr NodeId kSource = 0, kNfA = 1, kNfB = 2, kSink = 3;
+  constexpr DurationNs kStep = 100_us;
+  constexpr int kRounds = 400;
+  // ~12 live batches per lane, so every lane compacts about every 8 rounds.
+  constexpr DurationNs kHistory = 8 * kStep;
+
+  struct Lane {
+    Direction dir;
+    NodeId node;
+    NodeId peers[2];
+    int regress_round;
+    /// Front-pop eviction model: (ts, packets) of the retained batches.
+    std::deque<std::pair<TimeNs, std::size_t>> model;
+  };
+  std::vector<Lane> lanes = {
+      {Direction::kTx, kSource, {kNfA, kNfB}, 50, {}},
+      {Direction::kRx, kNfA, {kInvalidNode, kInvalidNode}, 90, {}},
+      {Direction::kTx, kNfA, {kNfB, kSink}, 130, {}},
+      {Direction::kRx, kNfB, {kInvalidNode, kInvalidNode}, 170, {}},
+      {Direction::kTx, kNfB, {kNfA, kSink}, 210, {}},
+  };
+  struct Fed {
+    Direction dir;
+    NodeId node;
+    NodeId peer;
+    TimeNs ts;
+    std::vector<Packet> pkts;
+  };
+  std::vector<Fed> fed;
+
+  StreamStore store;
+  store.register_node(kSource, true);
+  store.register_node(kNfA, false);
+  store.register_node(kNfB, false);
+
+  std::mt19937_64 rng(13);
+  auto uniform = [&](std::uint64_t n) { return rng() % n; };
+  auto feed = [&](Lane& l, TimeNs ts) {
+    Fed f{l.dir, l.node, l.peers[uniform(2)], ts, {}};
+    f.pkts.resize(1 + uniform(4));
+    for (Packet& p : f.pkts) {
+      p.ipid = static_cast<std::uint16_t>(rng());
+      p.flow.src_ip = static_cast<std::uint32_t>(rng());
+      p.flow.dst_port = static_cast<std::uint16_t>(rng());
+    }
+    store.add(f.dir, f.node, f.peer, f.ts, f.pkts);
+    l.model.emplace_back(ts, f.pkts.size());
+    fed.push_back(std::move(f));
+  };
+  auto evict = [&](TimeNs h) {
+    store.evict_before(h);
+    std::size_t retained = 0;
+    std::size_t bytes = 0;
+    for (Lane& l : lanes) {
+      while (!l.model.empty() && l.model.front().first < h)
+        l.model.pop_front();
+      retained += l.model.size();
+      // Live lane records: a batch record, an IPID per packet, and a
+      // five-tuple per packet on the full-flow source's tx side.
+      const std::size_t per_pkt =
+          sizeof(std::uint16_t) + (l.node == kSource ? sizeof(FiveTuple) : 0);
+      for (const auto& [ts, n] : l.model)
+        bytes += sizeof(collector::BatchRecord) + n * per_pkt;
+    }
+    EXPECT_EQ(store.retained_batches(), retained) << "horizon " << h;
+    EXPECT_EQ(store.retained_bytes(), bytes) << "horizon " << h;
+  };
+
+  for (int r = 0; r < kRounds; ++r) {
+    const TimeNs round_start = r * kStep;
+    for (Lane& l : lanes) {
+      // The regressing round feeds at least one in-order batch first.
+      std::vector<TimeNs> ts(r == l.regress_round ? 1 + uniform(3)
+                                                  : uniform(4));
+      for (TimeNs& t : ts)
+        t = round_start + static_cast<TimeNs>(uniform(kStep));
+      std::sort(ts.begin(), ts.end());
+      for (const TimeNs t : ts) feed(l, t);
+      // Three rounds back: inside the next slices, then stuck behind its
+      // positional predecessor once the horizon passes it.
+      if (r == l.regress_round) feed(l, round_start - 3 * kStep);
+    }
+
+    const TimeNs h = round_start - kHistory;
+    evict(h);
+    const TimeNs tx_lo = h + static_cast<TimeNs>(uniform(kStep));
+    const TimeNs lo = tx_lo + static_cast<TimeNs>(uniform(2 * kStep));
+    const TimeNs hi = lo + static_cast<TimeNs>(uniform(kHistory));
+    const collector::Collector& slice = store.materialize(lo, hi, tx_lo);
+
+    collector::CollectorOptions ropts;
+    ropts.ground_truth = false;
+    collector::Collector ref(ropts);
+    ref.register_node(kSource, true);
+    ref.register_node(kNfA, false);
+    ref.register_node(kNfB, false);
+    for (const Fed& f : fed) {
+      const TimeNs f_lo = f.dir == Direction::kTx ? tx_lo : lo;
+      if (f.ts < f_lo || f.ts > hi) continue;
+      if (f.dir == Direction::kRx)
+        ref.on_rx(f.node, f.ts, f.pkts);
+      else
+        ref.on_tx(f.node, f.peer, f.ts, f.pkts);
+    }
+    for (const NodeId id : {kSource, kNfA, kNfB}) {
+      const collector::NodeTrace& got = slice.node(id);
+      const collector::NodeTrace& want = ref.node(id);
+      EXPECT_EQ(got.full_flow, want.full_flow);
+      expect_same_batches(got.rx_batches, want.rx_batches, "rx_batches");
+      expect_same_batches(got.tx_batches, want.tx_batches, "tx_batches");
+      EXPECT_EQ(got.rx_ipids, want.rx_ipids);
+      EXPECT_EQ(got.tx_ipids, want.tx_ipids);
+      EXPECT_EQ(got.tx_flows, want.tx_flows);
+    }
+    ASSERT_FALSE(HasFailure()) << "round " << r << " slice [" << lo << ", "
+                               << hi << "] tx_lo " << tx_lo;
+  }
+  EXPECT_GT(fed.size(), static_cast<std::size_t>(kRounds));
+
+  // Past the end of the stream nothing is retained, in batches or bytes.
+  evict(kRounds * kStep);
+  EXPECT_EQ(store.retained_batches(), 0u);
+  EXPECT_EQ(store.retained_bytes(), 0u);
+  EXPECT_EQ(store.retained_span(), 0);
+}
+
 TEST(Online, MaterializedSlicesLeaveCollectorCountersAlone) {
   if constexpr (!obs::kMetricsEnabled) {
     GTEST_SKIP() << "metrics compiled out (MICROSCOPE_NO_METRICS)";
   }
-  // collector.* counts dataplane collection. Every closed window rebuilds a
-  // Collector from the engine's store; those records were counted once,
-  // when the simulation collected them, and must not count again.
+  // collector.* counts dataplane collection. Every closed window refills
+  // the store's slice Collector from its lanes; those records were counted
+  // once, when the simulation collected them, and must not count again.
   const Scenario s = make_fig10_scenario();
   obs::Registry& reg = obs::Registry::global();
   const char* const names[] = {"collector.rx_batches", "collector.rx_packets",

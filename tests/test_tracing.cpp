@@ -10,6 +10,7 @@
 #include "eval/scenarios.hpp"
 #include "nf/inject.hpp"
 #include "nf/traffic.hpp"
+#include "obs/metrics.hpp"
 #include "obs/tracing.hpp"
 #include "online/engine.hpp"
 #include "online/replay.hpp"
@@ -18,6 +19,14 @@
 
 namespace microscope::obs {
 namespace {
+
+// A MICROSCOPE_NO_METRICS build compiles the recorder out, so the tests of
+// what it records skip themselves there (test_tracing_noop covers the
+// compiled-out API); the disabled-recorder tests still run.
+#define SKIP_IF_METRICS_DISABLED()                                  \
+  if constexpr (!kMetricsEnabled) {                                 \
+    GTEST_SKIP() << "metrics compiled out (MICROSCOPE_NO_METRICS)"; \
+  }
 
 /// Every test drains the process-global recorder on entry and exit so the
 /// suites stay independent regardless of execution order.
@@ -48,6 +57,7 @@ TEST_F(Tracing, DisabledRecorderRecordsNothing) {
 }
 
 TEST_F(Tracing, SpanCapturesTimesItemsAndCorrelation) {
+  SKIP_IF_METRICS_DISABLED();
   TraceRecorder::global().enable();
   {
     const auto w = CorrelationScope::for_window(7);
@@ -67,6 +77,7 @@ TEST_F(Tracing, SpanCapturesTimesItemsAndCorrelation) {
 }
 
 TEST_F(Tracing, CorrelationScopesNestAndRestore) {
+  SKIP_IF_METRICS_DISABLED();
   TraceRecorder::global().enable();
   {
     const auto outer = CorrelationScope::for_window(1);
@@ -107,6 +118,7 @@ TEST_F(Tracing, SpanStartedWhileDisabledStaysUnrecorded) {
 }
 
 TEST_F(Tracing, EpochFlushKeepsEveryEventAndDrainSorts) {
+  SKIP_IF_METRICS_DISABLED();
   TraceRecorder::global().enable();
   constexpr std::size_t kN = 10000;  // > one 4096-event epoch
   for (std::size_t i = 0; i < kN; ++i) trace_instant("t", "tick", i);
@@ -119,6 +131,7 @@ TEST_F(Tracing, EpochFlushKeepsEveryEventAndDrainSorts) {
 }
 
 TEST_F(Tracing, CapacityCapDropsAndCounts) {
+  SKIP_IF_METRICS_DISABLED();
   TraceRecorder::global().set_capacity(100);
   TraceRecorder::global().enable();
   for (std::size_t i = 0; i < 500; ++i) trace_instant("t", "burst");
@@ -130,6 +143,7 @@ TEST_F(Tracing, CapacityCapDropsAndCounts) {
 }
 
 TEST_F(Tracing, ConcurrentRecordingIsSafe) {
+  SKIP_IF_METRICS_DISABLED();
   TraceRecorder::global().enable();
   constexpr int kThreads = 4;
   constexpr int kPerThread = 5000;
@@ -154,6 +168,7 @@ TEST_F(Tracing, ConcurrentRecordingIsSafe) {
 }
 
 TEST_F(Tracing, ChromeExportBalancedAndStamped) {
+  SKIP_IF_METRICS_DISABLED();
   TraceRecorder::global().enable();
   {
     const auto w = CorrelationScope::for_window(3);
@@ -182,6 +197,7 @@ TEST_F(Tracing, ChromeExportBalancedAndStamped) {
 }
 
 TEST_F(Tracing, JsonlExportHeaderAndOneLinePerEvent) {
+  SKIP_IF_METRICS_DISABLED();
   TraceRecorder::global().enable();
   { TraceSpan span("t", "a"); }
   trace_instant("t", "b");
@@ -197,6 +213,7 @@ TEST_F(Tracing, JsonlExportHeaderAndOneLinePerEvent) {
 }
 
 TEST_F(Tracing, OnlineEngineEmitsWindowLifecycleEvents) {
+  SKIP_IF_METRICS_DISABLED();
   sim::Simulator sim;
   collector::Collector col;
   auto net = eval::build_single_firewall(sim, &col, 700);
