@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/simd.hpp"
-
 namespace microscope::bench {
 
 /// Where MICROSCOPE_BENCH_MAIN drops its machine-readable results:
@@ -41,10 +39,6 @@ inline int run_bench_main(const std::string& name, int argc, char** argv) {
   // RelWithDebInfo run against a Release baseline is pure noise).
   ::benchmark::AddCustomContext("microscope_build_type",
                                 MICROSCOPE_BENCH_BUILD_TYPE);
-  // Which SIMD/CRC dispatch actually ran (e.g. "avx2+crc32c" or
-  // "scalar (forced: env)") — numbers from different dispatch levels are
-  // comparable but the delta is then expected, so the report records it.
-  ::benchmark::AddCustomContext("microscope_simd", simd::caps_string());
   std::vector<char*> args(argv, argv + argc);
   bool has_out = false;
   for (int i = 1; i < argc; ++i)

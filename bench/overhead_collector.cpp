@@ -64,7 +64,7 @@ BENCHMARK(BM_RingCollector_RxTx)->Arg(8)->Arg(32);
 // CRC32C kernel cost, hardware instruction vs table-driven software, over
 // the frame sizes the v2 wire format actually produces (a 32-packet batch
 // frame is ~1KB). bytes_per_second is the headline; the hw/sw ratio at
-// equal size is the dispatch win reported in EXPERIMENTS.md.
+// equal size is the hardware-instruction win reported in EXPERIMENTS.md.
 void BM_Crc32cHw(benchmark::State& state) {
   const std::size_t len = static_cast<std::size_t>(state.range(0));
   std::vector<std::uint8_t> buf(len);

@@ -36,19 +36,14 @@ BUILD_TYPE_KEY = "__build_type__"
 
 
 def load_results(paths):
-    """-> ({key: cpu_time_ns}, build_type, {file stems}, {simd caps}).
+    """-> ({key: cpu_time_ns}, build_type, {file stems}).
 
     key = '<file-stem>/<benchmark name>'. Aborts (exit 2) when the input
     reports disagree about (or omit) the build type they were compiled as.
-    The simd capability strings ("microscope_simd" context, stamped by
-    bench_main.hpp) are collected for the --report artifact; unlike the
-    build type they may legitimately vary (a forced-scalar leg), so they
-    are recorded, not enforced.
     """
     results = {}
     stems = set()
     build_type = None
-    simd_caps = set()
     for path in paths:
         stem = os.path.basename(path)
         if stem.startswith("BENCH_"):
@@ -68,16 +63,13 @@ def load_results(paths):
         elif bt != build_type:
             sys.exit(f"ERROR: mixed build types in inputs: {path} is "
                      f"'{bt}' but earlier files are '{build_type}'")
-        caps = report.get("context", {}).get("microscope_simd")
-        if caps:
-            simd_caps.add(caps)
         for bench in report.get("benchmarks", []):
             # Skip aggregate rows (mean/median/stddev of repetitions).
             if bench.get("run_type") == "aggregate":
                 continue
             ns = to_ns(bench["cpu_time"], bench.get("time_unit", "ns"))
             results[f"{stem}/{bench['name']}"] = ns
-    return results, build_type, stems, simd_caps
+    return results, build_type, stems
 
 
 def to_ns(value, unit):
@@ -90,10 +82,9 @@ def to_ns(value, unit):
 def cpu_flags():
     """ISA feature flags of the machine that ran the benches (best effort).
 
-    Read from /proc/cpuinfo so the --report artifact records whether the
-    runner actually had sse4_2/avx2 — a "scalar" capability string on a
-    runner whose cpu advertises avx2 means a forced-scalar build, while
-    the same string on a cpu without the flags is plain hardware limits.
+    Read from /proc/cpuinfo so the --report artifact records which ISA
+    the runner had (e.g. whether the hardware CRC32C path could run) —
+    what tells a runner-generation change from a code regression.
     """
     try:
         with open("/proc/cpuinfo") as f:
@@ -126,12 +117,12 @@ def main():
         "--report",
         metavar="PATH",
         help="also write a JSON artifact: per-benchmark ratios vs baseline, "
-        "build type, simd capability strings, and the runner's cpu flags",
+        "build type and the runner's cpu flags",
     )
     ap.add_argument("results", nargs="+", help="BENCH_*.json files")
     args = ap.parse_args()
 
-    results, build_type, stems, simd_caps = load_results(args.results)
+    results, build_type, stems = load_results(args.results)
     if not results:
         sys.exit("no benchmark entries found in the given files")
 
@@ -214,7 +205,6 @@ def main():
     if args.report:
         report = {
             "build_type": build_type,
-            "simd_caps": sorted(simd_caps),
             "cpu_flags": cpu_flags(),
             "threshold": args.threshold,
             "benchmarks": compared,

@@ -2,16 +2,12 @@
 
 #include <array>
 
-#include "common/simd.hpp"
-
-#if !defined(MICROSCOPE_FORCE_SCALAR)
 #if defined(__x86_64__) || defined(__i386__)
 #define MICROSCOPE_CRC32C_X86 1
 #include <nmmintrin.h>
 #elif defined(__aarch64__) && defined(__ARM_FEATURE_CRC32)
 #define MICROSCOPE_CRC32C_ARM 1
 #include <arm_acle.h>
-#endif
 #endif
 
 namespace microscope {
@@ -120,7 +116,8 @@ bool crc32c_hw_supported() {
 
 std::uint32_t crc32c(const void* data, std::size_t len, std::uint32_t seed) {
 #if defined(MICROSCOPE_CRC32C_X86) || defined(MICROSCOPE_CRC32C_ARM)
-  if (simd::hw_crc32c_active())
+  static const bool hw = crc32c_hw_supported();  // cpu probed once
+  if (hw)
     return crc32c_hw_impl(static_cast<const unsigned char*>(data), len, seed);
 #endif
   return crc32c_sw(data, len, seed);

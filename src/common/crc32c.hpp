@@ -5,13 +5,12 @@
 // bit, or a mid-record truncation is detected at the frame where it
 // happened instead of silently desynchronizing the decode.
 //
-// Two implementations behind the common/simd.hpp runtime dispatch:
+// Two implementations:
 //  * crc32c_hw — SSE4.2 `crc32` (x86) / ARMv8 CRC32C instructions, ~an
 //    order of magnitude faster than the table walk on whole frames;
 //  * crc32c_sw — portable table-driven reference.
 // Both compute the same function bit-for-bit (CRC32C is fully specified);
-// crc32c() picks the hardware path when the cpu has it and
-// MICROSCOPE_FORCE_SCALAR (build flag or environment) is not set.
+// crc32c() picks the hardware path when the cpu has it.
 #pragma once
 
 #include <cstddef>
@@ -20,8 +19,8 @@
 namespace microscope {
 
 /// CRC32C of `len` bytes at `data`. `seed` chains partial computations:
-/// crc32c(b, n) == crc32c(b + k, n - k, crc32c(b, k)). Dispatches to the
-/// hardware instruction when available (see simd::hw_crc32c_active()).
+/// crc32c(b, n) == crc32c(b + k, n - k, crc32c(b, k)). Uses the hardware
+/// instruction when crc32c_hw_supported(), decided once per process.
 std::uint32_t crc32c(const void* data, std::size_t len, std::uint32_t seed = 0);
 
 /// Table-driven software reference. Always available.
@@ -34,9 +33,7 @@ std::uint32_t crc32c_sw(const void* data, std::size_t len,
 std::uint32_t crc32c_hw(const void* data, std::size_t len,
                         std::uint32_t seed = 0);
 
-/// True when crc32c_hw really executes the cpu instruction. Unlike
-/// simd::hw_crc32c_active() this ignores forced-scalar overrides: it
-/// reports capability, not dispatch selection.
+/// True when crc32c_hw really executes the cpu instruction.
 bool crc32c_hw_supported();
 
 }  // namespace microscope

@@ -2,6 +2,7 @@
 // throughput below a threshold, or packet loss).
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "common/stats.hpp"
@@ -16,8 +17,12 @@ using trace::Journey;
 namespace {
 
 /// Per-NF hop latency statistics over all delivered packets — the "recent
-/// history" the abnormality test compares against.
-std::vector<RunningStats> hop_stats(const trace::ReconstructedTrace& rt) {
+/// history" the abnormality test compares against. Empty at k = +inf (the
+/// streaming default): a finite sigma never exceeds it, so no hop can test
+/// abnormal and the statistics could not change any anchor.
+std::vector<RunningStats> hop_stats(const trace::ReconstructedTrace& rt,
+                                    double k) {
+  if (k == std::numeric_limits<double>::infinity()) return {};
   std::vector<RunningStats> stats(rt.graph().node_count());
   for (const Journey& j : rt.journeys()) {
     if (j.fate != Fate::kDelivered) continue;
@@ -30,7 +35,8 @@ std::vector<RunningStats> hop_stats(const trace::ReconstructedTrace& rt) {
 }
 
 /// Anchor a latency victim at the hop whose local latency is most abnormal
-/// (beyond k sigma); falls back to the highest-latency hop.
+/// (beyond k sigma); falls back to the highest-latency hop. `stats` comes
+/// from hop_stats(rt, k); when it is empty no hop tests abnormal.
 Victim victim_at_worst_hop(const trace::ReconstructedTrace& rt,
                            std::uint32_t jid,
                            const std::vector<RunningStats>& stats, double k) {
@@ -50,6 +56,7 @@ Victim victim_at_worst_hop(const trace::ReconstructedTrace& rt,
     if (!h.has_latency()) continue;
     const DurationNs lat = *h.latency();
     if (!max_lat || lat > *max_lat->latency()) max_lat = &h;
+    if (stats.empty()) continue;
     const RunningStats& s = stats[h.node];
     if (s.count() < 2 || s.stddev() <= 0.0) continue;
     const double sigma = (static_cast<double>(lat) - s.mean()) / s.stddev();
@@ -82,7 +89,7 @@ std::vector<Victim> Diagnoser::latency_victims_by_threshold(
     DurationNs threshold) const {
   const auto wscope = obs::CorrelationScope::for_window(opts_.trace_window);
   obs::TraceSpan span("core", "victims.latency");
-  const auto stats = hop_stats(*rt_);
+  const auto stats = hop_stats(*rt_, opts_.abnormal_stddev_k);
   std::vector<Victim> out;
   for (std::uint32_t jid = 0; jid < rt_->journeys().size(); ++jid) {
     const Journey& j = rt_->journey(jid);
@@ -135,7 +142,7 @@ std::vector<Victim> Diagnoser::connection_stall_victims(
     conns[j.flow].push_back({jid, j.source_time, j.hops.back().depart});
   }
 
-  const auto stats = hop_stats(*rt_);
+  const auto stats = hop_stats(*rt_, opts_.abnormal_stddev_k);
   std::vector<Victim> out;
   for (auto& [flow, pkts] : conns) {
     if (pkts.size() < min_packets) continue;
@@ -212,7 +219,7 @@ std::vector<Victim> Diagnoser::throughput_victims(const FiveTuple& flow,
   std::sort(pkts.begin(), pkts.end(),
             [](const Entry& a, const Entry& b) { return a.done < b.done; });
 
-  const auto stats = hop_stats(*rt_);
+  const auto stats = hop_stats(*rt_, opts_.abnormal_stddev_k);
   const double min_per_window =
       min_rate_pps * to_sec(window);
   std::vector<Victim> out;

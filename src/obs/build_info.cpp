@@ -1,6 +1,5 @@
 #include "obs/build_info.hpp"
 
-#include "common/simd.hpp"
 #include "obs/metrics.hpp"
 
 #ifndef MICROSCOPE_GIT_HASH
@@ -35,10 +34,7 @@ std::string build_info_json() {
   out += "\"build_type\": \"" + b.build_type + "\", ";
   out += "\"compiler\": \"" + b.compiler + "\", ";
   out += std::string("\"metrics\": ") + (b.metrics_enabled ? "true" : "false");
-  out += ", \"sanitizers\": \"" + b.sanitizers + "\"";
-  // Queried live, not cached: the simd dispatch can be re-pinned at
-  // runtime (MICROSCOPE_FORCE_SCALAR env, simd::set_force_scalar).
-  out += ", \"simd\": \"" + simd::caps_string() + "\"}";
+  out += ", \"sanitizers\": \"" + b.sanitizers + "\"}";
   return out;
 }
 
@@ -51,7 +47,6 @@ std::string build_info_text() {
   out += std::string("  metrics:    ") + (b.metrics_enabled ? "on" : "off") +
          "\n";
   out += "  sanitizers: " + b.sanitizers + "\n";
-  out += "  simd:       " + simd::caps_string() + "\n";
   return out;
 }
 

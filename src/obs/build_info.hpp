@@ -30,9 +30,8 @@ struct BuildInfo {
 const BuildInfo& build_info();
 
 /// One-line JSON object: {"git_hash": ..., "build_type": ..., "compiler":
-/// ..., "metrics": ..., "sanitizers": ..., "simd": ...}. Stamped verbatim
-/// into trace exports and provenance headers. The simd capability string
-/// is queried live from the runtime dispatch, not cached.
+/// ..., "metrics": ..., "sanitizers": ...}. Stamped verbatim into trace
+/// exports and provenance headers.
 std::string build_info_json();
 
 /// Aligned human-readable block for --version output.

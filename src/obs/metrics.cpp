@@ -6,7 +6,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "common/simd.hpp"
 #include "obs/build_info.hpp"
 
 namespace microscope::obs {
@@ -573,8 +572,6 @@ std::string to_prometheus(const Snapshot& snap, bool include_build_info) {
     prom_escape_label(out, b.build_type);
     out += "\",compiler=\"";
     prom_escape_label(out, b.compiler);
-    out += "\",simd=\"";
-    prom_escape_label(out, simd::caps_string());
     out += "\",metrics=\"";
     out += b.metrics_enabled ? "on" : "off";
     out += "\"} 1\n";

@@ -288,7 +288,7 @@ const std::map<std::string, std::string>& metric_renames();
 /// with an explicit +Inf bucket, and *_ns durations converted to base-unit
 /// seconds (name and values) per Prometheus convention. When
 /// `include_build_info` is set, a microscope_build_info gauge labelled
-/// from obs/build_info (git_hash, build_type, compiler, simd, metrics) is
+/// from obs/build_info (git_hash, build_type, compiler, metrics) is
 /// appended. ci/check_prom_format.py validates this output in CI.
 std::string to_prometheus(const Snapshot& snap, bool include_build_info = true);
 

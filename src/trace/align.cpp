@@ -1,11 +1,9 @@
 #include "trace/align.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <vector>
 
-#include "common/simd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracing.hpp"
 
@@ -19,51 +17,24 @@
 // whose batches tile its entry range exactly (the canonical collector
 // layout) gets a zero-copy stream view — identity entry map, lanes
 // aliasing the node's expanded tx arrays — instead of a materialized
-// copy. On top of that layout two data-parallel fast paths run behind the
-// common/simd.hpp dispatch:
+// copy.
 //
-//  * a 16-lane zip block that consumes a run of head-of-line matches
-//    against the stream of the previous match in one step (IPID equality
-//    and both timing bounds as branchless lane compares), guarded by
-//    "no other live stream's head IPID occurs in the block" (and, for the
-//    internal pass, "no other head can expire inside the block") so no
-//    candidate, tie-break, or stat could have differed from the scalar
-//    walk. Attempts are run-gated: interleaved traffic can never zip, so
-//    a failed attempt backs off until the same stream has matched a few
-//    entries in a row again (a pure cost heuristic — whether a zip is
-//    *attempted* never changes what is matched);
-//  * a head-register path that keeps every stream's head IPID/timestamp in
-//    fixed 16-lane arrays and finds candidate streams with one vector
-//    compare instead of a per-stream loop.
-//
-// Both are byte-identical to the scalar reference by construction: the
-// guards make the fast path bail to the reference logic whenever any
-// deviation were possible, candidate lanes are visited in ascending stream
-// order (std::countr_zero) so tie-breaks resolve identically, and the
-// drop-inference scan uses a sorted-window search only when the stream's
-// timestamps are nondecreasing (chaos traces with regressions take the
-// exact replica of the original scan). The ablation modes (use_timing /
-// use_order off) and nodes with more than 16 live streams always take the
-// reference path. tests/test_parallel.cpp asserts scalar-vs-SIMD
-// byte-identity end to end; the CI feature matrix runs the full suite both
-// ways.
+// Matching is one loop per pass. Per-link FIFO order (paper §5, Fig. 9)
+// lets only the head-of-line entry of each stream match, so each rx entry
+// costs one short loop over its node's few stream heads, read through flat
+// per-pass cursors. When no head matches, the link pass infers queue drops
+// by scanning ahead: a sorted-window search when the stream's timestamps
+// are nondecreasing, the literal forward scan when they regress. The
+// no-order ablation matches on private erasable copies instead.
 namespace microscope::trace {
 namespace {
 
 using collector::BatchRecord;
 using collector::NodeTrace;
 
-
-/// After a zip block fails (or the active stream changes), require this
-/// many consecutive same-stream matches before attempting another block.
-/// Purely a cost knob: it only decides when the (always-guarded) zip is
-/// tried, never what matches.
-constexpr std::uint32_t kZipMinRun = 4;
-
 /// Expand batch records into per-entry SoA lanes (batch index + batch
-/// timestamp). Returns whether the batch timestamps are nondecreasing —
-/// the zip fast path of the internal pass requires monotone read times.
-bool expand_batches(const std::vector<BatchRecord>& batches,
+/// timestamp).
+void expand_batches(const std::vector<BatchRecord>& batches,
                     std::size_t entry_count,
                     std::vector<std::uint32_t>& batch_of,
                     std::vector<TimeNs>& entry_ts) {
@@ -73,14 +44,10 @@ bool expand_batches(const std::vector<BatchRecord>& batches,
   TimeNs* ets = entry_ts.data();
   const BatchRecord* recs = batches.data();
   const std::uint32_t nb = static_cast<std::uint32_t>(batches.size());
-  bool sorted = true;
-  TimeNs prev = std::numeric_limits<TimeNs>::min();
   for (std::uint32_t b = 0; b < nb; ++b) {
     const TimeNs ts = recs[b].ts;
     const std::uint32_t begin = recs[b].begin;
     const std::uint32_t count = recs[b].count;
-    sorted &= ts >= prev;
-    prev = ts;
     if (count == 1) {  // the overwhelmingly common case on real traces
       bo[begin] = b;
       ets[begin] = ts;
@@ -91,7 +58,6 @@ bool expand_batches(const std::vector<BatchRecord>& batches,
       }
     }
   }
-  return sorted;
 }
 
 /// One packet stream between a (tx node, peer) pair as contiguous SoA
@@ -272,34 +238,6 @@ Ref make_ref(const Stream& s, std::uint8_t* drop_flags) {
   return r;
 }
 
-/// Fixed-width register of every stream's head-of-line IPID and timestamp,
-/// padded to simd::kLanes so the mask kernels read whole vectors.
-/// Exhausted lanes carry ts = kTimeNever (rejected by every timing bound)
-/// and are cleared from `live`; lanes beyond the stream count stay dead.
-struct Heads {
-  alignas(32) std::uint16_t ipid[simd::kLanes];
-  alignas(32) TimeNs ts[simd::kLanes];
-  std::uint32_t live{0};
-
-  void init(const Ref* refs, std::size_t count) {
-    std::fill_n(ipid, simd::kLanes, std::uint16_t{0});
-    std::fill_n(ts, simd::kLanes, kTimeNever);
-    live = 0;
-    for (std::size_t s = 0; s < count; ++s) refresh(refs, s);
-  }
-  void refresh(const Ref* refs, std::size_t s) {
-    const Ref& r = refs[s];
-    if (r.head >= r.size) {
-      ts[s] = kTimeNever;
-      live &= ~(1u << s);
-    } else {
-      ipid[s] = r.ipids[r.head];
-      ts[s] = r.ts[r.head];
-      live |= 1u << s;
-    }
-  }
-};
-
 /// Owned, erasable copy of a stream for the no-order ablation (matching
 /// without the FIFO discipline consumes entries from the middle).
 struct OwnedLanes {
@@ -344,10 +282,8 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
   out.resize(n);
   // Per-node stat shards, merged in node-id order at the end.
   std::vector<AlignStats> node_stats(n);
-  // Outgoing streams per node (grouped by peer) and whether the node's rx
-  // batch timestamps are nondecreasing.
+  // Outgoing streams per node, grouped by peer.
   std::vector<std::vector<Stream>> tx_streams(n);
-  std::vector<std::uint8_t> rx_sorted(n, 1);
 
   // Pass 0: entry->batch maps, SoA timestamp lanes, outgoing streams, and
   // downstream-drop flags.
@@ -368,10 +304,8 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
     }
     const NodeTrace& t = col.node(id);
     NodeAlignment& a = out[id];
-    rx_sorted[id] = expand_batches(t.rx_batches, t.rx_ipids.size(),
-                                   a.rx_batch_of, a.rx_entry_ts)
-                        ? 1
-                        : 0;
+    expand_batches(t.rx_batches, t.rx_ipids.size(), a.rx_batch_of,
+                   a.rx_entry_ts);
     a.tx_dropped_downstream.assign(t.tx_ipids.size(), 0);
     a.rx_origin.assign(t.rx_ipids.size(), TxRef{});
     a.rx_to_tx.assign(t.rx_ipids.size(), kNoEntry);
@@ -394,8 +328,7 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
     const TimeNs* rx_ts = da.rx_entry_ts.data();
 
     // The no-order ablation consumes entries from the middle of a stream,
-    // so it runs on private erasable copies; everything below it shares
-    // none of the fast-path machinery.
+    // so it runs on private erasable copies.
     if (!opts.use_order) {
       std::vector<OwnedLanes> own;
       for (NodeId u : graph.upstreams[d]) {
@@ -481,10 +414,9 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
     // stream the original forward scan — skip entries older than the link
     // delay, stop at the first entry beyond read_ts + slack — is exactly
     // the first IPID hit inside a binary-searched window; streams with
-    // timestamp regressions take the literal scan. Returns the matched
-    // stream index, or S.
+    // timestamp regressions take the literal scan.
     auto scan_ahead = [&](std::uint32_t j, std::uint16_t ipid,
-                          TimeNs read_ts) -> std::size_t {
+                          TimeNs read_ts) {
       std::size_t best_stream = S;
       std::size_t best_pos = 0;
       std::size_t best_skips = static_cast<std::size_t>(-1);
@@ -501,7 +433,8 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
           const std::size_t hi = static_cast<std::size_t>(
               std::upper_bound(tsd + lo, tsd + sz, read_ts + opts.slack) -
               tsd);
-          k = simd::find_first_equal(st.ipids, lo, hi, ipid);
+          k = static_cast<std::size_t>(
+              std::find(st.ipids + lo, st.ipids + hi, ipid) - st.ipids);
           if (k >= hi) continue;
         } else {
           k = sz;
@@ -536,149 +469,49 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
       } else {
         ++local.link_unmatched;
       }
-      return best_stream;
     };
 
-    const bool fast = opts.use_timing && S >= 1 && S <= simd::kLanes;
+    for (std::uint32_t j = 0; j < n_rx; ++j) {
+      const std::uint16_t ipid = rx_ipid[j];
+      const TimeNs read_ts = rx_ts[j];
 
-    if (fast) {
-      Heads h;
-      h.init(refs, S);
-      std::size_t active = 0;  // stream of the last match: run heuristic
-      std::uint32_t run = kZipMinRun;  // allow an attempt at stream start
-      std::uint32_t j = 0;
-      while (j < n_rx) {
-        // Zip block: 16 consecutive rx entries that are all head-of-line
-        // matches of the active stream. No other live stream's head IPID
-        // occurs in the block, so no other candidate (and no ambiguity)
-        // was possible at any of the 16 entries; exhausted lanes cannot
-        // be candidates at all.
-        if (run >= kZipMinRun) {
-          Ref& ac = refs[active];
-          if (j + simd::kLanes <= n_rx &&
-              ac.head + simd::kLanes <= ac.size &&
-              simd::match_block(rx_ipid + j, ac.ipids + ac.head, rx_ts + j,
-                                ac.ts + ac.head, opts.max_link_delay,
-                                opts.slack)) {
-            bool clean = true;
-            std::uint32_t others = h.live & ~(1u << active);
-            while (others) {
-              const unsigned o = std::countr_zero(others);
-              others &= others - 1;
-              if (simd::match_mask(rx_ipid + j, h.ipid[o]) != 0) {
-                clean = false;
-                break;
-              }
-            }
-            if (clean) {
-              const NodeId up = ac.up;
-              if (ac.entries) {
-                const std::uint32_t* ent = ac.entries + ac.head;
-                for (std::size_t k = 0; k < simd::kLanes; ++k)
-                  da.rx_origin[j + k] = TxRef{up, ent[k]};
-              } else {
-                for (std::size_t k = 0; k < simd::kLanes; ++k)
-                  da.rx_origin[j + k] =
-                      TxRef{up, ac.head + static_cast<std::uint32_t>(k)};
-              }
-              ac.head += simd::kLanes;
-              h.refresh(refs, active);
-              local.link_matched += simd::kLanes;
-              j += simd::kLanes;
-              continue;
-            }
-          }
-          run = 1;  // impossible or failed: back off until a fresh run
-        }
-        // Head-register path: one vector compare finds every stream whose
-        // head-of-line IPID matches; timing and tie-breaks then run over
-        // the (few) candidate lanes in ascending stream order, exactly as
-        // the scalar reference would.
-        const std::uint16_t ipid = rx_ipid[j];
-        const TimeNs read_ts = rx_ts[j];
-        std::uint32_t m = simd::match_mask(h.ipid, ipid) & h.live;
-        int best = -1;
-        TimeNs best_ts = kTimeNever;
-        int candidates = 0;
-        while (m) {
-          const unsigned s = std::countr_zero(m);
-          m &= m - 1;
-          const TimeNs tx_ts = h.ts[s];
+      // Candidate upstreams: head-of-line entries with the right IPID
+      // inside the delay bound (side channels 1-3). The ablation knob
+      // disables the timing bound (side channel 2).
+      int best = -1;
+      TimeNs best_ts = kTimeNever;
+      int candidates = 0;
+      for (std::size_t s = 0; s < S; ++s) {
+        const Ref& st = refs[s];
+        if (st.exhausted()) continue;
+        if (st.ipids[st.head] != ipid) continue;
+        const TimeNs tx_ts = st.ts[st.head];
+        if (opts.use_timing) {
           if (tx_ts > read_ts + opts.slack) continue;
           if (read_ts - tx_ts > opts.max_link_delay) continue;
-          ++candidates;
-          if (tx_ts < best_ts ||
-              (tx_ts == best_ts && best >= 0 &&
-               refs[s].up < refs[static_cast<std::size_t>(best)].up)) {
-            best = static_cast<int>(s);
-            best_ts = tx_ts;
-          }
         }
-        if (best >= 0) {
-          if (candidates > 1) ++local.link_ambiguous;
-          Ref& st = refs[static_cast<std::size_t>(best)];
-          da.rx_origin[j] = TxRef{st.up, st.head_entry()};
-          ++st.head;
-          h.refresh(refs, static_cast<std::size_t>(best));
-          ++local.link_matched;
-          run = (static_cast<std::size_t>(best) == active) ? run + 1 : 1;
-          active = static_cast<std::size_t>(best);
-          ++j;
-          continue;
+        ++candidates;
+        if (tx_ts < best_ts ||
+            (tx_ts == best_ts && best >= 0 &&
+             st.up < refs[static_cast<std::size_t>(best)].up)) {
+          best = static_cast<int>(s);
+          best_ts = tx_ts;
         }
-        const std::size_t hit = scan_ahead(j, ipid, read_ts);
-        if (hit < S) {
-          h.refresh(refs, hit);
-          active = hit;
-          run = 1;
-        }
-        ++j;
       }
-    } else {
-      // Scalar reference: the no-timing ablation, more streams than head
-      // lanes, or no streams at all.
-      for (std::uint32_t j = 0; j < n_rx; ++j) {
-        const std::uint16_t ipid = rx_ipid[j];
-        const TimeNs read_ts = rx_ts[j];
-
-        // Candidate upstreams: head-of-line entries with the right IPID
-        // inside the delay bound (side channels 1-3). The ablation knob
-        // disables the timing bound (side channel 2).
-        int best = -1;
-        TimeNs best_ts = kTimeNever;
-        int candidates = 0;
-        for (std::size_t s = 0; s < S; ++s) {
-          const Ref& st = refs[s];
-          if (st.exhausted()) continue;
-          if (st.ipids[st.head] != ipid) continue;
-          const TimeNs tx_ts = st.ts[st.head];
-          if (opts.use_timing) {
-            if (tx_ts > read_ts + opts.slack) continue;
-            if (read_ts - tx_ts > opts.max_link_delay) continue;
-          }
-          ++candidates;
-          if (tx_ts < best_ts ||
-              (tx_ts == best_ts && best >= 0 &&
-               st.up < refs[static_cast<std::size_t>(best)].up)) {
-            best = static_cast<int>(s);
-            best_ts = tx_ts;
-          }
-        }
-        if (best >= 0) {
-          if (candidates > 1) ++local.link_ambiguous;
-          Ref& st = refs[static_cast<std::size_t>(best)];
-          da.rx_origin[j] = TxRef{st.up, st.head_entry()};
-          ++st.head;
-          ++local.link_matched;
-          continue;
-        }
-        if (!opts.use_timing) {
-          // Drop inference below needs both FIFO order and timing bounds.
-          ++local.link_unmatched;
-          continue;
-        }
-        scan_ahead(j, ipid, read_ts);
+      if (best >= 0) {
+        if (candidates > 1) ++local.link_ambiguous;
+        Ref& st = refs[static_cast<std::size_t>(best)];
+        da.rx_origin[j] = TxRef{st.up, st.head_entry()};
+        ++st.head;
+        ++local.link_matched;
+        continue;
       }
+      if (!opts.use_timing) {
+        // Drop inference below needs both FIFO order and timing bounds.
+        ++local.link_unmatched;
+        continue;
+      }
+      scan_ahead(j, ipid, read_ts);
     }
 
     // Remaining unconsumed upstream entries: dropped if their deadline has
@@ -715,156 +548,45 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
     const TimeNs* rx_ts = da.rx_entry_ts.data();
     const std::size_t S = cur.size();
 
-    auto apply_match = [&](std::uint32_t i, std::size_t s) {
-      Ref& st = refs[s];
-      const std::uint32_t e = st.head_entry();
-      da.rx_to_tx[i] = e;
-      da.tx_to_rx[e] = i;
-      ++st.head;
-      ++local.internal_matched;
-    };
-
-    // Expired head entries (tx earlier than any remaining read can
-    // explain) are permanently unclaimable: per-node reads are
-    // time-ordered, so read_ts only grows. They occur when the tx entry's
-    // rx record is missing — a partial trace (e.g. a streamed time slice)
-    // or a lost record — and leaving one at the head would wedge the whole
-    // output stream into policy drops.
-    auto advance_expired = [&](std::size_t s, TimeNs read_ts) {
-      Ref& st = refs[s];
-      while (st.head < st.size && st.ts[st.head] + opts.slack < read_ts) {
+    for (std::uint32_t i = 0; i < n_rx; ++i) {
+      const std::uint16_t ipid = rx_ipid[i];
+      const TimeNs read_ts = rx_ts[i];
+      int best = -1;
+      TimeNs best_ts = kTimeNever;
+      int candidates = 0;
+      for (std::size_t s = 0; s < S; ++s) {
+        Ref& st = refs[s];
+        // Expired head entries (tx earlier than any remaining read can
+        // explain) are permanently unclaimable: per-node reads are
+        // time-ordered, so read_ts only grows. They occur when the tx
+        // entry's rx record is missing — a partial trace (e.g. a streamed
+        // time slice) or a lost record — and leaving one at the head would
+        // wedge the whole output stream into policy drops.
+        while (st.head < st.size && st.ts[st.head] + opts.slack < read_ts) {
+          ++st.head;
+          ++local.internal_expired;
+        }
+        if (st.exhausted()) continue;
+        if (st.ipids[st.head] != ipid) continue;
+        const TimeNs tx_ts = st.ts[st.head];
+        if (tx_ts - read_ts > opts.max_nf_delay) continue;
+        ++candidates;
+        if (tx_ts < best_ts) {
+          best = static_cast<int>(s);
+          best_ts = tx_ts;
+        }
+      }
+      if (best >= 0) {
+        if (candidates > 1) ++local.internal_ambiguous;
+        Ref& st = refs[static_cast<std::size_t>(best)];
+        const std::uint32_t e = st.head_entry();
+        da.rx_to_tx[i] = e;
+        da.tx_to_rx[e] = i;
         ++st.head;
-        ++local.internal_expired;
-      }
-    };
-
-    if (S >= 1 && S <= simd::kLanes) {
-      Heads h;
-      h.init(refs, S);
-      // The zip block needs monotone read timestamps (its no-expiry guard
-      // is evaluated at the block's last read time).
-      const bool zip_ok = rx_sorted[d] != 0;
-      std::size_t active = 0;
-      std::uint32_t run = kZipMinRun;
-      std::uint32_t i = 0;
-      while (i < n_rx) {
-        // Zip block: 16 consecutive rx entries that are all head-of-line
-        // matches of the active stream, with no other live stream's head
-        // IPID in the block (no other candidate possible) and no other
-        // head expiring inside it (no expiry advance or stat possible).
-        if (zip_ok && run >= kZipMinRun) {
-          Ref& ac = refs[active];
-          if (i + simd::kLanes <= n_rx &&
-              ac.head + simd::kLanes <= ac.size &&
-              simd::match_block(rx_ipid + i, ac.ipids + ac.head, rx_ts + i,
-                                ac.ts + ac.head, opts.slack,
-                                opts.max_nf_delay)) {
-            const TimeNs block_last_read = rx_ts[i + simd::kLanes - 1];
-            bool clean =
-                (simd::mask_less(h.ts, block_last_read - opts.slack) &
-                 h.live & ~(1u << active)) == 0;
-            if (clean) {
-              std::uint32_t others = h.live & ~(1u << active);
-              while (others) {
-                const unsigned o = std::countr_zero(others);
-                others &= others - 1;
-                if (simd::match_mask(rx_ipid + i, h.ipid[o]) != 0) {
-                  clean = false;
-                  break;
-                }
-              }
-            }
-            if (clean) {
-              if (ac.entries) {
-                const std::uint32_t* ent = ac.entries + ac.head;
-                for (std::size_t k = 0; k < simd::kLanes; ++k) {
-                  const std::uint32_t e = ent[k];
-                  da.rx_to_tx[i + k] = e;
-                  da.tx_to_rx[e] = i + static_cast<std::uint32_t>(k);
-                }
-              } else {
-                for (std::size_t k = 0; k < simd::kLanes; ++k) {
-                  const std::uint32_t e =
-                      ac.head + static_cast<std::uint32_t>(k);
-                  da.rx_to_tx[i + k] = e;
-                  da.tx_to_rx[e] = i + static_cast<std::uint32_t>(k);
-                }
-              }
-              ac.head += simd::kLanes;
-              h.refresh(refs, active);
-              local.internal_matched += simd::kLanes;
-              i += simd::kLanes;
-              continue;
-            }
-          }
-          run = 1;
-        }
-        // Head-register path.
-        const std::uint16_t ipid = rx_ipid[i];
-        const TimeNs read_ts = rx_ts[i];
-        std::uint32_t em =
-            simd::mask_less(h.ts, read_ts - opts.slack) & h.live;
-        while (em) {
-          const unsigned s = std::countr_zero(em);
-          em &= em - 1;
-          advance_expired(s, read_ts);
-          h.refresh(refs, s);
-        }
-        std::uint32_t m = simd::match_mask(h.ipid, ipid) & h.live;
-        int best = -1;
-        TimeNs best_ts = kTimeNever;
-        int candidates = 0;
-        while (m) {
-          const unsigned s = std::countr_zero(m);
-          m &= m - 1;
-          const TimeNs tx_ts = h.ts[s];
-          if (tx_ts - read_ts > opts.max_nf_delay) continue;
-          ++candidates;
-          if (tx_ts < best_ts) {
-            best = static_cast<int>(s);
-            best_ts = tx_ts;
-          }
-        }
-        if (best >= 0) {
-          if (candidates > 1) ++local.internal_ambiguous;
-          apply_match(i, static_cast<std::size_t>(best));
-          h.refresh(refs, static_cast<std::size_t>(best));
-          run = (static_cast<std::size_t>(best) == active) ? run + 1 : 1;
-          active = static_cast<std::size_t>(best);
-        } else {
-          // The NF consumed the packet without emitting it: policy drop.
-          ++local.policy_drops_inferred;
-        }
-        ++i;
-      }
-    } else {
-      // Scalar reference (no streams, or more streams than head lanes).
-      for (std::uint32_t i = 0; i < n_rx; ++i) {
-        const std::uint16_t ipid = rx_ipid[i];
-        const TimeNs read_ts = rx_ts[i];
-        int best = -1;
-        TimeNs best_ts = kTimeNever;
-        int candidates = 0;
-        for (std::size_t s = 0; s < S; ++s) {
-          advance_expired(s, read_ts);
-          const Ref& st = refs[s];
-          if (st.exhausted()) continue;
-          if (st.ipids[st.head] != ipid) continue;
-          const TimeNs tx_ts = st.ts[st.head];
-          if (tx_ts - read_ts > opts.max_nf_delay) continue;
-          ++candidates;
-          if (tx_ts < best_ts) {
-            best = static_cast<int>(s);
-            best_ts = tx_ts;
-          }
-        }
-        if (best >= 0) {
-          if (candidates > 1) ++local.internal_ambiguous;
-          apply_match(i, static_cast<std::size_t>(best));
-        } else {
-          // The NF consumed the packet without emitting it: policy drop.
-          ++local.policy_drops_inferred;
-        }
+        ++local.internal_matched;
+      } else {
+        // The NF consumed the packet without emitting it: policy drop.
+        ++local.policy_drops_inferred;
       }
     }
   };

@@ -1,12 +1,13 @@
 // CRC32C equivalence and golden vectors.
 //
-// The v2 wire format trusts crc32c() for frame integrity, and the runtime
-// dispatch (common/simd.hpp) swaps the implementation underneath it per
-// cpu and per MICROSCOPE_FORCE_SCALAR. These tests pin both halves:
+// The v2 wire format trusts crc32c() for frame integrity, and crc32c()
+// runs the hardware instruction when the cpu has it. These tests pin both
+// halves:
 //  * crc32c_hw and crc32c_sw compute the same function bit-for-bit over
-//    every length 0..4096, every misalignment 0..15, and chained seeds —
-//    the hardware path processes 8/4/2/1-byte tails, so small lengths and
-//    odd offsets are exactly where a tail-handling bug would hide;
+//    every length a v2 frame can state (0..65535), every misalignment
+//    0..15, and chained seeds — the hardware path processes an alignment
+//    prologue, 8-byte words and a byte tail, so small lengths and odd
+//    offsets are exactly where a tail-handling bug would hide;
 //  * golden vectors from RFC 3720 (iSCSI) pin the polynomial itself, so a
 //    "consistent but wrong" pair of implementations cannot pass.
 #include <gtest/gtest.h>
@@ -18,7 +19,6 @@
 
 #include "collector/wire.hpp"
 #include "common/crc32c.hpp"
-#include "common/simd.hpp"
 
 namespace microscope {
 namespace {
@@ -62,9 +62,14 @@ TEST(Crc32c, GoldenVectorsHoldOnBothImplementations) {
 }
 
 TEST(Crc32c, HwMatchesSwAllLengths) {
-  const auto buf = pattern_bytes(4096, 0xC0FFEE);
+  // Every payload length a v2 frame's u16 length field can state. The
+  // software reference extends the previous length's CRC by one byte
+  // (seed chaining, pinned by ChainedSeedsCompose), so it costs O(n) in
+  // total; the hardware CRC is recomputed from the start at every length.
+  const auto buf = pattern_bytes(65535, 0xC0FFEE);
+  std::uint32_t sw = crc32c_sw(buf.data(), 0);
   for (std::size_t len = 0; len <= buf.size(); ++len) {
-    const std::uint32_t sw = crc32c_sw(buf.data(), len);
+    if (len > 0) sw = crc32c_sw(buf.data() + len - 1, 1, sw);
     const std::uint32_t hw = crc32c_hw(buf.data(), len);
     ASSERT_EQ(sw, hw) << "len=" << len;
   }
@@ -88,7 +93,7 @@ TEST(Crc32c, ChainedSeedsCompose) {
   // crc(b, n) == crc(b+k, n-k, crc(b, k)) for every split point, and the
   // two implementations may be mixed across the split: a frame check
   // started on a hw decoder and finished on a sw one (or vice versa) must
-  // agree. This is exactly what the forced-scalar fuzz leg relies on.
+  // agree. HwMatchesSwAllLengths builds its reference on this.
   const auto buf = pattern_bytes(257, 0x5EED);
   const std::uint32_t whole = crc32c_sw(buf.data(), buf.size());
   for (std::size_t k = 0; k <= buf.size(); k += 13) {
@@ -133,18 +138,11 @@ TEST(Crc32c, V2FrameChecksumMatchesBothImplementations) {
   }
 }
 
-TEST(Crc32c, DispatchFollowsForceScalar) {
+TEST(Crc32c, FrontDoorMatchesSwReference) {
+  // crc32c() picks hw or sw once per process; either way it must compute
+  // the reference function.
   const auto buf = pattern_bytes(1024, 0xD15);
-  const std::uint32_t want = crc32c_sw(buf.data(), buf.size());
-  EXPECT_EQ(crc32c(buf.data(), buf.size()), want);
-
-  // Under a forced-scalar override the front door must keep producing the
-  // same value (it routes to the table walk; same function either way).
-  simd::set_force_scalar(true);
-  EXPECT_FALSE(simd::hw_crc32c_active());
-  EXPECT_EQ(crc32c(buf.data(), buf.size()), want);
-  simd::set_force_scalar(false);
-  EXPECT_EQ(crc32c(buf.data(), buf.size()), want);
+  EXPECT_EQ(crc32c(buf.data(), buf.size()), crc32c_sw(buf.data(), buf.size()));
 }
 
 }  // namespace

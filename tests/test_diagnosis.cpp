@@ -4,6 +4,8 @@
 // bug found through recursion (Fig. 8 / §1).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/diagnosis.hpp"
 #include "eval/experiment.hpp"
 #include "eval/scenarios.hpp"
@@ -208,6 +210,47 @@ TEST(Diagnosis, FirewallBugFoundByRecursion) {
   ASSERT_GT(checked, 10u);
   EXPECT_GE(static_cast<double>(fw_top2) / static_cast<double>(checked), 0.7);
   EXPECT_GT(fw_blamed, 0u);
+}
+
+TEST(Diagnosis, InfiniteStddevKAnchorsAtMaxLatencyHop) {
+  // At abnormal_stddev_k = +inf (the streaming default) no hop can test
+  // abnormal, so every latency victim anchors at its journey's max-latency
+  // hop (the first one on ties), and victim selection skips the per-NF hop
+  // statistics. A huge finite k builds them and must pick the same hops.
+  sim::Simulator sim;
+  collector::Collector col;
+  auto net = eval::build_fig10(sim, &col);
+  nf::CaidaLikeOptions topts;
+  topts.duration = 12_ms;
+  topts.rate_mpps = 1.0;
+  topts.num_flows = 300;
+  net.topo->source(net.source).load(nf::generate_caida_like(topts));
+  nf::InjectionLog log;
+  nf::schedule_interrupt(sim, net.topo->nf(net.nats[0]), 4_ms, 600_us, log);
+  sim.run_until(30_ms);
+
+  const auto rt = reconstruct_of(*net.topo, col);
+  DiagnoserOptions inf_opts;
+  inf_opts.abnormal_stddev_k = std::numeric_limits<double>::infinity();
+  const Diagnoser inf_diag(rt, net.topo->peak_rates(), inf_opts);
+  const auto victims = inf_diag.latency_victims_by_threshold(100_us);
+  ASSERT_FALSE(victims.empty());
+  for (const Victim& v : victims) {
+    const trace::Hop* max_hop = nullptr;
+    for (const trace::Hop& h : rt.journey(v.journey).hops) {
+      if (!h.has_latency()) continue;
+      if (!max_hop || *h.latency() > *max_hop->latency()) max_hop = &h;
+    }
+    ASSERT_NE(max_hop, nullptr) << "journey " << v.journey;
+    EXPECT_EQ(v.node, max_hop->node) << "journey " << v.journey;
+    EXPECT_EQ(v.time, max_hop->arrival) << "journey " << v.journey;
+    EXPECT_EQ(v.hop_latency, *max_hop->latency()) << "journey " << v.journey;
+  }
+
+  DiagnoserOptions huge_opts;
+  huge_opts.abnormal_stddev_k = 1e300;
+  const Diagnoser huge_diag(rt, net.topo->peak_rates(), huge_opts);
+  EXPECT_TRUE(huge_diag.latency_victims_by_threshold(100_us) == victims);
 }
 
 TEST(Diagnosis, DropVictimsDiagnosable) {

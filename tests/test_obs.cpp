@@ -324,7 +324,6 @@ TEST(Export, PrometheusBuildInfoLabels) {
   EXPECT_NE(prom.find("microscope_build_info{git_hash=\""),
             std::string::npos);
   EXPECT_NE(prom.find("build_type=\""), std::string::npos);
-  EXPECT_NE(prom.find("simd=\""), std::string::npos);
   EXPECT_NE(prom.find("\"} 1\n"), std::string::npos);
 }
 

@@ -10,7 +10,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "core/diagnosis.hpp"
 #include "eval/scenarios.hpp"
@@ -197,53 +196,7 @@ TEST(Parallel, RandomizedSeedsPropertyEquivalence) {
   }
 }
 
-/// Restores the SIMD dispatch override on scope exit so a failing
-/// assertion can't leak forced-scalar mode into later tests.
-struct ScopedForceScalar {
-  explicit ScopedForceScalar(bool on) { simd::set_force_scalar(on); }
-  ~ScopedForceScalar() { simd::set_force_scalar(false); }
-};
-
-/// Full-pipeline byte-identity between the native SIMD dispatch and the
-/// forced-scalar reference, crossed with threading: for each (scalar,
-/// threads) cell, the trace, victim list, and every diagnosis must equal
-/// the native sequential run exactly. This is the in-process version of
-/// the CI feature-matrix job (which re-builds with
-/// MICROSCOPE_FORCE_SCALAR=ON; here we flip the runtime override).
-void check_simd_matrix(const collector::Collector& col, const GraphView& graph,
-                       DurationNs prop_delay,
-                       const std::vector<RatePerNs>& rates,
-                       DurationNs victim_thr) {
-  ReconstructOptions ropt;
-  ropt.prop_delay = prop_delay;
-
-  const ReconstructedTrace golden = reconstruct(col, graph, ropt);
-  const Diagnoser golden_diag(golden, rates);
-  const std::vector<Victim> victims =
-      golden_diag.latency_victims_by_threshold(victim_thr);
-  ASSERT_FALSE(victims.empty()) << "scenario produced no victims";
-  const std::vector<Diagnosis> golden_diags = golden_diag.diagnose_all(victims);
-
-  for (const bool scalar : {false, true}) {
-    ScopedForceScalar guard(scalar);
-    for (const unsigned threads : {0u, 4u}) {
-      ReconstructOptions p = ropt;
-      p.parallel.num_threads = threads;
-      const ReconstructedTrace got = reconstruct(col, graph, p);
-      expect_trace_identical(golden, got);
-
-      DiagnoserOptions dopt;
-      dopt.parallel.num_threads = threads;
-      const Diagnoser diag(got, rates, dopt);
-      EXPECT_TRUE(diag.latency_victims_by_threshold(victim_thr) == victims)
-          << "scalar=" << scalar << " threads=" << threads;
-      EXPECT_TRUE(diag.diagnose_all(victims) == golden_diags)
-          << "scalar=" << scalar << " threads=" << threads;
-    }
-  }
-}
-
-TEST(Parallel, SimdScalarIdentityFig10) {
+TEST(Parallel, Fig10Seed11Equivalence) {
   sim::Simulator sim;
   collector::Collector col;
   auto net = eval::build_fig10(sim, &col);
@@ -257,14 +210,15 @@ TEST(Parallel, SimdScalarIdentityFig10) {
   nf::schedule_interrupt(sim, net.topo->nf(net.nats[0]), 4_ms, 600_us, log);
   sim.run_until(30_ms);
 
-  check_simd_matrix(col, graph_view(*net.topo), net.topo->options().prop_delay,
-                    net.topo->peak_rates(), 100_us);
+  check_scenario(col, graph_view(*net.topo), net.topo->options().prop_delay,
+                 net.topo->peak_rates(), [](const Diagnoser& d) {
+                   return latency_victims(d, 100_us);
+                 });
 }
 
-TEST(Parallel, SimdScalarIdentityGenerated200Nf) {
+TEST(Parallel, Generated200NfRandomDagEquivalence) {
   // A 200-NF random DAG: wide fan-in nodes produce many interleaved
-  // per-peer streams, exercising the head-register and zip block paths at
-  // every stream count 1..16 plus the >16 scalar fallback.
+  // per-peer streams into one alignment loop.
   sim::Simulator sim;
   collector::Collector col;
   nf::TopologyGenOptions o;
@@ -286,8 +240,10 @@ TEST(Parallel, SimdScalarIdentityGenerated200Nf) {
                          log);
   sim.run_until(40_ms);
 
-  check_simd_matrix(col, graph_view(*g.topo), g.topo->options().prop_delay,
-                    g.topo->peak_rates(), 50_us);
+  check_scenario(col, graph_view(*g.topo), g.topo->options().prop_delay,
+                 g.topo->peak_rates(), [](const Diagnoser& d) {
+                   return latency_victims(d, 50_us);
+                 });
 }
 
 TEST(Parallel, ThreadPoolCoversEveryIndexOnce) {

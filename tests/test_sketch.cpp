@@ -6,6 +6,7 @@
 // nightly job scales up via MICROSCOPE_SKETCH_SOAK_WINDOWS.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdlib>
 #include <map>
 #include <random>
@@ -15,6 +16,21 @@
 
 #ifdef __linux__
 #include <fstream>
+#endif
+
+// Under AddressSanitizer (gcc defines __SANITIZE_ADDRESS__, clang reports
+// it through __has_feature) the soak bounds the live heap instead of RSS.
+#if defined(__SANITIZE_ADDRESS__)
+#define MICROSCOPE_SOAK_LIVE_HEAP 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MICROSCOPE_SOAK_LIVE_HEAP 1
+#endif
+#endif
+#ifdef MICROSCOPE_SOAK_LIVE_HEAP
+// Declared in <sanitizer/allocator_interface.h>, which gcc does not ship;
+// the ASan runtime exports it under both compilers.
+extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
 #endif
 
 #include "collector/collector.hpp"
@@ -337,8 +353,14 @@ TEST(SketchSizing, BudgetDrivesShapeAndFootprint) {
   EXPECT_LE(sk.memory_bytes(), opts.memory_budget * 11 / 10);
 }
 
-#ifdef __linux__
-std::size_t read_vm_rss_kb() {
+/// The process memory the soak holds flat, in kB; 0 when unavailable.
+/// Under ASan it is the live heap: ASan's quarantine keeps freed blocks
+/// resident, so RSS there grows with the quarantine, not with the
+/// aggregator. Elsewhere it is the whole-process VmRSS.
+std::size_t soak_memory_kb() {
+#if defined(MICROSCOPE_SOAK_LIVE_HEAP)
+  return __sanitizer_get_current_allocated_bytes() / 1024;
+#elif defined(__linux__)
   std::ifstream f("/proc/self/status");
   std::string key;
   while (f >> key) {
@@ -350,8 +372,10 @@ std::size_t read_vm_rss_kb() {
     f.ignore(4096, '\n');
   }
   return 0;
-}
+#else
+  return 0;
 #endif
+}
 
 TEST(SketchAggregator, SoakHoldsMemoryFlat) {
   // Every window brings entirely fresh flows — the workload that grows the
@@ -366,9 +390,7 @@ TEST(SketchAggregator, SoakHoldsMemoryFlat) {
   std::mt19937_64 rng(31);
   const std::size_t warmup = windows / 4;
   std::size_t warm_bytes = 0;
-#ifdef __linux__
-  std::size_t warm_rss_kb = 0;
-#endif
+  std::size_t warm_kb = 0;
   for (std::size_t w = 0; w < windows; ++w) {
     std::vector<Diagnosis> window;
     for (int i = 0; i < 30; ++i)
@@ -377,23 +399,19 @@ TEST(SketchAggregator, SoakHoldsMemoryFlat) {
     sk.ingest(window);
     if (w == warmup) {
       warm_bytes = sk.memory_bytes();
-#ifdef __linux__
-      warm_rss_kb = read_vm_rss_kb();
-#endif
+      warm_kb = soak_memory_kb();
     }
   }
   ASSERT_GT(warm_bytes, 0u);
   // Accounted state flat within 5% after warmup.
   EXPECT_LE(sk.memory_bytes(), warm_bytes + warm_bytes / 20);
-#ifdef __linux__
-  // Whole-process RSS flat within 5% (+4 MiB allocator slack).
-  const std::size_t final_rss_kb = read_vm_rss_kb();
-  if (warm_rss_kb > 0 && final_rss_kb > 0) {
-    EXPECT_LE(final_rss_kb, warm_rss_kb + warm_rss_kb / 20 + 4096)
-        << "RSS grew from " << warm_rss_kb << " kB to " << final_rss_kb
+  // Process memory flat within 5% (+4 MiB allocator slack).
+  const std::size_t final_kb = soak_memory_kb();
+  if (warm_kb > 0 && final_kb > 0) {
+    EXPECT_LE(final_kb, warm_kb + warm_kb / 20 + 4096)
+        << "memory grew from " << warm_kb << " kB to " << final_kb
         << " kB over " << windows << " windows";
   }
-#endif
 }
 
 }  // namespace

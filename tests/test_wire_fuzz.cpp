@@ -330,13 +330,6 @@ TEST(WireFuzz, SeededCorruptionStorm) {
 
   testing::CorruptionFuzzer fuzzer(seed);
   std::uint64_t recovered = 0, recoverable = 0;
-  // Per-category totals over every trial, exported at the end when
-  // MICROSCOPE_FUZZ_COUNTERS_OUT is set. The CI fuzz job runs this storm
-  // once per CRC implementation (native dispatch and forced-scalar) and
-  // diffs the two files: CRC32C is one function, so fault accounting must
-  // not depend on which instruction computed it.
-  std::uint64_t category_totals[8] = {};
-  std::uint64_t records_total = 0;
   for (std::size_t t = 0; t < trials; ++t) {
     std::vector<std::byte> buf = g.bytes;
     const testing::Corruption c =
@@ -350,9 +343,6 @@ TEST(WireFuzz, SeededCorruptionStorm) {
     // the failing trial can still be written out as a repro artifact.
     [&] {
       const DecodeResult r = decode_region(buf, DecodePolicy::kLenient);
-      for (std::uint8_t k = 0; k < 8; ++k)
-        category_totals[k] += r.stats.count(static_cast<DecodeErrorKind>(k));
-      records_total += r.recs.size();
       expect_only(r.stats, c.expect, label);
       ASSERT_EQ(r.recs.size(), c.expected_records) << label;
       recovered += c.expected_records;
@@ -379,17 +369,6 @@ TEST(WireFuzz, SeededCorruptionStorm) {
   // kept as the explicit paper-facing criterion).
   EXPECT_GE(static_cast<double>(recovered),
             0.99 * static_cast<double>(recoverable));
-
-  if (const char* out = std::getenv("MICROSCOPE_FUZZ_COUNTERS_OUT")) {
-    // Deliberately excludes anything dispatch-dependent (no simd caps, no
-    // timings) so the two CI legs can be compared with a plain diff.
-    std::ofstream os(out);
-    os << "seed=" << seed << "\ntrials=" << trials << "\n";
-    for (std::uint8_t k = 0; k < 8; ++k)
-      os << collector::to_string(static_cast<DecodeErrorKind>(k)) << "="
-         << category_totals[k] << "\n";
-    os << "records=" << records_total << "\n";
-  }
 }
 
 TEST(WireFuzz, RawModeUnknownNodeResync) {
