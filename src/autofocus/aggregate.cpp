@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 
 namespace microscope::autofocus {
@@ -32,19 +33,26 @@ std::vector<Pattern> aggregate_patterns(std::span<const RelationRecord> records,
   double total = 0.0;
   for (const RelationRecord& r : records) total += r.score;
   const double th = total * opts.threshold_frac;
+  HhhWorkspace ws;
 
   // ---- Phase 1: per exact culprit, compress the victim dimensions. ----
+  // Groups (and, in phase 2, victim aggregates) are kept in order of first
+  // appearance, never hash order.
   struct Group {
+    PairKey key;
     double mass{0.0};
-    std::vector<WeightedSide> victims;
+    std::vector<std::size_t> records;
   };
-  std::unordered_map<PairKey, Group, PairKeyHash> groups;
-  for (const RelationRecord& r : records) {
+  std::vector<Group> groups;
+  std::unordered_map<PairKey, std::size_t, PairKeyHash> group_of;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const RelationRecord& r = records[i];
     PairKey pk{SideKey::leaf(r.culprit_flow, r.culprit_nf, catalog), r.kind};
-    Group& g = groups[pk];
+    const auto [it, fresh] = group_of.try_emplace(pk, groups.size());
+    if (fresh) groups.push_back({pk, 0.0, {}});
+    Group& g = groups[it->second];
     g.mass += r.score;
-    g.victims.push_back(
-        {SideKey::leaf(r.victim_flow, r.victim_nf, catalog), r.score});
+    g.records.push_back(i);
   }
 
   // Intermediate aggregates: <culprit leaf, kind, victim agg> : mass.
@@ -55,21 +63,31 @@ std::vector<Pattern> aggregate_patterns(std::span<const RelationRecord> records,
     double mass;
   };
   std::vector<Intermediate> inter;
-  for (auto& [pk, g] : groups) {
+  std::vector<WeightedSide> victims;
+  for (const Group& g : groups) {
+    victims.clear();
+    for (const std::size_t i : g.records) {
+      const RelationRecord& r = records[i];
+      victims.push_back(
+          {SideKey::leaf(r.victim_flow, r.victim_nf, catalog), r.score});
+    }
     HhhOptions ho;
     ho.threshold = std::max(g.mass * opts.phase1_frac, 1e-12);
     ho.max_clusters_per_dim = opts.max_clusters_per_dim;
-    for (const SideCluster& c : side_hhh(g.victims, ho)) {
-      inter.push_back({pk.culprit, pk.kind, c.key, c.residual});
+    for (const SideCluster& c : side_hhh(victims, ho, ws)) {
+      inter.push_back({g.key.culprit, g.key.kind, c.key, c.residual});
     }
   }
 
   // ---- Phase 2: per victim aggregate, compress the culprit dimensions. ----
-  std::unordered_map<SideKey, std::vector<std::pair<core::CauseKind, WeightedSide>>,
-                     SideKeyHash>
-      by_victim;
-  for (const Intermediate& i : inter)
-    by_victim[i.victim].push_back({i.kind, {i.culprit, i.mass}});
+  using Culprits = std::vector<std::pair<core::CauseKind, WeightedSide>>;
+  std::vector<std::pair<SideKey, Culprits>> by_victim;
+  std::unordered_map<SideKey, std::size_t, SideKeyHash> victim_of;
+  for (const Intermediate& i : inter) {
+    const auto [it, fresh] = victim_of.try_emplace(i.victim, by_victim.size());
+    if (fresh) by_victim.push_back({i.victim, {}});
+    by_victim[it->second].second.push_back({i.kind, {i.culprit, i.mass}});
+  }
 
   std::vector<Pattern> out;
   for (auto& [victim, list] : by_victim) {
@@ -83,13 +101,18 @@ std::vector<Pattern> aggregate_patterns(std::span<const RelationRecord> records,
       HhhOptions ho;
       ho.threshold = th;
       ho.max_clusters_per_dim = opts.max_clusters_per_dim;
-      for (const SideCluster& c : side_hhh(culprits, ho)) {
+      for (const SideCluster& c : side_hhh(culprits, ho, ws)) {
         out.push_back({c.key, kind, victim, c.residual});
       }
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const Pattern& a, const Pattern& b) { return a.score > b.score; });
+  // Score ties fall back to (culprit, kind, victim), the order
+  // SketchAggregator::patterns uses, so no tie depends on input order.
+  std::sort(out.begin(), out.end(), [](const Pattern& a, const Pattern& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return std::tie(a.culprit, a.kind, a.victim) <
+           std::tie(b.culprit, b.kind, b.victim);
+  });
   return out;
 }
 

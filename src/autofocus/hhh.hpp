@@ -8,6 +8,7 @@
 // already explained by reported descendants.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -16,7 +17,7 @@
 namespace microscope::autofocus {
 
 struct WeightedSide {
-  SideKey key;   // fully-specific leaf
+  SideKey key;   // a fully-specific leaf, or any other ladder value
   double mass{0.0};
 };
 
@@ -33,9 +34,29 @@ struct HhhOptions {
   std::size_t max_clusters_per_dim = 32;
 };
 
+/// Reusable buffers of side_hhh. One pattern query makes thousands of
+/// calls; handing them one workspace lets them reuse its allocations.
+class HhhWorkspace {
+ public:
+  HhhWorkspace();
+  ~HhhWorkspace();
+
+  struct Buffers;  // defined in hhh.cpp
+
+ private:
+  friend std::vector<SideCluster> side_hhh(std::span<const WeightedSide>,
+                                           const HhhOptions&, HhhWorkspace&);
+  std::unique_ptr<Buffers> buf_;
+};
+
 /// Compute the significant aggregates of a set of weighted leaves.
-/// Returned most-specific first; every cluster has residual >= threshold.
+/// Returned most-specific first (ascending generality, then descending
+/// mass, then SideKey order); every cluster has residual >= threshold.
+/// The result depends only on the multiset of leaves, not their order,
+/// up to floating-point summation order.
 std::vector<SideCluster> side_hhh(std::span<const WeightedSide> leaves,
                                   const HhhOptions& opts);
+std::vector<SideCluster> side_hhh(std::span<const WeightedSide> leaves,
+                                  const HhhOptions& opts, HhhWorkspace& ws);
 
 }  // namespace microscope::autofocus

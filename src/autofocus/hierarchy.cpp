@@ -48,16 +48,59 @@ int port_level(const PortRange& r) {
   return 1;
 }
 
+std::uint64_t ip_code(std::uint32_t addr, std::uint8_t len) {
+  return (static_cast<std::uint64_t>(len) << 32) | (addr & prefix_mask(len));
+}
+
+std::uint64_t port_code(const PortRange& r) {
+  return (static_cast<std::uint64_t>(r.lo) << 16) | r.hi;
+}
+
+std::uint64_t nf_code(const NfSet& s) {
+  return (static_cast<std::uint64_t>(s.level) << 48) |
+         (static_cast<std::uint64_t>(s.type) << 32) |
+         (s.level == NfSet::Level::kInstance ? s.instance : 0);
+}
+
+int ip_ladder(const Ipv4Prefix& p, std::uint64_t* out) {
+  int n = 0;
+  out[n++] = ip_code(p.addr, p.len);
+  for (int i = ip_level_index(p.len) + 1; i < kNumIpLevels; ++i)
+    out[n++] = ip_code(p.addr, kIpLevels[i]);
+  return n;
+}
+
+int port_ladder(const PortRange& r, std::uint64_t* out) {
+  int n = 0;
+  out[n++] = port_code(r);
+  if (r.is_exact()) out[n++] = port_code(PortRange::band(r.lo));
+  if (!r.is_any()) out[n++] = port_code(PortRange::any());
+  return n;
+}
+
 }  // namespace
+
+int dim_level(const SideKey& k, int dim) {
+  switch (dim) {
+    case 0:
+      return ip_level_index(k.src.len);
+    case 1:
+      return ip_level_index(k.dst.len);
+    case 2:
+      return port_level(k.sport);
+    case 3:
+      return port_level(k.dport);
+    case 4:
+      return k.proto ? 0 : 1;
+    case 5:
+      return static_cast<int>(k.nf.level);
+  }
+  return 0;
+}
 
 int SideKey::generality() const {
   int g = 0;
-  g += ip_level_index(src.len);
-  g += ip_level_index(dst.len);
-  g += port_level(sport);
-  g += port_level(dport);
-  g += proto ? 0 : 1;
-  g += static_cast<int>(nf.level);
+  for (int d = 0; d < kSideDims; ++d) g += dim_level(*this, d);
   return g;
 }
 
@@ -110,75 +153,87 @@ std::string format_side(const SideKey& k, const NfCatalog& cat) {
 std::uint64_t dim_code(const SideKey& k, int dim) {
   switch (dim) {
     case 0:
-      return (static_cast<std::uint64_t>(k.src.len) << 32) |
-             (k.src.addr & prefix_mask(k.src.len));
+      return ip_code(k.src.addr, k.src.len);
     case 1:
-      return (static_cast<std::uint64_t>(k.dst.len) << 32) |
-             (k.dst.addr & prefix_mask(k.dst.len));
+      return ip_code(k.dst.addr, k.dst.len);
     case 2:
-      return (static_cast<std::uint64_t>(k.sport.lo) << 16) | k.sport.hi;
+      return port_code(k.sport);
     case 3:
-      return (static_cast<std::uint64_t>(k.dport.lo) << 16) | k.dport.hi;
+      return port_code(k.dport);
     case 4:
       return k.proto ? *k.proto + 1 : 0;
     case 5:
-      return (static_cast<std::uint64_t>(k.nf.level) << 48) |
-             (static_cast<std::uint64_t>(k.nf.type) << 32) |
-             (k.nf.level == NfSet::Level::kInstance ? k.nf.instance : 0);
+      return nf_code(k.nf);
+  }
+  return 0;
+}
+
+void set_dim_code(SideKey& k, int dim, std::uint64_t code) {
+  const auto lo32 = static_cast<std::uint32_t>(code);
+  switch (dim) {
+    case 0:
+      k.src = {lo32, static_cast<std::uint8_t>(code >> 32)};
+      break;
+    case 1:
+      k.dst = {lo32, static_cast<std::uint8_t>(code >> 32)};
+      break;
+    case 2:
+      k.sport = {static_cast<std::uint16_t>(code >> 16),
+                 static_cast<std::uint16_t>(code)};
+      break;
+    case 3:
+      k.dport = {static_cast<std::uint16_t>(code >> 16),
+                 static_cast<std::uint16_t>(code)};
+      break;
+    case 4:
+      if (code == 0) {
+        k.proto.reset();
+      } else {
+        k.proto = static_cast<std::uint8_t>(code - 1);
+      }
+      break;
+    case 5:
+      k.nf.level = static_cast<NfSet::Level>(code >> 48);
+      k.nf.type = static_cast<std::uint16_t>(code >> 32);
+      k.nf.instance =
+          k.nf.level == NfSet::Level::kInstance ? lo32 : kInvalidNode;
+      break;
+  }
+}
+
+int dim_ladder(const SideKey& k, int dim,
+               std::uint64_t (&out)[kMaxDimLevels]) {
+  switch (dim) {
+    case 0:
+      return ip_ladder(k.src, out);
+    case 1:
+      return ip_ladder(k.dst, out);
+    case 2:
+      return port_ladder(k.sport, out);
+    case 3:
+      return port_ladder(k.dport, out);
+    case 4:
+      out[0] = dim_code(k, 4);
+      if (!k.proto) return 1;
+      out[1] = 0;
+      return 2;
+    case 5: {
+      int n = 0;
+      for (NfSet s = k.nf;; s = s.generalize()) {
+        out[n++] = nf_code(s);
+        if (s.level == NfSet::Level::kAny) return n;
+      }
+    }
   }
   return 0;
 }
 
 std::vector<SideKey> generalize_dim(const SideKey& k, int dim) {
-  std::vector<SideKey> out;
-  SideKey cur = k;
-  out.push_back(cur);
-  switch (dim) {
-    case 0:
-      for (int i = ip_level_index(cur.src.len) + 1; i < kNumIpLevels; ++i) {
-        cur.src = {cur.src.addr & prefix_mask(kIpLevels[i]), kIpLevels[i]};
-        out.push_back(cur);
-      }
-      break;
-    case 1:
-      for (int i = ip_level_index(cur.dst.len) + 1; i < kNumIpLevels; ++i) {
-        cur.dst = {cur.dst.addr & prefix_mask(kIpLevels[i]), kIpLevels[i]};
-        out.push_back(cur);
-      }
-      break;
-    case 2:
-      if (cur.sport.is_exact()) {
-        cur.sport = PortRange::band(cur.sport.lo);
-        out.push_back(cur);
-      }
-      if (!cur.sport.is_any()) {
-        cur.sport = PortRange::any();
-        out.push_back(cur);
-      }
-      break;
-    case 3:
-      if (cur.dport.is_exact()) {
-        cur.dport = PortRange::band(cur.dport.lo);
-        out.push_back(cur);
-      }
-      if (!cur.dport.is_any()) {
-        cur.dport = PortRange::any();
-        out.push_back(cur);
-      }
-      break;
-    case 4:
-      if (cur.proto) {
-        cur.proto.reset();
-        out.push_back(cur);
-      }
-      break;
-    case 5:
-      while (cur.nf.level != NfSet::Level::kAny) {
-        cur.nf = cur.nf.generalize();
-        out.push_back(cur);
-      }
-      break;
-  }
+  std::uint64_t codes[kMaxDimLevels];
+  std::vector<SideKey> out(static_cast<std::size_t>(dim_ladder(k, dim, codes)),
+                           k);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    set_dim_code(out[i], dim, codes[i]);
   return out;
 }
 

@@ -102,10 +102,27 @@ std::string format_side(const SideKey& k, const NfCatalog& cat);
 /// Number of dimensions in a side key (for ancestor enumeration).
 inline constexpr int kSideDims = 6;
 
+/// Rungs of the longest per-dimension ladder (the IP one). Levels run
+/// 0..kMaxDimLevels-1 in every dimension.
+inline constexpr int kMaxDimLevels = kNumIpLevels;
+
 /// Per-dimension value codes: a compact (level, value) encoding used by the
 /// 1-D heavy-hitter passes. Dimension index order:
 /// 0 srcIP, 1 dstIP, 2 sport, 3 dport, 4 proto, 5 nf.
 std::uint64_t dim_code(const SideKey& k, int dim);
+
+/// Sets dimension `dim` of `k` to the value `code` (a dim_code()) names.
+void set_dim_code(SideKey& k, int dim, std::uint64_t code);
+
+/// Generalization level of `k` along one dimension (0 = most specific).
+/// SideKey::generality() is its sum over the dimensions.
+int dim_level(const SideKey& k, int dim);
+
+/// The dim_code()s of `k`'s ancestors along one dimension's ladder, most
+/// specific first: `k`'s own value, then one per rung up to the root.
+/// Writes them to `out` without allocating and returns how many; the i-th
+/// has level dim_level(k, dim) + i.
+int dim_ladder(const SideKey& k, int dim, std::uint64_t (&out)[kMaxDimLevels]);
 
 /// All ancestors of a leaf value along one dimension's ladder, most
 /// specific first (the leaf itself is included; the root always last).

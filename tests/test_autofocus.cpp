@@ -3,6 +3,12 @@
 // culprit/victim aggregation (paper §4.4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <map>
+#include <set>
+
 #include "autofocus/aggregate.hpp"
 #include "autofocus/hhh.hpp"
 #include "autofocus/hierarchy.hpp"
@@ -313,6 +319,357 @@ TEST_P(HhhProperty, ClusterMassMatchesCoveredLeaves) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HhhProperty, ::testing::Values(1, 7, 42, 99));
+
+TEST(Hierarchy, LadderCodesMatchGeneralizeDim) {
+  const auto cat = small_catalog();
+  SideKey agg = SideKey::leaf(ft(5, 80, 6000), 4, cat);
+  agg.dst = {make_ipv4(20, 2, 0, 0), 16};
+  agg.sport = PortRange::band(80);
+  agg.proto.reset();
+  agg.nf = agg.nf.generalize();
+  for (const SideKey& k : {SideKey::leaf(ft(5, 80, 6000), 4, cat), agg,
+                           SideKey{}}) {
+    int levels = 0;
+    for (int d = 0; d < kSideDims; ++d) {
+      std::uint64_t codes[kMaxDimLevels];
+      const int n = dim_ladder(k, d, codes);
+      const auto ladder = generalize_dim(k, d);
+      ASSERT_EQ(static_cast<std::size_t>(n), ladder.size());
+      EXPECT_EQ(ladder.front(), k);
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(codes[i], dim_code(ladder[i], d));
+        EXPECT_EQ(dim_level(ladder[i], d), dim_level(k, d) + i);
+      }
+      EXPECT_EQ(ladder.back().generality() - k.generality(),
+                dim_level(SideKey{}, d) - dim_level(k, d));
+      levels += dim_level(k, d);
+    }
+    EXPECT_EQ(levels, k.generality());
+  }
+}
+
+struct ReferenceStats {
+  bool cap_cut_tie{false};  // the cap fell between two equal masses
+  std::size_t max_clusters{0};
+};
+
+/// Dimension `dim` of `from` copied into `into`.
+void copy_dim(SideKey& into, const SideKey& from, int dim) {
+  switch (dim) {
+    case 0: into.src = from.src; break;
+    case 1: into.dst = from.dst; break;
+    case 2: into.sport = from.sport; break;
+    case 3: into.dport = from.dport; break;
+    case 4: into.proto = from.proto; break;
+    case 5: into.nf = from.nf; break;
+  }
+}
+
+/// Reference for side_hhh: enumerate every combination as a full SideKey,
+/// sort the kept ones by (generality, descending mass, key) and subtract
+/// the residual of every reported cluster a combination covers. Leaves and
+/// 1-D values are summed in first-appearance order and the cap breaks mass
+/// ties by dimension code, as side_hhh does.
+std::vector<SideCluster> reference_side_hhh(
+    std::span<const WeightedSide> leaves, const HhhOptions& opts,
+    ReferenceStats& stats) {
+  std::vector<WeightedSide> uniq;
+  std::map<SideKey, std::size_t> at;
+  for (const WeightedSide& w : leaves) {
+    const auto [it, fresh] = at.try_emplace(w.key, uniq.size());
+    if (fresh) uniq.push_back({w.key, 0.0});
+    uniq[it->second].mass += w.mass;
+  }
+
+  std::set<std::uint64_t> clusters[kSideDims];
+  for (int d = 0; d < kSideDims; ++d) {
+    std::vector<std::pair<std::uint64_t, double>> mass;
+    std::map<std::uint64_t, std::size_t> code_at;
+    for (const WeightedSide& u : uniq) {
+      for (const SideKey& anc : generalize_dim(u.key, d)) {
+        const std::uint64_t code = dim_code(anc, d);
+        const auto [it, fresh] = code_at.try_emplace(code, mass.size());
+        if (fresh) mass.push_back({code, 0.0});
+        mass[it->second].second += u.mass;
+      }
+    }
+    std::vector<std::pair<std::uint64_t, double>> heavy;
+    for (const auto& cm : mass)
+      if (cm.second >= opts.threshold) heavy.push_back(cm);
+    std::sort(heavy.begin(), heavy.end(), [](const auto& a, const auto& b) {
+      return a.second != b.second ? a.second > b.second : a.first < b.first;
+    });
+    if (heavy.size() > opts.max_clusters_per_dim) {
+      const std::size_t cap = opts.max_clusters_per_dim;
+      if (cap > 0 && heavy[cap - 1].second == heavy[cap].second)
+        stats.cap_cut_tie = true;
+      heavy.resize(cap);
+    }
+    for (const auto& cm : heavy) clusters[d].insert(cm.first);
+    clusters[d].insert(dim_code(SideKey{}, d));
+    stats.max_clusters = std::max(stats.max_clusters, clusters[d].size());
+  }
+
+  std::map<SideKey, double> combo_mass;
+  for (const WeightedSide& u : uniq) {
+    std::vector<SideKey> combos{u.key};
+    for (int d = 0; d < kSideDims; ++d) {
+      std::vector<SideKey> ladder;
+      for (const SideKey& anc : generalize_dim(u.key, d))
+        if (clusters[d].contains(dim_code(anc, d))) ladder.push_back(anc);
+      std::vector<SideKey> next;
+      for (const SideKey& c : combos) {
+        for (const SideKey& anc : ladder) {
+          SideKey k = c;
+          copy_dim(k, anc, d);
+          next.push_back(k);
+        }
+      }
+      combos.swap(next);
+    }
+    for (const SideKey& c : combos) combo_mass[c] += u.mass;
+  }
+
+  std::vector<std::pair<int, SideCluster>> kept;  // (generality, cluster)
+  for (const auto& [key, m] : combo_mass)
+    if (m >= opts.threshold) kept.push_back({key.generality(), {key, m, m}});
+  std::sort(kept.begin(), kept.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first < b.first;
+    if (a.second.mass != b.second.mass) return a.second.mass > b.second.mass;
+    return a.second.key < b.second.key;
+  });
+  std::vector<SideCluster> reported;
+  for (auto& [generality, c] : kept) {
+    double covered = 0.0;
+    for (const SideCluster& r : reported)
+      if (!(r.key == c.key) && c.key.covers(r.key)) covered += r.residual;
+    c.residual = c.mass - covered;
+    if (c.residual >= opts.threshold) reported.push_back(c);
+  }
+  return reported;
+}
+
+/// Seeded side_hhh input of one of six shapes (seed % 6): duplicate
+/// leaves; one distinct leaf; keys already generalized along some
+/// dimensions; threshold 0; a cap of 2-4 binding on equal masses; a cap
+/// above 64 with more than 64 heavy values in a dimension.
+struct OracleCase {
+  std::vector<WeightedSide> leaves;
+  HhhOptions opts;
+};
+
+OracleCase oracle_case(std::uint64_t seed) {
+  NfCatalog cat;
+  cat.node_names = {"a1", "a2", "a3", "b1", "b2", "c1"};
+  cat.type_names = {"a", "b", "c"};
+  cat.type_of = {0, 0, 0, 1, 1, 2};
+  Rng rng(seed * 7919 + 1);
+  const int shape = static_cast<int>(seed % 6);
+  const auto pick = [&](std::uint64_t n) {
+    return static_cast<std::uint32_t>(rng.uniform_u64(n));
+  };
+  // Small value pools make leaves collide in every dimension.
+  const auto random_leaf = [&](std::uint32_t hosts, std::uint16_t ports) {
+    const FiveTuple f{make_ipv4(10, pick(2), pick(3), pick(hosts)),
+                      make_ipv4(20 + pick(2), 0, pick(2), pick(hosts)),
+                      static_cast<std::uint16_t>(1000 * pick(2) + pick(ports)),
+                      static_cast<std::uint16_t>(pick(ports)),
+                      static_cast<std::uint8_t>(pick(2) ? 6 : 17)};
+    return SideKey::leaf(f, static_cast<NodeId>(pick(6)), cat);
+  };
+  OracleCase c;
+  std::size_t distinct = 4 + pick(20);
+  if (shape == 1) distinct = 1;
+  if (shape == 3) distinct = 1 + pick(3);
+  if (shape == 5) distinct = 66 + pick(4);
+  std::vector<SideKey> keys;
+  for (std::size_t i = 0; i < distinct; ++i) {
+    if (shape == 5) {  // distinct source ports: > 64 heavy values
+      FiveTuple f{make_ipv4(10, 0, 0, pick(4)), make_ipv4(20, 0, 0, 1),
+                  static_cast<std::uint16_t>(2000 + i), 443, 6};
+      keys.push_back(SideKey::leaf(f, static_cast<NodeId>(pick(6)), cat));
+      continue;
+    }
+    SideKey k = random_leaf(shape == 4 ? 3 : 6, shape == 4 ? 3 : 5);
+    if (shape == 2) {  // generalize some dimensions to a random rung
+      for (int d = 0; d < kSideDims; ++d) {
+        if (!rng.bernoulli(0.4)) continue;
+        const auto ladder = generalize_dim(k, d);
+        k = ladder[rng.uniform_u64(ladder.size())];
+      }
+    }
+    keys.push_back(k);
+  }
+  double total = 0.0;
+  for (const SideKey& k : keys) {
+    const int copies = shape <= 1 ? 1 + static_cast<int>(pick(3)) : 1;
+    for (int j = 0; j < copies; ++j) {
+      // Shapes 4 and 5 use equal dyadic masses so 1-D values tie.
+      const double m = shape >= 4 ? 1.0 : rng.uniform(0.1, 3.0);
+      c.leaves.push_back({k, m});
+      total += m;
+    }
+  }
+  if (shape != 1) {  // duplicates interleaved with other keys
+    for (std::size_t i = c.leaves.size(); i > 1; --i)
+      std::swap(c.leaves[i - 1], c.leaves[rng.uniform_u64(i)]);
+  }
+  c.opts.threshold = total * rng.uniform(0.02, 0.4);
+  c.opts.max_clusters_per_dim = 32;
+  switch (shape) {
+    case 1:
+      c.opts.threshold = total * rng.uniform(0.5, 1.5);
+      c.opts.max_clusters_per_dim = rng.bernoulli(0.5) ? 2 + pick(3) : 32;
+      break;
+    case 3:
+      c.opts.threshold = 0.0;
+      break;
+    case 4:
+      c.opts.threshold = 1.0 + pick(3);
+      c.opts.max_clusters_per_dim = 2 + pick(3);
+      break;
+    case 5:
+      c.opts.threshold = 1.0;
+      c.opts.max_clusters_per_dim = 65 + pick(64);
+      break;
+  }
+  return c;
+}
+
+TEST(Hhh, MatchesReferenceOnSeededInputs) {
+  int cap_ties = 0, wide = 0, single = 0;
+  HhhWorkspace ws;  // one workspace across calls, as aggregate_patterns does
+  for (std::uint64_t seed = 0; seed < 240; ++seed) {
+    const OracleCase c = oracle_case(seed);
+    ReferenceStats stats;
+    const auto want = reference_side_hhh(c.leaves, c.opts, stats);
+    const auto got = side_hhh(c.leaves, c.opts, ws);
+    cap_ties += stats.cap_cut_tie;
+    wide += stats.max_clusters > 64 && c.opts.max_clusters_per_dim > 64;
+    single += seed % 6 == 1 && !want.empty();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].key, want[i].key) << "seed " << seed << " cluster " << i;
+      const double tol = 1e-9 * std::abs(want[i].mass);
+      EXPECT_NEAR(got[i].mass, want[i].mass, tol) << "seed " << seed;
+      EXPECT_NEAR(got[i].residual, want[i].residual, tol) << "seed " << seed;
+    }
+  }
+  // The shapes that pin tie-breaking and key width really occurred.
+  EXPECT_GE(cap_ties, 20);
+  EXPECT_GE(wide, 20);
+  EXPECT_GE(single, 10);
+}
+
+TEST(Hhh, WideClusterIdsReportEveryLeaf) {
+  // 700 leaves that differ at every level of every dimension below the /8
+  // and the root, down to protocol, NF instance and NF type. At a threshold
+  // of one leaf's mass every ladder value is a cluster, too many for the
+  // packed per-dimension ids to fit 63 bits. Each leaf is reported at its
+  // own mass; every other combination's residual is exactly 0.
+  constexpr std::uint32_t kLeaves = 700;
+  NfCatalog cat;
+  std::vector<WeightedSide> leaves;
+  for (std::uint32_t i = 0; i < kLeaves; ++i) {
+    cat.node_names.push_back("nf" + std::to_string(i));
+    cat.type_names.push_back("t" + std::to_string(i));
+    cat.type_of.push_back(static_cast<std::uint16_t>(i));
+  }
+  for (std::uint32_t i = 0; i < kLeaves; ++i) {
+    const FiveTuple f{make_ipv4(1 + i % 251, i % 241, i % 239, 1),
+                      make_ipv4(1 + i % 233, i % 229, i % 227, 2),
+                      static_cast<std::uint16_t>(1024 + i),
+                      static_cast<std::uint16_t>(i),
+                      static_cast<std::uint8_t>(i % 256)};
+    leaves.push_back({SideKey::leaf(f, i, cat), 1.0});
+  }
+  int bits = 0;
+  for (int d = 0; d < kSideDims; ++d) {
+    std::set<std::uint64_t> values;
+    for (const WeightedSide& l : leaves)
+      for (const SideKey& anc : generalize_dim(l.key, d))
+        values.insert(dim_code(anc, d));
+    bits += std::bit_width(values.size() - 1);
+  }
+  ASSERT_GE(bits, 64);
+
+  HhhOptions opts;
+  opts.threshold = 1.0;
+  opts.max_clusters_per_dim = 1 << 20;
+  const auto got = side_hhh(leaves, opts);
+  std::vector<SideKey> want;
+  for (const WeightedSide& l : leaves) want.push_back(l.key);
+  std::sort(want.begin(), want.end());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i]) << i;
+    EXPECT_EQ(got[i].mass, 1.0);
+    EXPECT_EQ(got[i].residual, 1.0);
+  }
+}
+
+TEST(Aggregate, OutputIndependentOfInputOrder) {
+  // Dyadic scores keep every sum exact, so only tie-breaking can make two
+  // orders of the same records differ. A cap of 2 clusters per dimension
+  // binds on equal masses.
+  const auto cat = small_catalog();
+  std::vector<RelationRecord> records;
+  Rng rng(17);
+  for (int i = 0; i < 160; ++i) {
+    RelationRecord r;
+    r.culprit_flow = ft(static_cast<std::uint32_t>(rng.uniform_u64(4)),
+                        static_cast<std::uint16_t>(2000 + rng.uniform_u64(3)),
+                        443);
+    r.culprit_nf = static_cast<NodeId>(2 + rng.uniform_u64(3));
+    r.kind = rng.bernoulli(0.5) ? core::CauseKind::kLocalProcessing
+                                : core::CauseKind::kSourceTraffic;
+    r.victim_flow = ft(static_cast<std::uint32_t>(rng.uniform_u64(6)),
+                       static_cast<std::uint16_t>(rng.uniform_u64(4)),
+                       static_cast<std::uint16_t>(80 + rng.uniform_u64(2)));
+    r.victim_nf = static_cast<NodeId>(2 + rng.uniform_u64(3));
+    r.score = static_cast<double>(1 + rng.uniform_u64(4)) / 8.0;
+    records.push_back(r);
+  }
+  AggregateOptions opts;
+  opts.threshold_frac = 0.02;
+  opts.max_clusters_per_dim = 2;
+  const auto want = aggregate_patterns(records, cat, opts);
+  ASSERT_GT(want.size(), 5u);
+
+  std::vector<WeightedSide> leaves;
+  for (const RelationRecord& r : records)
+    leaves.push_back({SideKey::leaf(r.victim_flow, r.victim_nf, cat), 0.25});
+  HhhOptions hopts;
+  hopts.threshold = 2.0;
+  hopts.max_clusters_per_dim = 2;
+  const auto want_side = side_hhh(leaves, hopts);
+  ASSERT_FALSE(want_side.empty());
+
+  Rng shuffler(2024);
+  for (int round = 0; round < 20; ++round) {
+    for (std::size_t i = records.size(); i > 1; --i) {
+      const std::size_t j = shuffler.uniform_u64(i);
+      std::swap(records[i - 1], records[j]);
+      std::swap(leaves[i - 1], leaves[j]);
+    }
+    SCOPED_TRACE("shuffle " + std::to_string(round));
+    const auto got = aggregate_patterns(records, cat, opts);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].culprit, want[i].culprit) << "pattern " << i;
+      EXPECT_EQ(got[i].kind, want[i].kind) << "pattern " << i;
+      EXPECT_EQ(got[i].victim, want[i].victim) << "pattern " << i;
+      EXPECT_EQ(got[i].score, want[i].score) << "pattern " << i;
+    }
+    const auto got_side = side_hhh(leaves, hopts);
+    ASSERT_EQ(got_side.size(), want_side.size());
+    for (std::size_t i = 0; i < want_side.size(); ++i) {
+      EXPECT_EQ(got_side[i].key, want_side[i].key) << "cluster " << i;
+      EXPECT_EQ(got_side[i].mass, want_side[i].mass) << "cluster " << i;
+      EXPECT_EQ(got_side[i].residual, want_side[i].residual) << "cluster " << i;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace microscope::autofocus
