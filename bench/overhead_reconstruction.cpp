@@ -48,24 +48,6 @@ void BM_AlignAll(benchmark::State& state) {
 }
 BENCHMARK(BM_AlignAll)->Unit(benchmark::kMillisecond);
 
-// Steady-state streaming shape: each window donates its buffers to the
-// next call (align_all's `recycle` parameter), so the per-call cost
-// excludes re-faulting the ~20MB of output lanes that BM_AlignAll pays
-// to the allocator on every iteration.
-void BM_AlignAllRecycled(benchmark::State& state) {
-  Fixture& f = fixture();
-  std::vector<trace::NodeAlignment> prev;
-  for (auto _ : state) {
-    trace::AlignStats stats;
-    auto a = trace::align_all(f.col, f.graph, {}, &stats, nullptr, {}, &prev);
-    benchmark::DoNotOptimize(a.data());
-    prev = std::move(a);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(f.packets));
-}
-BENCHMARK(BM_AlignAllRecycled)->Unit(benchmark::kMillisecond);
-
 void BM_FullReconstruct(benchmark::State& state) {
   Fixture& f = fixture();
   trace::ReconstructOptions ropt;

@@ -72,11 +72,11 @@ Diagnoser::Diagnoser(const trace::ReconstructedTrace& rt,
 }
 
 std::vector<Diagnosis> Diagnoser::diagnose_all(
-    const std::vector<Victim>& victims) const {
+    const std::vector<Victim>& victims, ThreadPool* pool) const {
   std::vector<Diagnosis> out(victims.size());
-  const auto pool = ThreadPool::make(opts_.parallel);
+  const auto own = pool ? nullptr : ThreadPool::make(opts_.parallel);
   parallel_for_over(
-      pool.get(), victims.size(),
+      pool ? pool : own.get(), victims.size(),
       [&](std::size_t b, std::size_t e) {
         for (std::size_t i = b; i < e; ++i) out[i] = diagnose(victims[i]);
       },
@@ -202,11 +202,15 @@ void Diagnoser::propagate(NodeId f, const QueuingPeriod& period,
     prov->steps[step_idx].preset_packets = n_grouped;
     prov->steps[step_idx].preset_skipped = n_skipped;
   }
-  if (n_grouped == 0) return;
-
   // T_exp is shared by every path (paper §4.2, DAG case).
   const double r_f = peak_rates_[f].pkts_per_ns;
-  if (r_f <= 0.0) return;
+  if (n_grouped == 0 || r_f <= 0.0) {
+    // Nothing to attribute along (no PreSet packet with a complete path,
+    // or no service rate to turn arrivals into an expected span): the
+    // whole step is charged to nobody.
+    if (prov) prov->steps[step_idx].uncharged = base_score;
+    return;
+  }
   const double t_exp = static_cast<double>(period.arrival_count()) / r_f;
   if (prov) {
     prov->steps[step_idx].r_pkts_per_ns = r_f;

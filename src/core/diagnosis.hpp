@@ -46,10 +46,11 @@ class Diagnoser {
   /// diagnosis itself is unaffected — capture is observation only).
   Diagnosis diagnose(const Victim& victim, Provenance* prov = nullptr) const;
 
-  /// Diagnose every victim, sharded across the pool configured by
-  /// options().parallel; out[i] is diagnose(victims[i]) regardless of
-  /// scheduling.
-  std::vector<Diagnosis> diagnose_all(const std::vector<Victim>& victims) const;
+  /// Diagnose every victim, sharded across `pool` — or, when it is null,
+  /// a pool built for this call from options().parallel; out[i] is
+  /// diagnose(victims[i]) regardless of scheduling.
+  std::vector<Diagnosis> diagnose_all(const std::vector<Victim>& victims,
+                                      ThreadPool* pool = nullptr) const;
 
   // --- victim selection -------------------------------------------------
   /// Delivered packets whose end-to-end latency is above the given

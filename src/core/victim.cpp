@@ -24,7 +24,8 @@ std::vector<RunningStats> hop_stats(const trace::ReconstructedTrace& rt,
                                     double k) {
   if (k == std::numeric_limits<double>::infinity()) return {};
   std::vector<RunningStats> stats(rt.graph().node_count());
-  for (const Journey& j : rt.journeys()) {
+  for (const std::uint32_t jid : rt.journey_order()) {
+    const Journey& j = rt.journey(jid);
     if (j.fate != Fate::kDelivered) continue;
     for (const trace::Hop& h : j.hops) {
       if (!h.has_latency()) continue;
@@ -77,9 +78,11 @@ Victim victim_at_worst_hop(const trace::ReconstructedTrace& rt,
 
 std::vector<Victim> Diagnoser::latency_victims_by_percentile(double pct) const {
   std::vector<double> lats;
-  for (const Journey& j : rt_->journeys())
+  for (const std::uint32_t jid : rt_->journey_order()) {
+    const Journey& j = rt_->journey(jid);
     if (j.fate == Fate::kDelivered)
       lats.push_back(static_cast<double>(j.e2e_latency()));
+  }
   if (lats.empty()) return {};
   const double thr = percentile(lats, pct);
   return latency_victims_by_threshold(static_cast<DurationNs>(thr));
@@ -91,7 +94,7 @@ std::vector<Victim> Diagnoser::latency_victims_by_threshold(
   obs::TraceSpan span("core", "victims.latency");
   const auto stats = hop_stats(*rt_, opts_.abnormal_stddev_k);
   std::vector<Victim> out;
-  for (std::uint32_t jid = 0; jid < rt_->journeys().size(); ++jid) {
+  for (const std::uint32_t jid : rt_->journey_order()) {
     const Journey& j = rt_->journey(jid);
     if (j.fate != Fate::kDelivered) continue;
     if (j.e2e_latency() < threshold) continue;
@@ -107,7 +110,7 @@ std::vector<Victim> Diagnoser::drop_victims() const {
   const auto wscope = obs::CorrelationScope::for_window(opts_.trace_window);
   obs::TraceSpan span("core", "victims.drops");
   std::vector<Victim> out;
-  for (std::uint32_t jid = 0; jid < rt_->journeys().size(); ++jid) {
+  for (const std::uint32_t jid : rt_->journey_order()) {
     const Journey& j = rt_->journey(jid);
     if (j.fate != Fate::kDroppedQueue && j.fate != Fate::kDroppedPolicy)
       continue;
@@ -135,7 +138,7 @@ std::vector<Victim> Diagnoser::connection_stall_victims(
     TimeNs done;
   };
   std::unordered_map<FiveTuple, std::vector<Entry>, FiveTupleHash> conns;
-  for (std::uint32_t jid = 0; jid < rt_->journeys().size(); ++jid) {
+  for (const std::uint32_t jid : rt_->journey_order()) {
     const Journey& j = rt_->journey(jid);
     if (j.fate != Fate::kDelivered) continue;
     if (j.flow.proto != static_cast<std::uint8_t>(IpProto::kTcp)) continue;
@@ -177,7 +180,7 @@ std::vector<Victim> Diagnoser::in_nf_delay_victims(DurationNs threshold) const {
   const auto wscope = obs::CorrelationScope::for_window(opts_.trace_window);
   obs::TraceSpan span("core", "victims.in_nf_delay");
   std::vector<Victim> out;
-  for (std::uint32_t jid = 0; jid < rt_->journeys().size(); ++jid) {
+  for (const std::uint32_t jid : rt_->journey_order()) {
     const Journey& j = rt_->journey(jid);
     for (const trace::Hop& h : j.hops) {
       if (h.depart == kTimeNever || h.read == kTimeNever) continue;
@@ -210,7 +213,7 @@ std::vector<Victim> Diagnoser::throughput_victims(const FiveTuple& flow,
     TimeNs done;
   };
   std::vector<Entry> pkts;
-  for (std::uint32_t jid = 0; jid < rt_->journeys().size(); ++jid) {
+  for (const std::uint32_t jid : rt_->journey_order()) {
     const Journey& j = rt_->journey(jid);
     if (j.fate != Fate::kDelivered || !(j.flow == flow)) continue;
     pkts.push_back({jid, j.hops.back().depart});

@@ -39,6 +39,8 @@ struct WindowNote {
   std::int64_t start_ns{0};
   std::int64_t end_ns{0};
   bool idle_forced{false};
+  /// Journeys walked while closing the window, committed plus speculative
+  /// (the excess over one window's traffic is repeated work).
   std::uint64_t journeys{0};
   std::uint64_t diagnoses{0};
   /// Highest per-victim attribution score in the window (0 when none).

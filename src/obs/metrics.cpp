@@ -292,6 +292,9 @@ void register_pipeline_metrics(Registry& reg) {
   reg.counter("online.windows_idle_forced");
   reg.counter("online.windows_skipped_empty");
   reg.histogram("online.window_close_ns");
+  // Journeys a closed window walked / journeys it committed (1 = no
+  // repeated reconstruction work).
+  reg.gauge("online.window.amplification");
   reg.gauge("online.watermark_lag_ns");
   reg.gauge("online.ring_dropped_records");
   reg.gauge("online.retained_batches");
@@ -316,6 +319,7 @@ void register_pipeline_metrics(Registry& reg) {
   // Units for names the suffix heuristic cannot classify (shares, scores,
   // plain entry counts). Everything else derives from its suffix.
   note_unit("sketch.est_error_bound", MetricUnit::kRatio);
+  note_unit("online.window.amplification", MetricUnit::kRatio);
   note_unit("core.diagnosis.attribution_residual", MetricUnit::kPackets);
   note_unit("obs.health.state", MetricUnit::kNone);
   refresh_runtime_gauges(reg);

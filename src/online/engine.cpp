@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -40,6 +41,7 @@ struct OnlineMetrics {
   obs::Counter& windows_idle_forced;
   obs::Counter& windows_skipped_empty;
   obs::Histogram& window_close_ns;
+  obs::Gauge& window_amplification;
   obs::Gauge& watermark_lag_ns;
   obs::Gauge& ring_dropped_records;
   obs::Gauge& retained_batches;
@@ -56,6 +58,7 @@ struct OnlineMetrics {
         r.counter("online.windows_idle_forced"),
         r.counter("online.windows_skipped_empty"),
         r.histogram("online.window_close_ns"),
+        r.gauge("online.window.amplification"),
         r.gauge("online.watermark_lag_ns"),
         r.gauge("online.ring_dropped_records"),
         r.gauge("online.retained_batches"),
@@ -68,6 +71,14 @@ double diagnosis_score(const core::Diagnosis& d) {
   double s = 0.0;
   for (const core::CausalRelation& r : d.relations) s += r.score;
   return s;
+}
+
+/// One pool for both analysis stages, sized for the larger request.
+std::unique_ptr<ThreadPool> make_pool(const OnlineOptions& o) {
+  ParallelOptions par;
+  par.num_threads = std::max(o.reconstruct.parallel.num_threads,
+                             o.diagnoser.parallel.num_threads);
+  return ThreadPool::make(par);
 }
 
 std::string victim_summary(const core::Diagnosis& d, double score,
@@ -93,6 +104,8 @@ OnlineEngine::OnlineEngine(trace::GraphView graph,
       graph_(std::move(graph)),
       peak_rates_(std::move(peak_rates)),
       history_(derive_history(opts)),
+      recon_(graph_, opts.reconstruct),
+      pool_(make_pool(opts)),
       wm_(opts.window_ns, opts.slack_ns, opts.idle_timeout_ns),
       agg_(make_aggregator(opts.aggregator, opts.agg_memory_budget,
                            opts.agg_catalog)),
@@ -102,7 +115,13 @@ OnlineEngine::OnlineEngine(trace::GraphView graph,
             ingest(b.dir, b.node, b.peer, b.ts, b.pkts);
           },
           opts.decode,
-          [this](NodeId n) { return store_.has_node(n); }) {}
+          [this](NodeId n) { return store_.has_node(n); }) {
+  // The ablations match without the FIFO or timing side channel, so no
+  // decision would ever be final before the end of the stream.
+  if (!opts.reconstruct.align.use_order || !opts.reconstruct.align.use_timing)
+    throw std::invalid_argument(
+        "OnlineEngine: the use_order/use_timing ablations are offline-only");
+}
 
 void OnlineEngine::register_node(NodeId id, bool full_flow) {
   store_.register_node(id, full_flow);
@@ -165,8 +184,10 @@ void OnlineEngine::ingest(collector::Direction dir, NodeId node, NodeId peer,
       obs::trace_instant("online", "window.open");
     }
   }
-  if (wm_.closed_end() != WindowManager::kWatermarkNone &&
-      ts < wm_.closed_end()) {
+  // A record below the floor, or behind its lane's newest, could change
+  // reconstruction decisions already committed: drop it.
+  if (ts < floor_ ||
+      (store_.has_node(node) && ts < store_.newest(dir, node))) {
     ++stats_.late_dropped_batches;
     m.late_dropped.add();
     return;
@@ -223,10 +244,18 @@ std::vector<WindowResult> OnlineEngine::close_ready(bool finishing) {
       m.windows_idle_forced.add();
     }
     wm_.advance();
-    // Everything older than what the *next* window can reach is dead. The
-    // extra slack_ns covers the tx-side alignment warm-up margin that the
-    // next materialization will extend below its rx cut.
-    store_.evict_before(b.end - history_ - opts_.slack_ns);
+    floor_ = std::max(floor_, view_hi(b));
+    // Everything older than what the *next* window can reach is dead: its
+    // diagnoses look back to its start - history, and a journey arriving
+    // there left its source up to slack earlier.
+    const TimeNs horizon = b.end - history_ - opts_.slack_ns;
+    store_.evict_before(horizon);
+    recon_.evict_before(horizon);
+    // Entry numbers are 32-bit and grow with the stream: shift them down,
+    // store and reconstruction together, long before any could wrap.
+    if (std::max(store_.entries_end(), recon_.numbers_end()) >=
+        trace::kRenumberAt)
+      store_.renumber(recon_.renumber(store_.lanes()));
     out.push_back(std::move(res));
   }
   m.retained_batches.set(static_cast<double>(store_.retained_batches()));
@@ -241,25 +270,35 @@ WindowResult OnlineEngine::diagnose(const WindowBounds& b) {
   res.end = b.end;
   res.idle_forced = b.idle_forced;
 
-  const TimeNs lo = slice_lo(b);
-  const TimeNs hi = slice_hi(b);
-  if (store_.empty_in(lo, hi)) {
+  // Commit what no later record can change, recompute the rest from
+  // exactly the records <= end + slack. Decisions about records older than
+  // end - history are forced: after this window, state below
+  // end - history - slack is evicted.
+  OnlineMetrics& m = OnlineMetrics::get();
+  trace::Frontier f;
+  f.ceiling = view_hi(b);
+  f.force = b.end - history_;
+  ThreadPool* recon_pool =
+      opts_.reconstruct.parallel.sequential() ? nullptr : pool_.get();
+  recon_.advance(store_.lanes(), f, recon_pool);
+  res.journeys = recon_.walked();
+  res.journeys_committed = recon_.committed();
+  if (res.journeys_committed > 0)
+    m.window_amplification.set(static_cast<double>(res.journeys) /
+                               static_cast<double>(res.journeys_committed));
+
+  if (store_.empty_in(view_lo(b), view_hi(b))) {
     ++stats_.windows_skipped_empty;
-    OnlineMetrics::get().windows_skipped_empty.add();
+    m.windows_skipped_empty.add();
+    recon_.discard_speculative(recon_pool);
     return res;
   }
-
-  const collector::Collector& col =
-      store_.materialize(lo, hi, slice_tx_lo(b));
-  const trace::ReconstructedTrace rt =
-      trace::reconstruct(col, graph_, opts_.reconstruct);
-  res.journeys = rt.journeys().size();
 
   // The window id rides through options because diagnose_all fans out to
   // pool threads, out of reach of this thread's correlation scope.
   core::DiagnoserOptions dopts = opts_.diagnoser;
   dopts.trace_window = b.index;
-  core::Diagnoser diag(rt, peak_rates_, dopts);
+  core::Diagnoser diag(recon_.trace(), peak_rates_, dopts);
   std::vector<core::Victim> victims;
   auto keep = [&](const core::Victim& v) {
     return v.time >= b.start && v.time < b.end;
@@ -278,8 +317,11 @@ WindowResult OnlineEngine::diagnose(const WindowBounds& b) {
     for (std::size_t i = 0; i < victims.size(); ++i)
       res.diagnoses.push_back(diag.diagnose(victims[i], &res.provenances[i]));
   } else {
-    res.diagnoses = diag.diagnose_all(victims);
+    res.diagnoses = diag.diagnose_all(
+        victims,
+        opts_.diagnoser.parallel.sequential() ? nullptr : pool_.get());
   }
+  recon_.discard_speculative(recon_pool);
   return res;
 }
 
@@ -337,6 +379,8 @@ OnlineStats OnlineEngine::stats() const {
   s.retained_batches = store_.retained_batches();
   s.retained_bytes = store_.retained_bytes();
   s.retained_span_ns = store_.retained_span();
+  s.reconstruction_bytes = recon_.retained_bytes();
+  s.live_journeys = recon_.live_journeys();
   return s;
 }
 

@@ -4,11 +4,14 @@
 // wire bytes, or an external-drain RingCollector — appending each batch to
 // the StreamStore's per-node columnar lanes, segments them into fixed time
 // windows, and when a window closes (watermark coverage, see window.hpp)
-// cuts the retained records around it into the store's reused slice
-// Collector, reconstructs, and diagnoses exactly as the offline pipeline
-// would. One StreamStore, one WindowManager, one thread; multi-core speed
-// comes from the analysis pool (OnlineOptions::reconstruct.parallel and
-// diagnoser.parallel).
+// extends one persistent trace::Reconstruction over the records up to the
+// window's end + slack and diagnoses the victims anchored in the window
+// exactly as the offline pipeline would. Each record is aligned, walked and
+// put on a timeline once; only the decisions a later record could still
+// change form a speculative tail that every window recomputes and then
+// discards (DESIGN.md §7). One StreamStore, one WindowManager, one thread;
+// multi-core speed comes from the analysis pool, built once per engine and
+// shared by both stages (see OnlineOptions::reconstruct).
 //
 // Equivalence guarantee: for every closed window, the emitted diagnoses are
 // byte-identical to running the offline Diagnoser over the full trace with
@@ -19,22 +22,25 @@
 //              this also bounds the delivery tail past a victim anchor), and
 //   history >= diagnosis lookback (max_depth recursions x max_lookback
 //              plus propagation and journey length) plus slack,
-// because then the materialized slice contains every record either side's
-// diagnosis of those victims can touch, and every analysis stage below is
-// deterministic with canonical tie-breaking. The slice's tx side extends
-// slack below the rx side so link alignment resyncs inside the warm-up
-// margin instead of desynchronizing (see StreamStore::materialize); any
-// residual warm-up divergence sits below window_start - history + slack,
-// which the history bound keeps out of every victim's diagnosis reach.
+// because then the window's view — the committed reconstruction, which
+// equals the offline one entry for entry, plus a tail computed from exactly
+// the records <= end + slack — holds every journey and arrival either
+// side's diagnosis of those victims can touch, and every analysis stage
+// below is deterministic with canonical tie-breaking.
 //
-// Memory is bounded: records are evicted as soon as the last window that
-// may need them closes, so the retained span never exceeds
-// history + window + 2*slack (plus the not-yet-closed tail of the stream),
-// and evicted lane prefixes are compacted away (see stream_store.hpp).
+// Memory is bounded: records and reconstruction state are evicted as soon
+// as the last window that may need them closes, so the retained span never
+// exceeds history + window + 2*slack (plus the not-yet-closed tail of the
+// stream), and evicted lane prefixes are compacted away (see
+// stream_store.hpp). Records that arrive out of order within their lane, or
+// below the last closed window's end + slack (after an idle-forced close),
+// are dropped and counted: the committed reconstruction has already decided
+// everything they could have changed.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -92,6 +98,12 @@ struct OnlineOptions {
   /// on the calling thread instead of through diagnose_all's pool, so
   /// leave this off on latency-sensitive paths.
   bool capture_provenance = false;
+  /// Both analysis stages share one pool, built with the engine and sized
+  /// to the larger of reconstruct.parallel.num_threads and
+  /// diagnoser.parallel.num_threads; a stage whose own setting is
+  /// sequential (0 or 1 threads) runs on the calling thread instead. So
+  /// reconstruct.parallel = 2 with diagnoser.parallel = 8 reconstructs on
+  /// 8 workers.
   core::DiagnoserOptions diagnoser = streaming_diagnoser_defaults();
   trace::ReconstructOptions reconstruct{};
   StreamingAggregatorOptions aggregator{};
@@ -134,8 +146,12 @@ struct WindowResult {
   TimeNs start{0};
   TimeNs end{0};  // exclusive
   bool idle_forced{false};
-  /// Journeys reconstructed in the window slice (0 when skipped empty).
+  /// Journeys walked while closing the window: the ones it committed plus
+  /// the speculative tail it recomputed (repeated work shows as the excess
+  /// over the committed ones).
   std::size_t journeys{0};
+  /// Of `journeys`, the ones committed by this window.
+  std::size_t journeys_committed{0};
   /// Diagnoses of victims anchored in [start, end), in deterministic
   /// victim order. victim.journey is window-local bookkeeping.
   std::vector<core::Diagnosis> diagnoses;
@@ -180,8 +196,9 @@ class StreamTarget {
 struct OnlineStats {
   std::uint64_t batches_ingested{0};
   std::uint64_t packets_ingested{0};
-  /// Batches older than the newest closed window (only possible after a
-  /// forced close or with out-of-order streams) — dropped, never diagnosed.
+  /// Batches older than their lane's newest batch, or than the newest
+  /// closed window's end + slack (only possible after an idle-forced close
+  /// or with out-of-order streams) — dropped, never diagnosed.
   std::uint64_t late_dropped_batches{0};
   /// Batches dropped by the max_retained_batches backpressure policy.
   std::uint64_t backpressure_dropped_batches{0};
@@ -192,13 +209,17 @@ struct OnlineStats {
   std::uint64_t wire_decode_dropped{0};
   std::uint64_t windows_closed{0};
   std::uint64_t windows_idle_forced{0};
-  /// Closed windows whose slice held no records (no diagnosis run).
+  /// Closed windows whose view held no records (no diagnosis run).
   std::uint64_t windows_skipped_empty{0};
   std::size_t retained_batches{0};
   /// Bytes of the store's live lane records (batch records, IPIDs,
   /// five-tuples); see StreamStore::retained_bytes.
   std::size_t retained_bytes{0};
   DurationNs retained_span_ns{0};
+  /// Bytes of the persistent reconstruction's lanes, streams, journeys and
+  /// timelines, and its live journeys (see trace::Reconstruction).
+  std::size_t reconstruction_bytes{0};
+  std::size_t live_journeys{0};
 };
 
 class OnlineEngine : public StreamTarget {
@@ -244,26 +265,29 @@ class OnlineEngine : public StreamTarget {
   const WindowManager& windows() const { return wm_; }
   /// Effective history (after derivation when options.history_ns == 0).
   DurationNs history_ns() const { return history_; }
+  /// The persistent reconstruction; between polls it holds exactly the
+  /// committed state.
+  const trace::Reconstruction& reconstruction() const { return recon_; }
+  /// The record store the reconstruction reads.
+  const StreamStore& store() const { return store_; }
 
  private:
+  /// Lets a test move the engine's numbering next to 2^32.
+  friend struct EngineTestPeer;
+
   void ingest(collector::Direction dir, NodeId node, NodeId peer, TimeNs ts,
               std::span<const Packet> pkts);
   std::vector<WindowResult> close_ready(bool finishing);
 
-  /// Slice bounds a window's diagnosis may touch: records in
-  /// [slice_lo, slice_hi] on the rx side, [slice_tx_lo, slice_hi] on tx
-  /// (the tx side reaches slack below the rx cut so every in-slice rx
-  /// entry's origin tx is present — see StreamStore::materialize).
-  TimeNs slice_lo(const WindowBounds& b) const { return b.start - history_; }
-  TimeNs slice_hi(const WindowBounds& b) const {
+  /// Records a window's diagnosis may touch lie in [view_lo, view_hi].
+  TimeNs view_lo(const WindowBounds& b) const { return b.start - history_; }
+  TimeNs view_hi(const WindowBounds& b) const {
     return b.end + opts_.slack_ns;
   }
-  TimeNs slice_tx_lo(const WindowBounds& b) const {
-    return slice_lo(b) - opts_.slack_ns;
-  }
 
-  /// Materialize the window's slice, reconstruct it, and diagnose the
-  /// victims anchored inside `b` (an empty slice is counted and skipped).
+  /// Extend the reconstruction over the records up to view_hi(b), diagnose
+  /// the victims anchored inside `b` (skipped and counted when the view
+  /// holds no record), and discard the speculative tail.
   WindowResult diagnose(const WindowBounds& b);
 
   /// Publish a closed window onto the introspection hub: a /windows board
@@ -277,6 +301,13 @@ class OnlineEngine : public StreamTarget {
   std::vector<RatePerNs> peak_rates_;
   DurationNs history_;
   StreamStore store_;
+  trace::Reconstruction recon_;
+  /// The analysis pool, built once (nullptr when both stages run
+  /// sequentially).
+  std::unique_ptr<ThreadPool> pool_;
+  /// Records older than this are late: the newest closed window's
+  /// end + slack.
+  TimeNs floor_{std::numeric_limits<TimeNs>::min()};
   WindowManager wm_;
   std::unique_ptr<CulpritAggregator> agg_;
   collector::WireCallbackDecoder decoder_;

@@ -18,12 +18,6 @@ constexpr std::size_t lane(Direction dir) {
   return static_cast<std::size_t>(dir);
 }
 
-collector::CollectorOptions slice_options() {
-  collector::CollectorOptions opts;
-  opts.ground_truth = false;  // the stream never carries the sidecar
-  return opts;
-}
-
 // `Trace` is NodeTrace or const NodeTrace.
 template <typename Trace>
 auto& batches_of(Trace& t, Direction dir) {
@@ -47,9 +41,11 @@ std::size_t first_live_entry(const std::vector<BatchRecord>& batches,
 
 /// Pop the lane's front batches older than `horizon`, then compact it once
 /// the dead prefix is at least as long as the live tail: every compaction
-/// moves no more entries than were popped since the last one. Returns the
-/// number of batches popped.
+/// moves no more entries than were popped since the last one. Erased
+/// batches and entries are added to the bases. Returns the number of
+/// batches popped.
 std::size_t evict_lane(NodeTrace& t, Direction dir, std::size_t& head,
+                       std::uint64_t& batch_base, std::uint32_t& entry_base,
                        TimeNs horizon) {
   std::vector<BatchRecord>& batches = batches_of(t, dir);
   const std::size_t first = head;
@@ -64,56 +60,17 @@ std::size_t evict_lane(NodeTrace& t, Direction dir, std::size_t& head,
   ipids.erase(ipids.begin(), ipids.begin() + base);
   if (has_flows(t, dir))
     t.tx_flows.erase(t.tx_flows.begin(), t.tx_flows.begin() + base);
+  batch_base += head;
+  entry_base += static_cast<std::uint32_t>(base);
   head = 0;
   return popped;
 }
 
-/// Append the lane's live batches with ts in [lo, hi] to `out`, copying
-/// each run of consecutive kept batches' entries with one range insert and
-/// rebasing their `begin` onto `out`'s entry lanes.
-void slice_lane(const NodeTrace& in, Direction dir, std::size_t head,
-                TimeNs lo, TimeNs hi, NodeTrace& out) {
-  const std::vector<BatchRecord>& batches = batches_of(in, dir);
-  const std::vector<std::uint16_t>& ipids = ipids_of(in, dir);
-  std::vector<BatchRecord>& out_batches = batches_of(out, dir);
-  std::vector<std::uint16_t>& out_ipids = ipids_of(out, dir);
-  const bool flows = has_flows(in, dir);
-  auto kept = [&](const BatchRecord& b) { return b.ts >= lo && b.ts <= hi; };
-
-  std::size_t i = head;
-  while (i < batches.size()) {
-    if (!kept(batches[i])) {
-      ++i;
-      continue;
-    }
-    const std::size_t src = batches[i].begin;
-    const std::size_t dst = out_ipids.size();
-    std::size_t j = i;
-    for (; j < batches.size() && kept(batches[j]); ++j) {
-      BatchRecord rec = batches[j];
-      rec.begin = static_cast<std::uint32_t>(rec.begin - src + dst);
-      out_batches.push_back(rec);
-    }
-    const std::size_t end = first_live_entry(batches, j, ipids.size());
-    out_ipids.insert(out_ipids.end(), ipids.begin() + src,
-                     ipids.begin() + end);
-    if (flows)
-      out.tx_flows.insert(out.tx_flows.end(), in.tx_flows.begin() + src,
-                          in.tx_flows.begin() + end);
-    i = j;
-  }
-}
-
 }  // namespace
-
-StreamStore::StreamStore() : slice_(slice_options()) {}
 
 void StreamStore::register_node(NodeId id, bool full_flow) {
   if (id >= lanes_.size()) lanes_.resize(id + 1);
-  if (slice_.has_node(id))
-    slice_.mutable_node(id).full_flow = full_flow;
-  else
-    slice_.register_node(id, full_flow);
+  lanes_[id].registered = true;
   NodeTrace& t = lanes_[id].trace;
   t.full_flow = full_flow;
   t.tx_flows.resize(full_flow ? t.tx_ipids.size() : 0);
@@ -123,8 +80,13 @@ void StreamStore::add(Direction dir, NodeId node, NodeId peer, TimeNs ts,
                       std::span<const Packet> pkts) {
   if (!has_node(node))
     throw std::invalid_argument("StreamStore::add: unregistered node");
-  NodeTrace& t = lanes_[node].trace;
+  Lanes& l = lanes_[node];
+  NodeTrace& t = l.trace;
+  TimeNs& newest = l.newest[lane(dir)];
+  newest = std::max(newest, ts);
   std::vector<std::uint16_t>& ipids = ipids_of(t, dir);
+  if (pkts.size() >= trace::kNoEntry - l.entry_base[lane(dir)] - ipids.size())
+    throw std::overflow_error("StreamStore::add: entry numbers exhausted");
   BatchRecord rec;
   rec.ts = ts;
   rec.begin = static_cast<std::uint32_t>(ipids.size());
@@ -140,25 +102,39 @@ void StreamStore::add(Direction dir, NodeId node, NodeId peer, TimeNs ts,
 void StreamStore::evict_before(TimeNs horizon) {
   for (Lanes& l : lanes_)
     for (const Direction dir : kDirections)
-      retained_batches_ -= evict_lane(l.trace, dir, l.head[lane(dir)], horizon);
+      retained_batches_ -=
+          evict_lane(l.trace, dir, l.head[lane(dir)], l.batch_base[lane(dir)],
+                     l.entry_base[lane(dir)], horizon);
 }
 
-const collector::Collector& StreamStore::materialize(TimeNs t_lo, TimeNs t_hi,
-                                                     TimeNs tx_lo) {
+trace::RecordLanes StreamStore::lanes() const {
+  trace::RecordLanes out(lanes_.size());
   for (NodeId id = 0; id < lanes_.size(); ++id) {
-    if (!slice_.has_node(id)) continue;
     const Lanes& l = lanes_[id];
-    NodeTrace& out = slice_.mutable_node(id);
-    out.rx_batches.clear();
-    out.rx_ipids.clear();
-    out.tx_batches.clear();
-    out.tx_ipids.clear();
-    out.tx_flows.clear();
-    for (const Direction dir : kDirections)
-      slice_lane(l.trace, dir, l.head[lane(dir)],
-                 dir == Direction::kTx ? tx_lo : t_lo, t_hi, out);
+    if (!l.registered) continue;
+    out[id].trace = &l.trace;
+    for (const Direction dir : kDirections) {
+      out[id].batch_base[lane(dir)] = l.batch_base[lane(dir)];
+      out[id].entry_base[lane(dir)] = l.entry_base[lane(dir)];
+    }
   }
-  return slice_;
+  return out;
+}
+
+std::uint32_t StreamStore::entries_end() const {
+  std::uint32_t end = 0;
+  for (const Lanes& l : lanes_)
+    for (const Direction dir : kDirections)
+      end = std::max(end, l.entry_base[lane(dir)] +
+                              static_cast<std::uint32_t>(
+                                  ipids_of(l.trace, dir).size()));
+  return end;
+}
+
+void StreamStore::renumber(const trace::EntryShifts& shifts) {
+  for (NodeId id = 0; id < lanes_.size() && id < shifts.size(); ++id)
+    for (const Direction dir : kDirections)
+      lanes_[id].entry_base[lane(dir)] -= shifts[id][lane(dir)];
 }
 
 bool StreamStore::empty_in(TimeNs t_lo, TimeNs t_hi) const {

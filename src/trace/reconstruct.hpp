@@ -136,6 +136,8 @@ struct ReconstructOptions {
   ParallelOptions parallel{};
 };
 
+class Reconstruction;
+
 class ReconstructedTrace {
  public:
   ReconstructedTrace(const GraphView& graph, ReconstructOptions opts)
@@ -144,8 +146,17 @@ class ReconstructedTrace {
   const GraphView& graph() const { return graph_; }
   const ReconstructOptions& options() const { return opts_; }
 
-  const std::vector<Journey>& journeys() const { return journeys_; }
   const Journey& journey(std::uint32_t id) const { return journeys_.at(id); }
+  /// Ids of the live journeys in journey order: by terminal kind
+  /// (delivered, dropped at a queue, dropped by policy), then node, then
+  /// the terminal's entry number. Offline this is 0, 1, 2, ...; the online
+  /// engine's persistent trace recycles the ids of evicted and speculative
+  /// journeys, so this is the one iteration that serves both.
+  const std::vector<std::uint32_t>& journey_order() const { return order_; }
+  /// Every journey, indexed by id — a trace that has never recycled an id
+  /// (offline). Throws std::logic_error on one that has, where freed slots
+  /// would be counted as journeys.
+  const std::vector<Journey>& journeys() const;
 
   const NodeTimeline& timeline(NodeId id) const { return timelines_.at(id); }
   bool has_timeline(NodeId id) const {
@@ -158,21 +169,159 @@ class ReconstructedTrace {
   /// Journey id of a node's rx entry (kNoJourney if unresolved).
   std::uint32_t journey_of_rx(NodeId node, std::uint32_t rx_idx) const;
 
-  friend ReconstructedTrace reconstruct(const collector::Collector& col,
-                                        const GraphView& graph,
-                                        const ReconstructOptions& opts);
-
  private:
+  friend class Reconstruction;
+
   GraphView graph_;
   ReconstructOptions opts_;
   std::vector<Journey> journeys_;
-  std::vector<NodeTimeline> timelines_;          // by node id
-  std::vector<std::vector<std::uint32_t>> jid_of_rx_;  // [node][rx entry]
+  std::vector<std::uint32_t> order_;
+  std::vector<NodeTimeline> timelines_;  // by node id
+  /// [node][rx entry - alignments_[node].rx_base]
+  std::vector<std::vector<std::uint32_t>> jid_of_rx_;
   std::vector<NodeAlignment> alignments_;
   AlignStats align_stats_{};
+  /// Some journey id was freed for reuse.
+  bool recycled_{false};
 };
 
-/// Run alignment and assemble journeys + timelines.
+/// The resumable reconstruction: alignment, journeys and timelines extended
+/// record by record. Each `advance` pulls the records visible under a
+/// Frontier, commits every alignment decision, journey and arrival field no
+/// later record can change, and recomputes the rest as a speculative tail;
+/// `discard_speculative` drops that tail again. Offline, one final advance
+/// over a whole collector is the reconstruction (see reconstruct()); the
+/// online engine advances once per window, with absolute entry numbers and
+/// eviction keeping the state bounded (DESIGN.md §7).
+class Reconstruction {
+ public:
+  Reconstruction(const GraphView& graph, ReconstructOptions opts);
+
+  const ReconstructedTrace& trace() const { return rt_; }
+
+  /// Extend over the records of `lanes` with ts <= f.ceiling. Walks every
+  /// journey whose terminal is not committed yet; on return trace() holds
+  /// the committed state plus the speculative tail.
+  void advance(const RecordLanes& lanes, const Frontier& f, ThreadPool* pool);
+
+  /// Undo everything the last advance left uncommitted.
+  void discard_speculative(ThreadPool* pool);
+
+  /// Evict every entry, journey, arrival and read older than `horizon`.
+  /// Per-entry lanes and timelines are compacted right away (the journeys
+  /// held per terminal kind behind an amortized head).
+  void evict_before(TimeNs horizon);
+
+  /// One past the highest absolute number held, over every space.
+  std::uint32_t numbers_end() const;
+  /// Shift every number space so that the smallest number it holds, here
+  /// or among the bases of `lanes` (the store's), becomes `lowest` (mod
+  /// 2^32): renumbering to 0 keeps the absolute numbers from wrapping.
+  /// Returns the entry shifts for the store to apply. Only with no
+  /// speculative tail held (throws std::logic_error otherwise).
+  EntryShifts renumber(const RecordLanes& lanes, std::uint32_t lowest = 0);
+
+  /// Journeys the last advance walked, and how many of them it committed.
+  std::size_t walked() const { return walked_; }
+  std::size_t committed() const { return committed_; }
+  /// Live journeys held (committed plus speculative).
+  std::size_t live_journeys() const;
+  /// Bytes of the per-entry lanes, streams, journeys and timelines held.
+  std::size_t retained_bytes() const;
+
+  /// The trace, leaving this object empty.
+  ReconstructedTrace take() { return std::move(rt_); }
+
+  /// The alignment state (which decisions are committed).
+  const Aligner& aligner() const { return aligner_; }
+
+  /// A committed journey and its terminal: kind 0 = delivered (the tx
+  /// entry toward the sink), 1 = dropped at a queue (the tx entry whose
+  /// drop was inferred), 2 = dropped by policy (the rx entry).
+  struct Terminal {
+    int kind;
+    NodeId node;
+    std::uint32_t entry;
+    std::uint32_t id;
+  };
+  /// Every committed live journey, in journey order.
+  std::vector<Terminal> committed_terminals() const;
+
+ private:
+  /// Terminal kinds in journey order.
+  enum Kind : std::uint8_t { kDelivered, kQueueDrop, kPolicyDrop, kKinds };
+
+  struct Seed {
+    Kind kind{kDelivered};
+    NodeId node{kInvalidNode};
+    std::uint32_t entry{kNoEntry};  // tx entry (delivered, queue drop) or rx
+    std::uint32_t id{kNoJourney};
+    bool committed{false};  // every decision the walk read is committed
+  };
+  struct Held {
+    std::uint32_t id;
+    std::uint32_t entry;  // the terminal's entry
+    TimeNs end;           // no hop of the journey is later (eviction key)
+  };
+  struct NodeState {
+    std::uint32_t tx_base{0};
+    std::uint32_t rx_base{0};
+    /// Per tx entry: the journey through it, and its arrival's index at the
+    /// peer's timeline.
+    std::vector<std::uint32_t> jid_of_tx;
+    std::vector<std::uint32_t> arr_pos;
+    /// Next entry each terminal kind examines: everything before it is
+    /// committed.
+    std::uint32_t term_next[kKinds]{0, 0, 0};
+    /// Committed journeys per kind in journey order, oldest first.
+    std::vector<Held> held[kKinds];
+    std::size_t held_head[kKinds]{0, 0, 0};
+    /// Speculative journeys per kind in journey order.
+    std::vector<std::uint32_t> spec[kKinds];
+    /// Absolute index of timeline.arrivals[0]; arrivals past `arr_committed`
+    /// are speculative. Per incoming stream, the next position to become
+    /// an arrival.
+    std::uint32_t arr_base{0};
+    std::size_t arr_committed{0};
+    std::uint64_t next_read{0};  // absolute rx batch
+    /// Per outgoing stream (parallel to Aligner::Node::out): the next
+    /// position to become an arrival at the peer, and the position from
+    /// which the arrivals' rx_idx may still change.
+    std::vector<std::uint32_t> arrived;
+    std::vector<std::uint32_t> synced;
+  };
+
+  void walk_terminals(const RecordLanes& lanes, const Frontier& f,
+                      ThreadPool* pool);
+  bool walk(const RecordLanes& lanes, Kind kind, NodeId node,
+            std::uint32_t entry, Journey& j, std::uint32_t id);
+  void build_timelines(const RecordLanes& lanes, const Frontier& f,
+                       ThreadPool* pool);
+  void set_jid_of_tx(NodeId u, std::uint32_t tx, std::uint32_t id);
+  /// Copy the consumers of d's incoming stream entries into their
+  /// arrivals, from the positions that may have changed since the last
+  /// rollback (`after_rollback`: from the committed cursors).
+  void refresh_consumers(NodeId d, bool after_rollback);
+  void unlink(const Journey& j);
+  std::uint32_t alloc_journey();
+  void free_journey(std::uint32_t id);
+  void rebuild_order();
+  /// Every absolute number held, here and in the aligner.
+  void visit_numbers(const NumberVisitor& visit);
+
+  ReconstructedTrace rt_;
+  Aligner aligner_;
+  std::vector<NodeState> nodes_;
+  std::vector<std::uint32_t> free_;
+  std::size_t walked_{0};
+  std::size_t committed_{0};
+  /// An advance left a speculative tail that discard_speculative has not
+  /// undone yet.
+  bool tail_held_{false};
+};
+
+/// Run alignment and assemble journeys + timelines: one final advance over
+/// the whole collector.
 ReconstructedTrace reconstruct(const collector::Collector& col,
                                const GraphView& graph,
                                const ReconstructOptions& opts = {});

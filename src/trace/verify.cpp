@@ -20,11 +20,13 @@ VerifyStats verify_against_ground_truth(const ReconstructedTrace& rt,
       if (!o.valid()) continue;
       const auto& ut = col.node(o.node);
       ++stats.links_checked;
-      if (ut.tx_uids.at(o.idx) == dt.rx_uids[i]) ++stats.links_correct;
+      if (ut.tx_uids.at(o.idx) == dt.rx_uids.at(a.rx_base + i))
+        ++stats.links_correct;
     }
   }
 
-  for (const Journey& j : rt.journeys()) {
+  for (const std::uint32_t jid : rt.journey_order()) {
+    const Journey& j = rt.journey(jid);
     if (!j.complete()) continue;
     // The journey's terminal entry and its source entry must be the same
     // physical packet. Find the terminal uid.
@@ -43,8 +45,8 @@ VerifyStats verify_against_ground_truth(const ReconstructedTrace& rt,
     if (st.tx_uids.at(j.source_idx) == terminal_uid) ++stats.journeys_correct;
   }
 
-  for (const Journey& j : rt.journeys())
-    if (j.fate == Fate::kDroppedQueue) ++stats.drops_inferred;
+  for (const std::uint32_t jid : rt.journey_order())
+    if (rt.journey(jid).fate == Fate::kDroppedQueue) ++stats.drops_inferred;
 
   return stats;
 }

@@ -206,34 +206,5 @@ TEST(Align, IpidCollisionAcrossStreamsResolvedByTime) {
   EXPECT_EQ(a[2].rx_origin[1].node, 1u);
 }
 
-TEST(Align, RecycledBuffersGiveIdenticalResult) {
-  // Donating a previous result via `recycle` must not change the output —
-  // including for skipped nodes (sinks), which must come back empty even
-  // when the donated element carried stale lanes.
-  Collector col;
-  col.register_node(0, true);
-  col.register_node(1, false);
-  GraphView g = make_graph({NodeKind::kSource, NodeKind::kNf, NodeKind::kSink},
-                           {{}, {0}, {1}});
-
-  const std::vector<Packet> batch{pkt(10), pkt(11), pkt(12)};
-  col.on_tx(0, 1, 1000, batch);
-  col.on_rx(1, 3000, batch);
-
-  AlignStats fresh_stats;
-  const auto fresh = align_all(col, g, {}, &fresh_stats);
-
-  std::vector<NodeAlignment> donor = fresh;
-  donor[2].rx_entry_ts.assign(7, 42);  // stale junk on the sink element
-  donor.push_back(fresh[1]);           // wrong element count too
-  AlignStats recycled_stats;
-  const auto recycled =
-      align_all(col, g, {}, &recycled_stats, nullptr, {}, &donor);
-
-  EXPECT_EQ(fresh_stats, recycled_stats);
-  EXPECT_EQ(fresh, recycled);
-  EXPECT_TRUE(recycled[2].rx_entry_ts.empty());
-}
-
 }  // namespace
 }  // namespace microscope::trace

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "collector/collector.hpp"
@@ -184,11 +186,6 @@ TEST(ChaosTest, StreamStoreSkewedEvictionDoesNotLeak) {
   add(20_ms);
   add(12_ms);
 
-  // The regressed batch is still materialized by range.
-  const collector::Collector& slice = store.materialize(11_ms, 13_ms, 11_ms);
-  EXPECT_EQ(slice.node(1).rx_batches.size(), 1u);
-  EXPECT_EQ(slice.node(1).rx_batches[0].ts, 12_ms);
-
   // Front-of-stream eviction: the 12 ms batch survives a 15 ms horizon
   // (blocked behind its 20 ms positional predecessor) but is released —
   // not leaked — once the predecessor passes the horizon too.
@@ -237,6 +234,101 @@ TEST(ChaosTest, EngineWatermarkNotWedgedByLateRecords) {
   windows += engine.finish().size();
   EXPECT_GE(windows, 9u) << "watermark wedged after the late record";
   EXPECT_EQ(engine.stats().late_dropped_batches, 1u);
+}
+
+TEST(ChaosTest, RecordsBelowTheCommitPointAfterAnIdleCloseAreCounted) {
+  // A firewall goes silent while its source keeps sending; the idle timeout
+  // force-closes windows past it, and the persistent reconstruction commits
+  // everything up to each closed window's end + slack. When the firewall's
+  // delayed records finally arrive below that point (though after the
+  // closed windows' ends), they are dropped and counted as late: the
+  // committed state never changes.
+  sim::Simulator sim;
+  const eval::SingleNf net = eval::build_single_firewall(sim, nullptr);
+  const trace::GraphView graph = trace::graph_view(*net.topo);
+  const NodeId sink = net.topo->sink_id();
+
+  OnlineOptions oopt;
+  oopt.window_ns = 5_ms;
+  oopt.slack_ns = 1_ms;
+  oopt.idle_timeout_ns = 2_ms;
+  oopt.latency_threshold = 30_us;
+  OnlineEngine engine(graph, net.topo->peak_rates(), oopt);
+  engine.register_node(net.source, true);
+  engine.register_node(net.nf, true);
+
+  std::uint64_t windows = 0;
+  std::uint64_t idle_forced = 0;
+  auto feed = [&](NodeId node, bool tx, TimeNs ts, std::uint16_t ipid) {
+    Packet p;
+    p.ipid = ipid;
+    p.flow = FiveTuple{make_ipv4(10, 0, 0, 1), make_ipv4(20, 0, 0, 1), 1000,
+                       443, 6};
+    if (tx)
+      engine.on_tx(node, node == net.source ? net.nf : sink, ts, {&p, 1});
+    else
+      engine.on_rx(node, ts, {&p, 1});
+  };
+  auto feed_range = [&](TimeNs lo, TimeNs hi, bool nf_speaks) {
+    for (TimeNs ts = lo; ts < hi; ts += 100_us) {
+      const auto ipid = static_cast<std::uint16_t>(ts / 100_us);
+      feed(net.source, true, ts, ipid);
+      if (nf_speaks) {
+        feed(net.nf, false, ts + 20_us, ipid);
+        feed(net.nf, true, ts + 40_us, ipid);
+      }
+      for (const online::WindowResult& w : engine.poll()) {
+        ++windows;
+        if (w.idle_forced) ++idle_forced;
+      }
+    }
+  };
+  feed_range(0, 20_ms, true);
+  feed_range(20_ms, 40_ms, false);  // the firewall stalls
+  ASSERT_GE(idle_forced, 2u);
+  const TimeNs closed_end = engine.windows().closed_end();
+
+  // Snapshot the committed state.
+  const trace::Reconstruction& recon = engine.reconstruction();
+  std::map<std::tuple<int, NodeId, std::uint32_t>, trace::Journey> journeys;
+  for (const auto& t : recon.committed_terminals())
+    journeys[{t.kind, t.node, t.entry}] = recon.trace().journey(t.id);
+  const trace::NodeAlignment before = recon.trace().alignments()[net.nf];
+  const std::uint32_t linked = recon.aligner().node(net.nf).link_done;
+  ASSERT_GT(journeys.size(), 100u);
+
+  // The stalled firewall's records, below the commit point.
+  const std::uint64_t late = engine.stats().late_dropped_batches;
+  const std::uint64_t ingested = engine.stats().batches_ingested;
+  feed(net.nf, false, closed_end + 200_us, 7);
+  feed(net.nf, true, closed_end + 220_us, 7);
+  feed(net.nf, false, closed_end + 500_us, 8);
+  feed(net.nf, true, closed_end + 520_us, 8);
+  EXPECT_EQ(engine.stats().late_dropped_batches, late + 4);
+  EXPECT_EQ(engine.stats().batches_ingested, ingested);
+
+  // It resumes; windows keep closing and nothing committed changes.
+  feed_range(40_ms, 60_ms, true);
+  const std::uint64_t before_finish = windows;
+  windows += engine.finish().size();
+  EXPECT_GT(windows, before_finish);
+  EXPECT_EQ(engine.stats().late_dropped_batches, late + 4);
+
+  std::size_t still = 0;
+  for (const auto& t : recon.committed_terminals()) {
+    const auto it = journeys.find({t.kind, t.node, t.entry});
+    if (it == journeys.end()) continue;
+    EXPECT_EQ(recon.trace().journey(t.id), it->second)
+        << "kind " << t.kind << " node " << t.node << " entry " << t.entry;
+    ++still;
+  }
+  EXPECT_GT(still, 0u);
+  const trace::NodeAlignment& after = recon.trace().alignments()[net.nf];
+  const std::uint32_t lo = std::max(before.rx_base, after.rx_base);
+  for (std::uint32_t j = lo; j < linked; ++j)
+    EXPECT_EQ(after.rx_origin[j - after.rx_base],
+              before.rx_origin[j - before.rx_base])
+        << "rx " << j;
 }
 
 }  // namespace

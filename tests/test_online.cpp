@@ -3,16 +3,22 @@
 // byte, the offline Diagnoser's output restricted to those windows — for
 // any window size, thread count, and drain-chunk granularity, replayed in
 // memory or tailed from a stream file (modulo victim.journey, a
-// reconstruction-instance-local id). Plus: bounded memory over long
+// reconstruction-instance-local id) — and that the engine's persistent
+// reconstruction equals the offline one entry for entry wherever it has
+// committed. Plus: bounded memory and flat per-window work over long
 // streams, idle-node timeouts, late-record and backpressure drop
-// accounting, ring draining, the stream store's slices against a plain
-// collector, collector counters left alone by window slices, and the live
+// accounting, ring draining, the stream store's lanes against a plain
+// collector, collector counters left alone by the engine, and the live
 // aggregator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <deque>
+#include <map>
+#include <memory>
+#include <tuple>
 #include <random>
 #include <string>
 #include <utility>
@@ -22,7 +28,9 @@
 #include "collector/ring.hpp"
 #include "core/diagnosis.hpp"
 #include "eval/scenarios.hpp"
+#include "nf/generate.hpp"
 #include "nf/inject.hpp"
+#include "nf/nf_types.hpp"
 #include "nf/traffic.hpp"
 #include "obs/metrics.hpp"
 #include "online/aggregator.hpp"
@@ -202,13 +210,10 @@ TEST(Online, Fig2PropagationMatchesOffline) {
 }
 
 TEST(Online, MidStreamCutsWithBurstMatchOffline) {
-  // Regression for the alignment warm-up margin: a long high-rate stream
-  // with a traffic burst, diagnosed with a history much shorter than the
-  // trace, forces later windows to materialize mid-stream slices whose
-  // lower cut lands while packets are in flight. Without the tx-side
-  // margin the FIFO matcher desynchronizes on the stranded rx entries
-  // (ipid-colliding scan-ahead) and the burst window's diagnoses collapse;
-  // with it, every window must still match offline byte for byte.
+  // A long high-rate stream with a traffic burst, diagnosed with a history
+  // much shorter than the trace: later windows see only the state left
+  // after evicting everything older than their reach, cut while packets
+  // are in flight. Every window must still match offline byte for byte.
   Scenario s;
   {
     sim::Simulator sim;
@@ -235,7 +240,7 @@ TEST(Online, MidStreamCutsWithBurstMatchOffline) {
     oopt.diagnoser.period.max_lookback = 2_ms;
     OnlineEngine eng(s.graph, s.rates, oopt);
     // The derived history must be well short of the trace so that the later
-    // windows (including the burst window) really do slice mid-stream.
+    // windows (including the burst window) really do run after eviction.
     ASSERT_LT(eng.history_ns() + oopt.slack_ns, 25_ms);
     const auto windows = replay_collector(s.col, eng, 64);
     EXPECT_GE(windows.size(), 6u);
@@ -267,6 +272,474 @@ TEST(Online, DropVictimsMatchOffline) {
   OnlineEngine eng(s.graph, s.rates, oopt);
   const auto windows = replay_collector(s.col, eng, 64);
   expect_windows_match_offline(s, oopt, windows, "drops");
+}
+
+/// A firewall that drops a quarter of its flows by policy and sends one
+/// rare flow (a packet every ~1.5 ms) to a monitor, the rest to a VPN: its
+/// policy drops stay undecided while the monitor stream has no record past
+/// its cursor — the held-back case of the persistent reconstruction.
+Scenario make_policy_drop_scenario() {
+  Scenario s;
+  sim::Simulator sim;
+  auto topo = std::make_unique<nf::Topology>(sim, &s.col);
+  const NodeId src = topo->add_source("src").id();
+  const NodeId rare = topo->add_source("rare").id();
+  nf::NfConfig cfg;
+  cfg.name = "fw";
+  cfg.base_service_ns = 600;
+  cfg.record_full_flow = true;
+  nf::FwRule to_monitor;
+  to_monitor.match.dst = Ipv4Prefix::host(make_ipv4(192, 168, 7, 7));
+  to_monitor.action = nf::FwAction::kToMonitor;
+  nf::FwRule drop;
+  drop.match.src_port_lo = 1024;
+  drop.match.src_port_hi = 1024 + 16000;
+  drop.action = nf::FwAction::kDrop;
+  const NodeId fw = topo->add_firewall(cfg, {to_monitor, drop}, 0).id();
+  nf::NfConfig mcfg;
+  mcfg.name = "mon";
+  mcfg.record_full_flow = true;
+  const NodeId mon = topo->add_monitor(mcfg).id();
+  nf::NfConfig vcfg;
+  vcfg.name = "vpn";
+  vcfg.record_full_flow = true;
+  const NodeId vpn = topo->add_vpn(vcfg).id();
+  const NodeId sink = topo->sink_id();
+  topo->source(src).set_router([fw](const Packet&) { return fw; });
+  topo->source(rare).set_router([fw](const Packet&) { return fw; });
+  auto& f = dynamic_cast<nf::Firewall&>(topo->nf(fw));
+  f.set_monitor_router([mon](const Packet&) { return mon; });
+  f.set_vpn_router([vpn](const Packet&) { return vpn; });
+  topo->nf(mon).set_router([sink](const Packet&) { return sink; });
+  topo->nf(vpn).set_router([sink](const Packet&) { return sink; });
+  topo->add_edge(src, fw);
+  topo->add_edge(rare, fw);
+  topo->add_edge(fw, mon);
+  topo->add_edge(fw, vpn);
+  topo->add_edge(mon, sink);
+  topo->add_edge(vpn, sink);
+  nf::CaidaLikeOptions topts;
+  topts.duration = 40_ms;
+  topts.rate_mpps = 0.8;
+  topts.num_flows = 200;
+  topts.seed = 5;
+  topo->source(src).load(nf::generate_caida_like(topts));
+  const FiveTuple rare_flow{make_ipv4(10, 9, 9, 9), make_ipv4(192, 168, 7, 7),
+                            40000, 80, 6};
+  topo->source(rare).load(
+      nf::generate_constant_rate(rare_flow, 0, 40_ms, 0.00066));
+  nf::InjectionLog log;
+  nf::schedule_interrupt(sim, topo->nf(vpn), 15_ms, 500_us, log);
+  sim.run_until(60_ms);
+  s.graph = trace::graph_view(*topo);
+  s.prop_delay = topo->options().prop_delay;
+  s.rates = topo->peak_rates();
+  return s;
+}
+
+Scenario make_dag200_scenario() {
+  Scenario s;
+  sim::Simulator sim;
+  nf::TopologyGenOptions o;
+  o.shape = nf::GenShape::kRandomDag;
+  o.num_nfs = 200;
+  o.layers = 10;
+  o.max_fanout = 4;
+  o.offered_rate_mpps = 0.8;
+  o.seed = 7;
+  auto g = nf::generate_topology(sim, &s.col, o);
+  nf::CaidaLikeOptions topts;
+  topts.duration = 10_ms;
+  topts.rate_mpps = 0.8;
+  topts.num_flows = 250;
+  topts.seed = 9;
+  g.topo->source(g.source).load(nf::generate_caida_like(topts));
+  nf::InjectionLog log;
+  nf::schedule_interrupt(sim, g.topo->nf(g.entry_nfs.front()), 4_ms, 500_us,
+                         log);
+  sim.run_until(30_ms);
+  s.graph = trace::graph_view(*g.topo);
+  s.prop_delay = g.topo->options().prop_delay;
+  s.rates = g.topo->peak_rates();
+  return s;
+}
+
+/// Counts of the committed state compared against offline.
+struct LaneCheck {
+  std::size_t rx{0};
+  std::size_t tx{0};
+  std::size_t journeys{0};
+  std::size_t arrivals{0};
+  /// Windows that closed with an internal-alignment decision older than
+  /// their end still open (held back).
+  std::size_t held{0};
+  /// Windows after which some lane's numbering had moved (renumbered), the
+  /// first of them, and the highest entry number the store held after any
+  /// window.
+  std::size_t renumberings{0};
+  std::size_t first_renumbered{0};
+  std::uint32_t highest{0};
+  /// The lane offsets right after the numbering was moved, whether the
+  /// records still to come would then carry some lane past 2^32 if nothing
+  /// renumbered, and the lanes whose final offset is neither that one nor
+  /// 0 (renumbered after eviction began).
+  std::vector<std::array<std::uint32_t, 2>> jumped;
+  bool would_wrap{false};
+  std::size_t shifted{0};
+};
+
+/// Per node, online minus offline entry number (mod 2^32) of its rx and tx
+/// lanes (indexed by collector::Direction).
+using EntryOffsets = std::vector<std::array<std::uint32_t, 2>>;
+
+/// The offsets of every lane the store holds a batch of: batch numbers are
+/// never renumbered, so a held batch pairs its online entry number with
+/// the offline one. Other lanes keep their previous offset.
+void infer_offsets(const StreamStore& store, const collector::Collector& col,
+                   EntryOffsets& offset) {
+  const trace::RecordLanes lanes = store.lanes();
+  for (NodeId id = 0; id < lanes.size() && id < offset.size(); ++id) {
+    if (lanes[id].trace == nullptr || !col.has_node(id)) continue;
+    for (const std::size_t dir : {std::size_t{0}, std::size_t{1}}) {
+      const auto& got =
+          dir == 0 ? lanes[id].trace->rx_batches : lanes[id].trace->tx_batches;
+      const auto& want =
+          dir == 0 ? col.node(id).rx_batches : col.node(id).tx_batches;
+      if (got.empty()) continue;
+      offset[id][dir] =
+          lanes[id].entry_base[dir] + got.front().begin -
+          want[static_cast<std::size_t>(lanes[id].batch_base[dir])].begin;
+    }
+  }
+}
+
+/// Whether some store lane, numbered on without renumbering, would pass
+/// 2^32 before the records of `col` still to come are all added.
+bool lane_would_wrap(const StreamStore& store,
+                     const collector::Collector& col) {
+  const trace::RecordLanes lanes = store.lanes();
+  for (NodeId id = 0; id < lanes.size(); ++id) {
+    if (lanes[id].trace == nullptr || !col.has_node(id)) continue;
+    const collector::NodeTrace& got = *lanes[id].trace;
+    const collector::NodeTrace& all = col.node(id);
+    for (const std::size_t dir : {std::size_t{0}, std::size_t{1}}) {
+      const auto& batches = dir == 0 ? got.rx_batches : got.tx_batches;
+      const auto& want = dir == 0 ? all.rx_batches : all.tx_batches;
+      const std::uint64_t held = dir == 0 ? got.rx_ipids.size()
+                                          : got.tx_ipids.size();
+      const std::uint64_t total = dir == 0 ? all.rx_ipids.size()
+                                           : all.tx_ipids.size();
+      if (batches.empty()) continue;
+      const collector::BatchRecord& last = want[static_cast<std::size_t>(
+          lanes[id].batch_base[dir] + batches.size() - 1)];
+      const std::uint64_t to_come = total - (last.begin + last.count);
+      if (lanes[id].entry_base[dir] + held + to_come > (std::uint64_t{1} << 32))
+        return true;
+    }
+  }
+  return false;
+}
+
+/// Every committed alignment entry, journey and arrival of the engine's
+/// persistent reconstruction equals the offline reconstruction of the
+/// whole trace at the same absolute index (and journeys by terminal), once
+/// its entry numbers are moved back by `offset`.
+void expect_committed_matches_offline(
+    const trace::Reconstruction& on, const trace::Reconstruction& off,
+    const EntryOffsets& offset, const std::string& label, LaneCheck& n) {
+  using trace::NodeAlignment;
+  using trace::kNoEntry;
+  const trace::ReconstructedTrace& rt = on.trace();
+  const trace::ReconstructedTrace& ot = off.trace();
+  const trace::Aligner& al = on.aligner();
+  // Online numbers in the offline numbering.
+  const auto rx_of = [&](NodeId d, std::uint32_t j) {
+    return j == kNoEntry ? j : j - offset[d][0];
+  };
+  const auto tx_of = [&](NodeId u, std::uint32_t e) {
+    return e == kNoEntry ? e : e - offset[u][1];
+  };
+  const auto ref_of = [&](trace::TxRef r) {
+    if (r.valid()) r.idx = tx_of(r.node, r.idx);
+    return r;
+  };
+  const auto journey_of = [&](trace::Journey j) {
+    if (j.source != kInvalidNode) j.source_idx = tx_of(j.source, j.source_idx);
+    for (trace::Hop& h : j.hops) {
+      h.rx_idx = rx_of(h.node, h.rx_idx);
+      h.tx_idx = tx_of(h.node, h.tx_idx);
+    }
+    return j;
+  };
+
+  for (NodeId d = 0; d < rt.graph().node_count(); ++d) {
+    const NodeAlignment& a = rt.alignments()[d];
+    const NodeAlignment& o = ot.alignments()[d];
+    const trace::Aligner::Node& nd = al.node(d);
+    for (std::uint32_t j = nd.rx_live; j < a.rx_end(); ++j, ++n.rx) {
+      const std::uint32_t oj = rx_of(d, j);
+      ASSERT_LT(oj, o.rx_end()) << label;
+      EXPECT_EQ(a.rx_entry_ts[j - a.rx_base], o.rx_entry_ts[oj]) << label;
+      if (al.link_committed(d, j)) {
+        EXPECT_EQ(ref_of(a.rx_origin[j - a.rx_base]), o.rx_origin[oj])
+            << label << " node " << d << " rx " << oj;
+      }
+      if (al.internal_committed(d, j)) {
+        EXPECT_EQ(tx_of(d, a.rx_to_tx[j - a.rx_base]), o.rx_to_tx[oj])
+            << label << " node " << d << " rx " << oj;
+      }
+    }
+    for (std::uint32_t e = nd.tx_live; e < a.tx_end(); ++e, ++n.tx) {
+      const std::uint32_t oe = tx_of(d, e);
+      ASSERT_LT(oe, o.tx_end()) << label;
+      EXPECT_EQ(a.tx_peer[e - a.tx_base], o.tx_peer[oe]) << label;
+      if (al.claim_committed(d, e, a)) {
+        EXPECT_EQ(rx_of(d, a.tx_to_rx[e - a.tx_base]), o.tx_to_rx[oe])
+            << label << " node " << d << " tx " << oe;
+      }
+      if (al.fate_committed(d, e, a)) {
+        EXPECT_EQ(a.tx_dropped_downstream[e - a.tx_base],
+                  o.tx_dropped_downstream[oe])
+            << label << " node " << d << " tx " << oe;
+      }
+    }
+  }
+
+  // Journeys by terminal.
+  std::map<std::tuple<int, NodeId, std::uint32_t>, std::uint32_t> offline;
+  for (const auto& t : off.committed_terminals())
+    offline[{t.kind, t.node, t.entry}] = t.id;
+  for (const auto& t : on.committed_terminals()) {
+    const std::uint32_t entry =
+        t.kind == 2 ? rx_of(t.node, t.entry) : tx_of(t.node, t.entry);
+    const auto it = offline.find({t.kind, t.node, entry});
+    ASSERT_NE(it, offline.end()) << label << " terminal kind " << t.kind
+                                 << " node " << t.node << " entry " << entry;
+    EXPECT_EQ(journey_of(rt.journey(t.id)), ot.journey(it->second))
+        << label << " terminal kind " << t.kind << " node " << t.node
+        << " entry " << entry;
+    ++n.journeys;
+  }
+
+  // Arrivals at their place in the offline order; consumers once decided,
+  // journeys once committed.
+  for (NodeId d = 0; d < rt.graph().node_count(); ++d) {
+    if (!rt.graph().is_nf(d)) continue;
+    const std::vector<trace::Arrival>& got = rt.timeline(d).arrivals;
+    const std::vector<trace::Arrival>& want = ot.timeline(d).arrivals;
+    for (const trace::Arrival& ar : got) {
+      const std::uint32_t up = tx_of(ar.from, ar.up_tx_idx);
+      const auto it = std::lower_bound(
+          want.begin(), want.end(), std::make_tuple(ar.t, ar.from, up),
+          [](const trace::Arrival& x,
+             const std::tuple<TimeNs, NodeId, std::uint32_t>& y) {
+            return std::make_tuple(x.t, x.from, x.up_tx_idx) < y;
+          });
+      ASSERT_TRUE(it != want.end() && it->t == ar.t && it->from == ar.from &&
+                  it->up_tx_idx == up)
+          << label << " node " << d << " arrival from " << ar.from;
+      if (al.tx_live(ar.from, ar.up_tx_idx) &&
+          al.fate_committed(ar.from, ar.up_tx_idx,
+                            rt.alignments()[ar.from])) {
+        EXPECT_EQ(rx_of(d, ar.rx_idx), it->rx_idx) << label << " node " << d;
+      }
+      if (ar.journey != trace::kNoJourney) {
+        ASSERT_NE(it->journey, trace::kNoJourney) << label << " node " << d;
+        EXPECT_EQ(journey_of(rt.journey(ar.journey)), ot.journey(it->journey))
+            << label << " node " << d;
+      }
+      ++n.arrivals;
+    }
+    // Nothing committed is missing: the window's view has every offline
+    // arrival between the oldest arrival held and the newest one.
+    if (!got.empty()) {
+      const auto lo = std::lower_bound(
+          want.begin(), want.end(), got.front().t,
+          [](const trace::Arrival& x, TimeNs t) { return x.t < t; });
+      const auto hi = std::upper_bound(
+          want.begin(), want.end(), got.back().t,
+          [](TimeNs t, const trace::Arrival& x) { return t < x.t; });
+      EXPECT_EQ(static_cast<std::size_t>(hi - lo), got.size())
+          << label << " node " << d;
+    }
+  }
+}
+
+}  // namespace
+
+/// Reaches into the engine to move its numbering.
+struct EngineTestPeer {
+  /// Renumber store and reconstruction together so that the highest
+  /// number held is `top`.
+  static void renumber_to_top(OnlineEngine& eng, std::uint32_t top) {
+    eng.store_.renumber(eng.recon_.renumber(eng.store_.lanes()));
+    const std::uint32_t end =
+        std::max(eng.store_.entries_end(), eng.recon_.numbers_end());
+    eng.store_.renumber(eng.recon_.renumber(eng.store_.lanes(), top - end));
+  }
+};
+
+namespace {
+
+/// Replays `s` through an engine, checking its committed state against
+/// offline after every window, and its windows against offline at the
+/// end. With `jump_after` > 0, after that many windows the engine's
+/// numbering is moved so that its highest number is `top`.
+LaneCheck check_lanes_against_offline(const Scenario& s, OnlineOptions oopt,
+                                      const std::string& label,
+                                      std::size_t jump_after = 0,
+                                      std::uint32_t top = 0) {
+  trace::Reconstruction off(s.graph, oopt.reconstruct);
+  off.advance(trace::lanes_of(s.col), trace::Frontier{}, nullptr);
+
+  OnlineEngine eng(s.graph, s.rates, oopt);
+  EntryOffsets offset(s.graph.node_count(), {0, 0});
+  LaneCheck n;
+  std::size_t windows = 0;
+  const auto check = [&](const WindowResult& w) {
+    ++windows;
+    const EntryOffsets before = offset;
+    infer_offsets(eng.store(), s.col, offset);
+    if (offset != before && ++n.renumberings == 1)
+      n.first_renumbered = windows;
+    n.highest = std::max(n.highest, eng.store().entries_end());
+    const trace::Reconstruction& on = eng.reconstruction();
+    expect_committed_matches_offline(on, off, offset,
+                                     label + " window " +
+                                         std::to_string(windows),
+                                     n);
+    for (NodeId d = 0; d < s.graph.node_count(); ++d) {
+      const trace::NodeAlignment& a = on.trace().alignments()[d];
+      const std::uint32_t open = on.aligner().node(d).int_done;
+      if (s.graph.is_nf(d) && open < a.rx_end() &&
+          a.rx_entry_ts[open - a.rx_base] < w.end) {
+        ++n.held;
+        break;
+      }
+    }
+    if (windows == jump_after) {
+      EngineTestPeer::renumber_to_top(eng, top);
+      infer_offsets(eng.store(), s.col, offset);
+      n.jumped = offset;
+      n.would_wrap = lane_would_wrap(eng.store(), s.col);
+    }
+  };
+  const auto res = replay_collector(s.col, eng, 7, true, check);
+  for (std::size_t i = 0; i < offset.size(); ++i)
+    for (std::size_t dir = 0; dir < 2; ++dir)
+      if (!n.jumped.empty() && offset[i][dir] != n.jumped[i][dir] &&
+          offset[i][dir] != 0)
+        ++n.shifted;
+  EXPECT_GE(windows, 5u) << label;
+  EXPECT_GT(n.rx, 1000u) << label;
+  EXPECT_GT(n.journeys, 1000u) << label;
+  EXPECT_GT(n.arrivals, 1000u) << label;
+  expect_windows_match_offline(s, oopt, res, label);
+  return n;
+}
+
+TEST(Online, CommittedLanesMatchOfflineAtEveryWindow) {
+  // The persistent reconstruction, checked after every window: alignment
+  // entries, journeys and arrivals the engine committed equal the offline
+  // reconstruction of the whole trace at the same absolute index.
+  const Scenario fig10 = make_fig10_scenario();
+  for (const unsigned threads : {1u, 4u}) {
+    check_lanes_against_offline(fig10, base_options(fig10, 2_ms, threads, 100_us),
+                                "fig10 threads=" + std::to_string(threads));
+  }
+  // Ten layers of queues keep packets in flight for up to ~20 ms; the
+  // slack must cover that for the windows to equal offline.
+  const Scenario dag = make_dag200_scenario();
+  OnlineOptions dopt = base_options(dag, 2_ms, 1, 50_us);
+  dopt.slack_ns = 25_ms;
+  check_lanes_against_offline(dag, dopt, "dag200");
+
+  // Policy drops toward a rarely used output stream: held back until the
+  // monitor stream has a record past its cursor, then committed.
+  const Scenario fw = make_policy_drop_scenario();
+  OnlineOptions oopt = base_options(fw, 2_ms, 1, 60_us);
+  oopt.diagnose_drops = true;
+  EXPECT_GT(check_lanes_against_offline(fw, oopt, "policy drops").held, 3u);
+  std::size_t policy = 0;
+  const trace::ReconstructedTrace rt =
+      trace::reconstruct(fw.col, fw.graph, oopt.reconstruct);
+  for (const std::uint32_t jid : rt.journey_order())
+    if (rt.journey(jid).fate == trace::Fate::kDroppedPolicy) ++policy;
+  EXPECT_GT(policy, 1000u);
+}
+
+TEST(Online, EntryNumbersAreRenumberedBeforeTheyWrap) {
+  // Entry numbers are 32 bits wide and grow with the stream. Twenty
+  // windows in — after eviction has compacted the oldest lanes — the
+  // engine's numbering is moved up next to a limit; the rest of the stream
+  // would carry the busy lanes past it. The engine must renumber in time,
+  // by the smallest number still held, and every later window must still
+  // equal the offline reconstruction entry for entry once the numbering
+  // offset is taken out, and offline diagnosis byte for byte.
+  Scenario s;
+  {
+    sim::Simulator sim;
+    auto net = eval::build_fig10(sim, &s.col);
+    nf::CaidaLikeOptions topts;
+    topts.duration = 60_ms;
+    topts.rate_mpps = 1.0;
+    topts.num_flows = 400;
+    net.topo->source(net.source).load(nf::generate_caida_like(topts));
+    nf::InjectionLog log;
+    nf::schedule_interrupt(sim, net.topo->nf(net.nats[1]), 43_ms, 600_us, log);
+    sim.run_until(75_ms);
+    s.graph = trace::graph_view(*net.topo);
+    s.prop_delay = net.topo->options().prop_delay;
+    s.rates = net.topo->peak_rates();
+  }
+  OnlineOptions oopt = base_options(s, 2_ms, 1, 200_us);
+  oopt.diagnoser.max_depth = 2;
+  oopt.diagnoser.period.max_lookback = 2_ms;
+  constexpr std::size_t kJumpAfter = 20;
+
+  // Across the wrap: the highest number 5000 below 2^32 (and kNoEntry).
+  // Renumbered at the very next close.
+  constexpr std::uint32_t kBelowWrap = 5000;
+  const LaneCheck wrap = check_lanes_against_offline(s, oopt, "wrap",
+                                                     kJumpAfter,
+                                                     0u - kBelowWrap);
+  ASSERT_FALSE(wrap.jumped.empty());
+  EXPECT_TRUE(wrap.would_wrap);
+  EXPECT_EQ(wrap.first_renumbered, kJumpAfter + 1);
+  EXPECT_GT(wrap.shifted, 0u);
+  EXPECT_LT(wrap.highest, trace::kRenumberAt);
+
+  // Across kRenumberAt, a few windows after the move.
+  const LaneCheck cross = check_lanes_against_offline(
+      s, oopt, "mid-run", kJumpAfter, trace::kRenumberAt - 4000);
+  ASSERT_FALSE(cross.jumped.empty());
+  EXPECT_GT(cross.first_renumbered, kJumpAfter + 1);
+  EXPECT_GT(cross.shifted, 0u);
+  EXPECT_LT(cross.highest, trace::kRenumberAt);
+}
+
+TEST(Online, StreamStoreRefusesEntryNumbersThatWouldWrap) {
+  // A lane numbered up to just below kNoEntry takes no batch that would
+  // reach it, and takes batches again once renumbered.
+  using collector::Direction;
+  StreamStore store;
+  store.register_node(0, false);
+  const std::vector<Packet> pkts(4);
+  store.add(Direction::kRx, 0, kInvalidNode, 10, pkts);
+  // Shifting down by -(kNoEntry - 9) moves the lane's numbers up: its four
+  // entries become kNoEntry - 9 .. kNoEntry - 6.
+  const std::uint32_t up = trace::kNoEntry - 9;
+  store.renumber({{0u - up, 0u - up}});
+  EXPECT_EQ(store.entries_end(), trace::kNoEntry - 5);
+  store.add(Direction::kRx, 0, kInvalidNode, 11, pkts);
+  EXPECT_THROW(store.add(Direction::kRx, 0, kInvalidNode, 12, pkts),
+               std::overflow_error);
+  EXPECT_EQ(store.entries_end(), trace::kNoEntry - 1);
+  store.renumber({{up, up}});
+  EXPECT_EQ(store.entries_end(), 8u);
+  store.add(Direction::kRx, 0, kInvalidNode, 12, pkts);
+  EXPECT_EQ(store.entries_end(), 12u);
+  EXPECT_EQ(store.retained_batches(), 3u);
 }
 
 TEST(Online, RingDrainMatchesOffline) {
@@ -380,14 +853,45 @@ TEST(Online, BoundedMemoryLongRun) {
   std::vector<WindowResult> windows;
   DurationNs max_span = 0;
   std::size_t max_batches = 0;
+  // Reconstruction state held after each poll, by the poll's position in
+  // the stream.
+  std::vector<std::size_t> live_journeys;
+  std::vector<std::size_t> recon_bytes;
   while (tailer.pump(8192) > 0) {
     for (WindowResult& w : eng.poll()) windows.push_back(std::move(w));
     const OnlineStats st = eng.stats();
     max_span = std::max(max_span, st.retained_span_ns);
     max_batches = std::max(max_batches, st.retained_batches);
+    live_journeys.push_back(st.live_journeys);
+    recon_bytes.push_back(st.reconstruction_bytes);
   }
   for (WindowResult& w : eng.finish()) windows.push_back(std::move(w));
   std::remove(path.c_str());
+
+  // Flat in stream length: the second half of the run holds no more
+  // reconstruction state, and walks no more journeys per window, than the
+  // first half (past the first windows' warm-up) plus a margin.
+  const auto max_of = [](const auto& v, std::size_t lo, std::size_t hi) {
+    return *std::max_element(v.begin() + lo, v.begin() + hi);
+  };
+  const std::size_t polls = live_journeys.size();
+  ASSERT_GT(polls, 8u);
+  EXPECT_LE(max_of(live_journeys, polls / 2, polls),
+            max_of(live_journeys, polls / 8, polls / 2) * 3 / 2);
+  EXPECT_LE(max_of(recon_bytes, polls / 2, polls),
+            max_of(recon_bytes, polls / 8, polls / 2) * 3 / 2);
+  std::vector<std::size_t> walked;
+  std::size_t total_walked = 0;
+  std::size_t total_committed = 0;
+  for (const WindowResult& w : windows) {
+    walked.push_back(w.journeys);
+    total_walked += w.journeys;
+    total_committed += w.journeys_committed;
+  }
+  const std::size_t n = walked.size();
+  EXPECT_LE(max_of(walked, n / 2, n), max_of(walked, 2, n / 2) * 3 / 2);
+  // Each journey is walked about once: the speculative tail is small.
+  EXPECT_LE(total_walked, total_committed * 3 / 2);
 
   const OnlineStats st = eng.stats();
   EXPECT_GE(windows.size(), 20u);
@@ -453,7 +957,7 @@ TEST(Online, LateBatchLandsInDropCounterNotInAWindow) {
   EXPECT_EQ(eng.stats().late_dropped_batches, 2u);
   EXPECT_EQ(eng.stats().windows_closed, windows_before);
   // The late data was never stored, so it cannot appear in any later
-  // window's slice either.
+  // window either.
   EXPECT_EQ(eng.stats().batches_ingested, 30u);
 }
 
@@ -686,27 +1190,45 @@ TEST(Online, AggregatorPatternsNewestWindowScaleIsExactlyOne) {
   EXPECT_GT(total, 0.0);
 }
 
-/// Field-by-field equality of two batch-record lanes (`begin` included,
-/// so the slice's rebasing is checked too).
-void expect_same_batches(const std::vector<collector::BatchRecord>& got,
-                         const std::vector<collector::BatchRecord>& want,
-                         const char* what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].ts, want[i].ts) << what << "[" << i << "]";
-    EXPECT_EQ(got[i].count, want[i].count) << what << "[" << i << "]";
-    EXPECT_EQ(got[i].peer, want[i].peer) << what << "[" << i << "]";
-    EXPECT_EQ(got[i].begin, want[i].begin) << what << "[" << i << "]";
+/// Every batch a store lane holds, at its absolute number, equals the
+/// reference collector's batch of that number (entries rebased by the
+/// lane's entry base), with the same IPIDs and five-tuples.
+void expect_lane_matches(const trace::NodeLanes& got,
+                         const collector::NodeTrace& want,
+                         collector::Direction dir) {
+  const auto d = static_cast<std::size_t>(dir);
+  const bool rx = dir == collector::Direction::kRx;
+  const auto& gb = rx ? got.trace->rx_batches : got.trace->tx_batches;
+  const auto& wb = rx ? want.rx_batches : want.tx_batches;
+  const auto& gi = rx ? got.trace->rx_ipids : got.trace->tx_ipids;
+  const auto& wi = rx ? want.rx_ipids : want.tx_ipids;
+  ASSERT_EQ(got.batch_base[d] + gb.size(), wb.size());
+  for (std::size_t b = 0; b < gb.size(); ++b) {
+    const collector::BatchRecord& g = gb[b];
+    const collector::BatchRecord& w =
+        wb[static_cast<std::size_t>(got.batch_base[d]) + b];
+    EXPECT_EQ(g.ts, w.ts) << b;
+    EXPECT_EQ(g.count, w.count) << b;
+    EXPECT_EQ(g.peer, w.peer) << b;
+    ASSERT_EQ(got.entry_base[d] + g.begin, w.begin) << b;
+    for (std::uint32_t k = 0; k < g.count; ++k) {
+      EXPECT_EQ(gi[g.begin + k], wi[w.begin + k]);
+      if (!rx && want.full_flow) {
+        EXPECT_EQ(got.trace->tx_flows[g.begin + k], want.tx_flows[w.begin + k]);
+      }
+    }
   }
 }
 
-TEST(Online, StreamStoreSlicesMatchCollector) {
-  // Differential check of the columnar store: after any mix of appends,
-  // evictions (with in-place lane compaction) and slicing, a slice must
-  // equal a plain Collector fed every batch ever added, filtered by the
-  // same [lo, hi] / [tx_lo, hi] rule. Lanes: a full-flow source (tx only)
-  // and two NFs with rx and tx toward two peers each; 0-3 batches of 1-4
-  // packets per lane per 100 us round, and one regressed timestamp per lane.
+TEST(Online, StreamStoreLanesKeepAbsoluteNumbers) {
+  // Differential check of the columnar store: after any mix of appends and
+  // evictions (with in-place lane compaction), every batch a lane still
+  // holds must equal, at its absolute number, the batch of that number in a
+  // plain Collector fed every batch ever added — the numbering the
+  // persistent reconstruction reads the lanes by. Lanes: a full-flow source
+  // (tx only) and two NFs with rx and tx toward two peers each; 0-3 batches
+  // of 1-4 packets per lane per 100 us round, and one regressed timestamp
+  // per lane.
   using collector::Direction;
   constexpr NodeId kSource = 0, kNfA = 1, kNfB = 2, kSink = 3;
   constexpr DurationNs kStep = 100_us;
@@ -786,18 +1308,12 @@ TEST(Online, StreamStoreSlicesMatchCollector) {
         t = round_start + static_cast<TimeNs>(uniform(kStep));
       std::sort(ts.begin(), ts.end());
       for (const TimeNs t : ts) feed(l, t);
-      // Three rounds back: inside the next slices, then stuck behind its
-      // positional predecessor once the horizon passes it.
+      // Three rounds back: stuck behind its positional predecessor once the
+      // horizon passes it.
       if (r == l.regress_round) feed(l, round_start - 3 * kStep);
     }
 
-    const TimeNs h = round_start - kHistory;
-    evict(h);
-    const TimeNs tx_lo = h + static_cast<TimeNs>(uniform(kStep));
-    const TimeNs lo = tx_lo + static_cast<TimeNs>(uniform(2 * kStep));
-    const TimeNs hi = lo + static_cast<TimeNs>(uniform(kHistory));
-    const collector::Collector& slice = store.materialize(lo, hi, tx_lo);
-
+    evict(round_start - kHistory);
     collector::CollectorOptions ropts;
     ropts.ground_truth = false;
     collector::Collector ref(ropts);
@@ -805,25 +1321,18 @@ TEST(Online, StreamStoreSlicesMatchCollector) {
     ref.register_node(kNfA, false);
     ref.register_node(kNfB, false);
     for (const Fed& f : fed) {
-      const TimeNs f_lo = f.dir == Direction::kTx ? tx_lo : lo;
-      if (f.ts < f_lo || f.ts > hi) continue;
       if (f.dir == Direction::kRx)
         ref.on_rx(f.node, f.ts, f.pkts);
       else
         ref.on_tx(f.node, f.peer, f.ts, f.pkts);
     }
+    const trace::RecordLanes got = store.lanes();
     for (const NodeId id : {kSource, kNfA, kNfB}) {
-      const collector::NodeTrace& got = slice.node(id);
-      const collector::NodeTrace& want = ref.node(id);
-      EXPECT_EQ(got.full_flow, want.full_flow);
-      expect_same_batches(got.rx_batches, want.rx_batches, "rx_batches");
-      expect_same_batches(got.tx_batches, want.tx_batches, "tx_batches");
-      EXPECT_EQ(got.rx_ipids, want.rx_ipids);
-      EXPECT_EQ(got.tx_ipids, want.tx_ipids);
-      EXPECT_EQ(got.tx_flows, want.tx_flows);
+      EXPECT_EQ(got[id].trace->full_flow, ref.node(id).full_flow);
+      expect_lane_matches(got[id], ref.node(id), Direction::kRx);
+      expect_lane_matches(got[id], ref.node(id), Direction::kTx);
     }
-    ASSERT_FALSE(HasFailure()) << "round " << r << " slice [" << lo << ", "
-                               << hi << "] tx_lo " << tx_lo;
+    ASSERT_FALSE(HasFailure()) << "round " << r;
   }
   EXPECT_GT(fed.size(), static_cast<std::size_t>(kRounds));
 
@@ -834,13 +1343,14 @@ TEST(Online, StreamStoreSlicesMatchCollector) {
   EXPECT_EQ(store.retained_span(), 0);
 }
 
-TEST(Online, MaterializedSlicesLeaveCollectorCountersAlone) {
+TEST(Online, EngineLeavesCollectorCountersAlone) {
   if constexpr (!obs::kMetricsEnabled) {
     GTEST_SKIP() << "metrics compiled out (MICROSCOPE_NO_METRICS)";
   }
-  // collector.* counts dataplane collection. Every closed window refills
-  // the store's slice Collector from its lanes; those records were counted
-  // once, when the simulation collected them, and must not count again.
+  // collector.* counts dataplane collection. The engine keeps its records
+  // in the store's lanes and reconstructs from them; those records were
+  // counted once, when the simulation collected them, and must not count
+  // again.
   const Scenario s = make_fig10_scenario();
   obs::Registry& reg = obs::Registry::global();
   const char* const names[] = {"collector.rx_batches", "collector.rx_packets",

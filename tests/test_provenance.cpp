@@ -170,6 +170,86 @@ TEST(Provenance, EveryStepConservesItsBaseScore) {
   EXPECT_GT(steps_checked, 10u);
 }
 
+/// Every step's base score is either attributed or charged to nobody.
+/// Returns the steps that charged all of it to nobody.
+std::size_t expect_steps_audited(const Diagnoser& diag,
+                                 const std::vector<Victim>& victims) {
+  std::size_t uncharged_steps = 0;
+  std::size_t steps = 0;
+  for (const Victim& v : victims) {
+    Provenance prov;
+    diag.diagnose(v, &prov);
+    for (const PropagationStep& st : prov.steps) {
+      ++steps;
+      expect_near_rel(st.attributed + st.uncharged, st.base_score,
+                      st.base_score, "attributed + uncharged");
+      if (st.base_score > 0.0 && st.attributed == 0.0 &&
+          st.uncharged == st.base_score)
+        ++uncharged_steps;
+    }
+  }
+  EXPECT_GT(steps, 0u);
+  return uncharged_steps;
+}
+
+TEST(Provenance, StepsThatChargeNobodyStayInTheAudit) {
+  // No service rate at the victim NF: there is no expected span to
+  // compare the PreSet's timespans with, so the step charges nobody.
+  {
+    const BurstScenario& s = burst_scenario();
+    std::vector<RatePerNs> rates = s.rates;
+    rates[s.nf] = RatePerNs{0.0};
+    Diagnoser diag(s.rt, rates);
+    const auto victims = diag.latency_victims_by_percentile(99.5);
+    ASSERT_GT(victims.size(), 20u);
+    EXPECT_GT(expect_steps_audited(diag, victims), 0u);
+  }
+  // A PreSet with no complete path: nf2's queue holds 20 packets from nf1,
+  // whose reads match none of source A's IPIDs (so their journeys stop at
+  // nf1), ahead of the one packet from source B that becomes the victim.
+  {
+    constexpr NodeId kA = 0, kB = 1, kNf1 = 2, kNf2 = 3, kSink = 4;
+    collector::Collector col;
+    col.register_node(kA, true);
+    col.register_node(kB, true);
+    col.register_node(kNf1, false);
+    col.register_node(kNf2, true);
+    std::vector<Packet> from_a(20), through_nf1(20);
+    for (std::uint16_t i = 0; i < 20; ++i) {
+      from_a[i].ipid = static_cast<std::uint16_t>(1 + i);
+      through_nf1[i].ipid = static_cast<std::uint16_t>(1001 + i);
+    }
+    Packet b;
+    b.ipid = 7777;
+    b.flow = flow_a();
+    col.on_tx(kA, kNf1, 1'000, from_a);
+    col.on_rx(kNf1, 20'000, through_nf1);
+    col.on_tx(kNf1, kNf2, 21'000, through_nf1);
+    col.on_tx(kB, kNf2, 25'000, {&b, 1});
+    col.on_rx(kNf2, 60'000, through_nf1);
+    col.on_rx(kNf2, 61'000, {&b, 1});
+    col.on_tx(kNf2, kSink, 100'000, through_nf1);
+    col.on_tx(kNf2, kSink, 101'000, {&b, 1});
+    trace::GraphView g;
+    g.sink = kSink;
+    g.kinds = {trace::NodeKind::kSource, trace::NodeKind::kSource,
+               trace::NodeKind::kNf, trace::NodeKind::kNf,
+               trace::NodeKind::kSink};
+    g.names = {"a", "b", "nf1", "nf2", "sink"};
+    g.upstreams = {{}, {}, {kA}, {kNf1, kB}, {kNf2}};
+    g.downstreams = {{kNf1}, {kNf2}, {kNf2}, {kSink}, {}};
+    trace::ReconstructOptions ropt;
+    ropt.max_batch = 1;  // no read proves the queue empty
+    const trace::ReconstructedTrace rt = trace::reconstruct(col, g, ropt);
+    const std::vector<RatePerNs> rates(5, RatePerNs{1e-5});
+    Diagnoser diag(rt, rates);
+    const auto victims = diag.latency_victims_by_threshold(1_us);
+    ASSERT_EQ(victims.size(), 1u);
+    EXPECT_EQ(victims[0].node, kNf2);
+    EXPECT_GT(expect_steps_audited(diag, victims), 0u);
+  }
+}
+
 TEST(Provenance, CaptureDoesNotPerturbTheDiagnosis) {
   const BurstScenario& s = burst_scenario();
   Diagnoser diag(s.rt, s.rates);
