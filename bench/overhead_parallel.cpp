@@ -1,11 +1,13 @@
 // Offline analysis scaling: reconstruction + diagnosis throughput of the
-// parallel sharded pipeline at 1/2/4/8 worker threads on the Fig. 10/11
+// parallel sharded pipeline at 2/4/8 worker threads on the Fig. 10/11
 // workload (16-NF topology, CAIDA-like traffic, one injected interrupt).
 //
-// Thread count 0 is the sequential baseline (no pool at all); 1 runs the
-// single-worker pool to expose the pool's own overhead. Speedups are only
-// meaningful on a machine that actually has the cores — on a single-CPU
-// host every configuration collapses to roughly the sequential rate.
+// Thread counts 0 and 1 are the sequential baseline (no pool at all). N >= 2
+// builds a pool of N workers per call, and the calling thread runs chunks
+// too, so N + 1 threads work. cpu_time counts only the calling thread:
+// read scaling off real_time. Speedups are only meaningful on a machine
+// that actually has the cores — on a single-CPU host every configuration
+// collapses to roughly the sequential rate.
 #include "bench_main.hpp"
 
 #include "microscope/microscope.hpp"

@@ -9,6 +9,9 @@ Each input file is a google-benchmark JSON report as emitted by
 MICROSCOPE_BENCH_MAIN (bench/bench_util.hpp). The baseline maps
 "<file-stem>/<benchmark-name>" to a reference cpu_time in nanoseconds.
 A benchmark regresses when its cpu_time exceeds baseline * (1 + threshold).
+cpu_time counts only the benchmark's own thread, so each log line and
+--report entry also carries the wall-clock real_time, from which
+thread-scaling figures are read; it is never gated.
 
 Reports carry the compile-time build type in their context
 ("microscope_build_type", stamped by bench_main.hpp); the baseline records
@@ -36,12 +39,13 @@ BUILD_TYPE_KEY = "__build_type__"
 
 
 def load_results(paths):
-    """-> ({key: cpu_time_ns}, build_type, {file stems}).
+    """-> ({key: cpu_time_ns}, {key: real_time_ns}, build_type, {file stems}).
 
     key = '<file-stem>/<benchmark name>'. Aborts (exit 2) when the input
     reports disagree about (or omit) the build type they were compiled as.
     """
     results = {}
+    real = {}
     stems = set()
     build_type = None
     for path in paths:
@@ -67,9 +71,11 @@ def load_results(paths):
             # Skip aggregate rows (mean/median/stddev of repetitions).
             if bench.get("run_type") == "aggregate":
                 continue
-            ns = to_ns(bench["cpu_time"], bench.get("time_unit", "ns"))
-            results[f"{stem}/{bench['name']}"] = ns
-    return results, build_type, stems
+            unit = bench.get("time_unit", "ns")
+            key = f"{stem}/{bench['name']}"
+            results[key] = to_ns(bench["cpu_time"], unit)
+            real[key] = to_ns(bench["real_time"], unit)
+    return results, real, build_type, stems
 
 
 def to_ns(value, unit):
@@ -116,13 +122,13 @@ def main():
     ap.add_argument(
         "--report",
         metavar="PATH",
-        help="also write a JSON artifact: per-benchmark ratios vs baseline, "
-        "build type and the runner's cpu flags",
+        help="also write a JSON artifact: per-benchmark cpu and real times "
+        "and ratios vs baseline, build type and the runner's cpu flags",
     )
     ap.add_argument("results", nargs="+", help="BENCH_*.json files")
     args = ap.parse_args()
 
-    results, build_type, stems = load_results(args.results)
+    results, real, build_type, stems = load_results(args.results)
     if not results:
         sys.exit("no benchmark entries found in the given files")
 
@@ -162,6 +168,7 @@ def main():
             continue
         ratio = ns / ref if ref > 0 else float("inf")
         compared[key] = {"cpu_time_ns": round(ns, 1),
+                         "real_time_ns": round(real[key], 1),
                          "baseline_ns": ref,
                          "ratio": round(ratio, 4)}
         if ratio > 1.0 + args.threshold:
@@ -176,7 +183,8 @@ def main():
         else:
             marker = "ok"
         line = (f"{marker:4} {key}: {ns / 1e6:.3f} ms vs baseline "
-                f"{ref / 1e6:.3f} ms ({ratio - 1.0:+.1%})")
+                f"{ref / 1e6:.3f} ms ({ratio - 1.0:+.1%}), real "
+                f"{real[key] / 1e6:.3f} ms")
         if ratio < 1.0:
             line += f" [{1.0 / ratio:.2f}x faster]"
         print(line)
@@ -188,8 +196,9 @@ def main():
     skipped_stems = sorted({k.split("/", 1)[0] for k in absent} - stems)
 
     for key in new:
-        print(f"new  {key}: {results[key] / 1e6:.3f} ms (not in baseline; "
-              "run with --update to enroll)")
+        print(f"new  {key}: {results[key] / 1e6:.3f} ms, real "
+              f"{real[key] / 1e6:.3f} ms (not in baseline; run with "
+              "--update to enroll)")
     for key in missing:
         print(f"MISS {key}: in baseline but not in results")
     for stem in skipped_stems:

@@ -1,4 +1,4 @@
-// Work-stealing thread pool for the offline analysis pipeline.
+// Fork-join thread pool for the analysis pipeline.
 //
 // Reconstruction and diagnosis are sharded across this pool (per node or
 // per victim). Every use in the codebase writes results into
@@ -10,7 +10,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -22,24 +21,20 @@ namespace microscope {
 /// Parallelism knob threaded through ReconstructOptions and
 /// DiagnoserOptions.
 struct ParallelOptions {
-  /// Worker threads for the analysis pool. 0 or 1 = run sequentially on
+  /// Worker threads for the analysis pool; the calling thread runs chunks
+  /// beside them, so N + 1 threads work. 0 or 1 = run sequentially on
   /// the calling thread (no pool is created; the default preserves all
   /// pre-existing single-threaded behavior exactly).
   unsigned num_threads = 0;
-  /// Force a statically partitioned, reproducible shard assignment.
-  /// The pipeline's outputs are deterministic either way (disjoint
-  /// pre-assigned slots); with `deterministic` the chunk layout itself is
-  /// also independent of the pool size, so intermediate per-chunk
-  /// artifacts can be compared across runs. Kept on by default.
-  bool deterministic = true;
 
   bool sequential() const { return num_threads <= 1; }
 };
 
-/// A small work-stealing pool: one deque per worker, round-robin task
-/// placement, idle workers steal from the front of other deques. The
-/// thread calling parallel_for() participates by stealing too, so
-/// `num_threads = N` means N CPUs busy, not N+1.
+/// A fork-join loop: `ThreadPool(N)` starts N persistent workers, and the
+/// thread calling parallel_for() runs chunks beside them, so N + 1 threads
+/// work on a fan-out. Each fan-out cuts [0, n) into chunks of
+/// ceil(n / 64) items, which the workers and the caller claim from one
+/// atomic cursor.
 class ThreadPool {
  public:
   explicit ThreadPool(unsigned num_threads);
@@ -48,52 +43,45 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-
-  /// Run body(begin, end) over disjoint chunks covering [0, n), blocking
-  /// until every chunk completed. Chunk boundaries depend only on n,
-  /// grain, and the pool size — never on scheduling. Reentrant calls from
-  /// inside a pool task run inline (no nested fan-out).
-  ///
-  /// grain = 0 picks a chunk size targeting ~8 chunks per worker.
+  /// Run body(begin, end) over disjoint chunks covering [0, n), returning
+  /// once every chunk is done. Chunk boundaries depend only on n, never on
+  /// scheduling or the pool size. Calls from inside a chunk run inline (no
+  /// nested fan-out); concurrent callers of one pool take turns.
   void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& body,
-                    std::size_t grain = 0);
+                    const std::function<void(std::size_t, std::size_t)>& body);
 
   /// nullptr when opts ask for a sequential run.
   static std::unique_ptr<ThreadPool> make(const ParallelOptions& opts);
 
  private:
-  struct Shard {
-    std::mutex m;
-    std::deque<std::function<void()>> q;
-  };
+  void worker_main();
+  /// Claim and run chunks of the open fan-out until none is left.
+  void run_chunks();
 
-  void worker_main(unsigned me);
-  /// Pop from own deque (back) or steal (front) from a neighbour.
-  bool try_run_one(unsigned home);
+  /// Held by a caller for its whole fan-out.
+  std::mutex call_m_;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::mutex m_;
+  std::condition_variable wake_cv_;  // a fan-out opened, or stop_
+  std::condition_variable done_cv_;  // active_ reached 0
+  // The open fan-out, written under m_ while no worker is active; null
+  // body_ means none is open.
+  const std::function<void(std::size_t, std::size_t)>* body_ = nullptr;
+  std::size_t n_ = 0;
+  std::size_t grain_ = 1;
+  std::size_t chunks_ = 0;
+  unsigned active_ = 0;  // workers inside run_chunks()
+  bool stop_ = false;
+  std::atomic<std::size_t> next_{0};  // next chunk to claim
+
   std::vector<std::thread> workers_;
-  std::mutex wake_m_;
-  std::condition_variable wake_cv_;
-  std::atomic<std::size_t> pending_{0};  // queued, not yet grabbed
-  std::atomic<bool> stop_{false};
 };
 
 /// Run body(begin, end) over [0, n): inline when pool is null, sharded
 /// across the pool otherwise. The common entry point for optional
 /// parallelism.
-void parallel_for_over(ThreadPool* pool, std::size_t n,
-                       const std::function<void(std::size_t, std::size_t)>& body,
-                       std::size_t grain = 0);
-
-/// Chunk grain for a loop of n iterations under opts: with
-/// `deterministic`, the layout is fixed (~64 chunks) independent of the
-/// pool size; otherwise 0 lets the pool pick a size-adaptive grain.
-inline std::size_t chunk_grain(const ParallelOptions& opts, std::size_t n) {
-  if (!opts.deterministic) return 0;
-  return n == 0 ? 1 : (n + 63) / 64;
-}
+void parallel_for_over(
+    ThreadPool* pool, std::size_t n,
+    const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace microscope

@@ -72,15 +72,16 @@ Diagnoser::Diagnoser(const trace::ReconstructedTrace& rt,
 }
 
 std::vector<Diagnosis> Diagnoser::diagnose_all(
-    const std::vector<Victim>& victims, ThreadPool* pool) const {
+    const std::vector<Victim>& victims, ThreadPool* pool,
+    std::vector<Provenance>* provs) const {
   std::vector<Diagnosis> out(victims.size());
+  if (provs) provs->resize(victims.size());
   const auto own = pool ? nullptr : ThreadPool::make(opts_.parallel);
-  parallel_for_over(
-      pool ? pool : own.get(), victims.size(),
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) out[i] = diagnose(victims[i]);
-      },
-      chunk_grain(opts_.parallel, victims.size()));
+  ThreadPool* p = pool ? pool : own.get();
+  parallel_for_over(p, victims.size(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i)
+      out[i] = diagnose(victims[i], provs ? &(*provs)[i] : nullptr);
+  });
   return out;
 }
 

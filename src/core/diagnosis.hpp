@@ -24,7 +24,7 @@ struct DiagnoserOptions {
   std::size_t max_flows_per_relation = 64;
   /// k in the "beyond k standard deviations" hop-abnormality test.
   double abnormal_stddev_k = 1.0;
-  /// Fan out diagnose_all() across a work-stealing pool. Defaults to
+  /// Fan out diagnose_all() across a thread pool. Defaults to
   /// sequential; results are always collected in victim order, and each
   /// per-victim diagnosis is a pure function of the (immutable)
   /// reconstructed trace, so parallel output is byte-identical.
@@ -48,9 +48,12 @@ class Diagnoser {
 
   /// Diagnose every victim, sharded across `pool` — or, when it is null,
   /// a pool built for this call from options().parallel; out[i] is
-  /// diagnose(victims[i]) regardless of scheduling.
-  std::vector<Diagnosis> diagnose_all(const std::vector<Victim>& victims,
-                                      ThreadPool* pool = nullptr) const;
+  /// diagnose(victims[i], &(*provs)[i]) regardless of scheduling. A
+  /// non-null `provs` is resized to victims.size() and receives each
+  /// victim's provenance.
+  std::vector<Diagnosis> diagnose_all(
+      const std::vector<Victim>& victims, ThreadPool* pool = nullptr,
+      std::vector<Provenance>* provs = nullptr) const;
 
   // --- victim selection -------------------------------------------------
   /// Delivered packets whose end-to-end latency is above the given

@@ -55,6 +55,8 @@ struct LocalScores {
   double expected{0};  // r_f * T
   double s_i{0};       // input workload score (eq 1)
   double s_p{0};       // processing score (eq 2)
+
+  friend bool operator==(const LocalScores&, const LocalScores&) = default;
 };
 
 /// Evaluate eqns (1)-(2) over a period with peak rate `r`.

@@ -41,6 +41,9 @@ struct HopAttribution {
   NodeId node{kInvalidNode};
   double timespan_ns{0.0};
   double score{0.0};
+
+  friend bool operator==(const HopAttribution&, const HopAttribution&) =
+      default;
 };
 
 /// §4.2 timespan attribution over one PreSet path group.
@@ -49,6 +52,9 @@ struct PathAttribution {
   std::size_t packets{0};    // PreSet packets that took this path
   double share{0.0};         // base_score * packets / preset_packets
   std::vector<HopAttribution> hops;
+
+  friend bool operator==(const PathAttribution&, const PathAttribution&) =
+      default;
 };
 
 /// Final accounting for one culprit node within a propagation step.
@@ -67,6 +73,9 @@ struct CulpritAttribution {
   /// Index into Provenance::steps of the recursive step (-1 if the input
   /// part was not propagated, e.g. below min_score).
   int child_step{-1};
+
+  friend bool operator==(const CulpritAttribution&,
+                         const CulpritAttribution&) = default;
 };
 
 /// One Diagnoser::propagate invocation: the distribution of `base_score`
@@ -99,6 +108,9 @@ struct PropagationStep {
   double attributed{0.0};
   double uncharged{0.0};
   double residual{0.0};
+
+  friend bool operator==(const PropagationStep&, const PropagationStep&) =
+      default;
 };
 
 /// Full causal explanation of one victim's diagnosis.
@@ -118,6 +130,8 @@ struct Provenance {
   /// Propagation tree in depth-first emission order; steps[i].parent links
   /// it together. Empty when nothing propagated.
   std::vector<PropagationStep> steps;
+
+  friend bool operator==(const Provenance&, const Provenance&) = default;
 };
 
 /// Human-readable attribution tree. `node_names` maps NodeId to a display

@@ -40,38 +40,6 @@ const char* victim_kind_str(core::Victim::Kind k) {
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::ostringstream os;
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  return os.str();
-}
-
 std::string diagnosis_to_json(const core::Diagnosis& d,
                               const autofocus::NfCatalog& catalog) {
   std::ostringstream os;

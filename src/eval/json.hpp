@@ -10,11 +10,11 @@
 
 #include "autofocus/aggregate.hpp"
 #include "core/relation.hpp"
+#include "obs/introspect.hpp"
 
 namespace microscope::eval {
 
-/// Escape a string for inclusion in a JSON document (RFC 8259).
-std::string json_escape(const std::string& s);
+using obs::json_escape;
 
 /// One victim's diagnosis as a JSON object:
 /// {victim: {...}, causes: [{node, kind, score, t0_ns, t1_ns, flows: [...]}]}

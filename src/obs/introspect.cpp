@@ -23,6 +23,24 @@ void append_score(std::string& out, double v) {
   out += buf;
 }
 
+std::size_t parse_count(std::string_view s, std::size_t fallback,
+                        std::size_t cap) {
+  if (s.empty()) return fallback;
+  std::size_t v = 0;
+  for (const char c : s) {
+    if (c < '0' || c > '9') return fallback;
+    v = v * 10 + static_cast<std::size_t>(c - '0');
+    if (v > cap) return cap;
+  }
+  return v == 0 ? fallback : v;
+}
+
+constexpr const char* kJson = "application/json; charset=utf-8";
+constexpr const char* kText = "text/plain; charset=utf-8";
+constexpr const char* kProm = "text/plain; version=0.0.4; charset=utf-8";
+
+}  // namespace
+
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -45,24 +63,6 @@ std::string json_escape(std::string_view s) {
   }
   return out;
 }
-
-std::size_t parse_count(std::string_view s, std::size_t fallback,
-                        std::size_t cap) {
-  if (s.empty()) return fallback;
-  std::size_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return fallback;
-    v = v * 10 + static_cast<std::size_t>(c - '0');
-    if (v > cap) return cap;
-  }
-  return v == 0 ? fallback : v;
-}
-
-constexpr const char* kJson = "application/json; charset=utf-8";
-constexpr const char* kText = "text/plain; charset=utf-8";
-constexpr const char* kProm = "text/plain; version=0.0.4; charset=utf-8";
-
-}  // namespace
 
 IntrospectionHub::IntrospectionHub(std::size_t window_capacity)
     : capacity_(window_capacity == 0 ? 1 : window_capacity) {}

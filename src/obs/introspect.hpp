@@ -24,6 +24,7 @@
 #include <deque>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/http.hpp"
@@ -102,5 +103,9 @@ struct IntrospectionWiring {
 };
 
 void install_introspection_routes(HttpServer& server, IntrospectionWiring w);
+
+/// Escape a string for inclusion in a JSON document (RFC 8259): quote,
+/// backslash, \n \r \t, and \u00XX below 0x20.
+std::string json_escape(std::string_view s);
 
 }  // namespace microscope::obs

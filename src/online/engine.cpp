@@ -73,6 +73,10 @@ double diagnosis_score(const core::Diagnosis& d) {
   return s;
 }
 
+/// Victims rendered per window for /explain, ranked by descending total
+/// attribution score (/explain?top=k serves a prefix of these).
+constexpr std::size_t kExplainTopMax = 8;
+
 /// One pool for both analysis stages, sized for the larger request.
 std::unique_ptr<ThreadPool> make_pool(const OnlineOptions& o) {
   ParallelOptions par;
@@ -278,9 +282,7 @@ WindowResult OnlineEngine::diagnose(const WindowBounds& b) {
   trace::Frontier f;
   f.ceiling = view_hi(b);
   f.force = b.end - history_;
-  ThreadPool* recon_pool =
-      opts_.reconstruct.parallel.sequential() ? nullptr : pool_.get();
-  recon_.advance(store_.lanes(), f, recon_pool);
+  recon_.advance(store_.lanes(), f, pool_.get());
   res.journeys = recon_.walked();
   res.journeys_committed = recon_.committed();
   if (res.journeys_committed > 0)
@@ -290,7 +292,7 @@ WindowResult OnlineEngine::diagnose(const WindowBounds& b) {
   if (store_.empty_in(view_lo(b), view_hi(b))) {
     ++stats_.windows_skipped_empty;
     m.windows_skipped_empty.add();
-    recon_.discard_speculative(recon_pool);
+    recon_.discard_speculative(pool_.get());
     return res;
   }
 
@@ -311,17 +313,10 @@ WindowResult OnlineEngine::diagnose(const WindowBounds& b) {
     for (const core::Victim& v : diag.drop_victims())
       if (keep(v)) victims.push_back(v);
 
-  if (opts_.capture_provenance || opts_.introspection) {
-    res.diagnoses.reserve(victims.size());
-    res.provenances.resize(victims.size());
-    for (std::size_t i = 0; i < victims.size(); ++i)
-      res.diagnoses.push_back(diag.diagnose(victims[i], &res.provenances[i]));
-  } else {
-    res.diagnoses = diag.diagnose_all(
-        victims,
-        opts_.diagnoser.parallel.sequential() ? nullptr : pool_.get());
-  }
-  recon_.discard_speculative(recon_pool);
+  const bool provenance = opts_.capture_provenance || opts_.introspection;
+  res.diagnoses = diag.diagnose_all(victims, pool_.get(),
+                                    provenance ? &res.provenances : nullptr);
+  recon_.discard_speculative(pool_.get());
   return res;
 }
 
@@ -357,8 +352,7 @@ void OnlineEngine::publish(const WindowResult& res) const {
                    [&](std::size_t a, std::size_t b) {
                      return scores[a] > scores[b];
                    });
-  if (order.size() > opts_.explain_top_max)
-    order.resize(opts_.explain_top_max);
+  if (order.size() > kExplainTopMax) order.resize(kExplainTopMax);
 
   const std::vector<std::string>& names = opts_.agg_catalog.node_names;
   std::vector<obs::ExplainEntry> entries;

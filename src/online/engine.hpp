@@ -11,7 +11,7 @@
 // change form a speculative tail that every window recomputes and then
 // discards (DESIGN.md §7). One StreamStore, one WindowManager, one thread;
 // multi-core speed comes from the analysis pool, built once per engine and
-// shared by both stages (see OnlineOptions::reconstruct).
+// shared by both stages (see OnlineOptions::diagnoser).
 //
 // Equivalence guarantee: for every closed window, the emitted diagnoses are
 // byte-identical to running the offline Diagnoser over the full trace with
@@ -94,16 +94,15 @@ struct OnlineOptions {
   std::size_t max_retained_batches = 0;
   /// Record full attribution provenance per diagnosis into
   /// WindowResult::provenances (for invariant auditing — e.g. the chaos
-  /// suite's conservation check). Victims are then diagnosed sequentially
-  /// on the calling thread instead of through diagnose_all's pool, so
-  /// leave this off on latency-sensitive paths.
+  /// suite's conservation check). The diagnoses themselves are unchanged.
   bool capture_provenance = false;
-  /// Both analysis stages share one pool, built with the engine and sized
-  /// to the larger of reconstruct.parallel.num_threads and
-  /// diagnoser.parallel.num_threads; a stage whose own setting is
-  /// sequential (0 or 1 threads) runs on the calling thread instead. So
-  /// reconstruct.parallel = 2 with diagnoser.parallel = 8 reconstructs on
-  /// 8 workers.
+  /// Both analysis stages run on one pool, built with the engine when the
+  /// larger of reconstruct.parallel.num_threads and
+  /// diagnoser.parallel.num_threads is N > 1: it starts N workers, and the
+  /// thread closing a window runs chunks beside them, so N + 1 threads
+  /// work. Otherwise both stages run on the calling thread. So
+  /// reconstruct.parallel = 0 with diagnoser.parallel = 8 reconstructs on
+  /// 8 workers too.
   core::DiagnoserOptions diagnoser = streaming_diagnoser_defaults();
   trace::ReconstructOptions reconstruct{};
   StreamingAggregatorOptions aggregator{};
@@ -118,13 +117,9 @@ struct OnlineOptions {
   /// Live introspection hub (obs/introspect.hpp). When set, every closed
   /// window is published as a /windows board note, and diagnosed windows
   /// additionally publish rendered --explain output (attribution tree +
-  /// provenance JSON) for their top victims. Provenance capture forces
-  /// the sequential per-victim diagnosis path, same as
-  /// capture_provenance — leave unset on latency-critical runs.
+  /// provenance JSON) for their top 8 victims by total attribution score.
+  /// Provenance is captured as with capture_provenance.
   std::shared_ptr<obs::IntrospectionHub> introspection{};
-  /// Max victims rendered per window for /explain, ranked by descending
-  /// total attribution score (/explain?top=k serves a prefix of these).
-  std::size_t explain_top_max = 8;
   /// Wire decode validation for feed_bytes/drain_ring ingestion. Defaults
   /// to lenient raw decode with the timestamp check off (the ring is a
   /// trusted in-process stream); tailing a file from another process is
@@ -302,7 +297,7 @@ class OnlineEngine : public StreamTarget {
   DurationNs history_;
   StreamStore store_;
   trace::Reconstruction recon_;
-  /// The analysis pool, built once (nullptr when both stages run
+  /// The analysis pool of both stages, built once (nullptr when both run
   /// sequentially).
   std::unique_ptr<ThreadPool> pool_;
   /// Records older than this are late: the newest closed window's

@@ -102,8 +102,7 @@ Aligner::Aligner(const GraphView& graph, const AlignOptions& opts)
 }
 
 void Aligner::pull(const RecordLanes& lanes, TimeNs ceiling,
-                   std::vector<NodeAlignment>& out, ThreadPool* pool,
-                   const ParallelOptions& par) {
+                   std::vector<NodeAlignment>& out, ThreadPool* pool) {
   const std::size_t n = graph_.node_count();
   out.resize(n);
   auto pull_node = [&](NodeId id) {
@@ -203,12 +202,10 @@ void Aligner::pull(const RecordLanes& lanes, TimeNs ceiling,
       }
     }
   };
-  parallel_for_over(pool, n,
-                    [&](std::size_t lo, std::size_t hi) {
-                      for (std::size_t id = lo; id < hi; ++id)
-                        pull_node(static_cast<NodeId>(id));
-                    },
-                    chunk_grain(par, n));
+  parallel_for_over(pool, n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t id = lo; id < hi; ++id)
+      pull_node(static_cast<NodeId>(id));
+  });
 
   // List new streams at their peers, in graph upstream order (the order
   // link alignment scans candidates in).
@@ -600,36 +597,29 @@ void Aligner::internal_node(NodeId d, const RecordLanes& lanes,
 
 void Aligner::match(const RecordLanes& lanes, const Frontier& f,
                     std::vector<NodeAlignment>& out, AlignStats& committed,
-                    ThreadPool* pool, const ParallelOptions& par) {
+                    ThreadPool* pool) {
   obs::TraceSpan span("trace", "align");
   const std::size_t n = graph_.node_count();
   span.set_items(n);
   // Per-node stat shards, merged in node-id order at the end.
   std::vector<AlignStats> node_stats(n);
   obs::Registry& reg = obs::Registry::global();
-  const std::size_t grain = chunk_grain(par, n);
   // Pass 1 writes only out[d], its cursors, and the drop flags / consumer
   // slots of entries whose peer is d; pass 2 only out[d] and d's own
   // streams' internal cursors — per-node sharding is race-free.
   {
     obs::ScopedTimer t(reg.histogram("trace.align.link_pass_ns"));
-    parallel_for_over(pool, n,
-                      [&](std::size_t b, std::size_t e) {
-                        for (std::size_t id = b; id < e; ++id)
-                          link_node(static_cast<NodeId>(id), lanes, f, out,
-                                    node_stats[id]);
-                      },
-                      grain);
+    parallel_for_over(pool, n, [&](std::size_t b, std::size_t e) {
+      for (std::size_t id = b; id < e; ++id)
+        link_node(static_cast<NodeId>(id), lanes, f, out, node_stats[id]);
+    });
   }
   {
     obs::ScopedTimer t(reg.histogram("trace.align.internal_pass_ns"));
-    parallel_for_over(pool, n,
-                      [&](std::size_t b, std::size_t e) {
-                        for (std::size_t id = b; id < e; ++id)
-                          internal_node(static_cast<NodeId>(id), lanes, f,
-                                        out, node_stats[id]);
-                      },
-                      grain);
+    parallel_for_over(pool, n, [&](std::size_t b, std::size_t e) {
+      for (std::size_t id = b; id < e; ++id)
+        internal_node(static_cast<NodeId>(id), lanes, f, out, node_stats[id]);
+    });
   }
 
   AlignStats total;
@@ -650,8 +640,7 @@ void Aligner::match(const RecordLanes& lanes, const Frontier& f,
       .add(total.policy_drops_inferred);
 }
 
-void Aligner::rollback(std::vector<NodeAlignment>& out, ThreadPool* pool,
-                       const ParallelOptions& par) {
+void Aligner::rollback(std::vector<NodeAlignment>& out, ThreadPool* pool) {
   const std::size_t n = graph_.node_count();
   // Writes land on out[d], d's own streams, and the entries whose peer is
   // d — the same ownership as the passes.
@@ -677,12 +666,9 @@ void Aligner::rollback(std::vector<NodeAlignment>& out, ThreadPool* pool,
       for (std::uint32_t p = s.int_head; p < s.end(); ++p)
         da.tx_to_rx[s.entry[p - s.base] - da.tx_base] = kNoEntry;
   };
-  parallel_for_over(pool, n,
-                    [&](std::size_t b, std::size_t e) {
-                      for (std::size_t id = b; id < e; ++id)
-                        undo(static_cast<NodeId>(id));
-                    },
-                    chunk_grain(par, n));
+  parallel_for_over(pool, n, [&](std::size_t b, std::size_t e) {
+    for (std::size_t id = b; id < e; ++id) undo(static_cast<NodeId>(id));
+  });
 }
 
 void Aligner::evict_before(TimeNs horizon, std::vector<NodeAlignment>& out) {
@@ -802,18 +788,17 @@ std::size_t Aligner::retained_bytes() const {
 std::vector<NodeAlignment> align_all(const collector::Collector& col,
                                      const GraphView& graph,
                                      const AlignOptions& opts,
-                                     AlignStats* stats, ThreadPool* pool,
-                                     const ParallelOptions& par) {
+                                     AlignStats* stats, ThreadPool* pool) {
   const RecordLanes lanes = lanes_of(col);
   Aligner al(graph, opts);
   std::vector<NodeAlignment> out;
   {
     obs::ScopedTimer t(
         obs::Registry::global().histogram("trace.align.prepare_ns"));
-    al.pull(lanes, kTimeNever, out, pool, par);
+    al.pull(lanes, kTimeNever, out, pool);
   }
   AlignStats total;
-  al.match(lanes, Frontier{}, out, total, pool, par);
+  al.match(lanes, Frontier{}, out, total, pool);
   if (stats) *stats = total;
   return out;
 }

@@ -256,8 +256,7 @@ class Aligner {
   /// Append every visible record (ts <= ceiling) not pulled yet to the
   /// per-entry lanes of `out` (sized to the graph) and to the streams.
   void pull(const RecordLanes& lanes, TimeNs ceiling,
-            std::vector<NodeAlignment>& out, ThreadPool* pool,
-            const ParallelOptions& par);
+            std::vector<NodeAlignment>& out, ThreadPool* pool);
 
   /// Run the link and internal passes from the committed cursors over every
   /// pulled rx entry, committing the longest prefix of decisions that no
@@ -265,11 +264,10 @@ class Aligner {
   /// their counts to `committed`. Sharded per node when `pool` is non-null.
   void match(const RecordLanes& lanes, const Frontier& f,
              std::vector<NodeAlignment>& out, AlignStats& committed,
-             ThreadPool* pool, const ParallelOptions& par);
+             ThreadPool* pool);
 
   /// Undo every decision past the committed cursors.
-  void rollback(std::vector<NodeAlignment>& out, ThreadPool* pool,
-                const ParallelOptions& par);
+  void rollback(std::vector<NodeAlignment>& out, ThreadPool* pool);
 
   /// Evict every entry older than `horizon` (and the stream positions that
   /// carry them); committed cursors below it move up to it. The lanes are
@@ -340,7 +338,6 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
                                      const GraphView& graph,
                                      const AlignOptions& opts,
                                      AlignStats* stats,
-                                     ThreadPool* pool = nullptr,
-                                     const ParallelOptions& par = {});
+                                     ThreadPool* pool = nullptr);
 
 }  // namespace microscope::trace

@@ -123,11 +123,10 @@ void Reconstruction::advance(const RecordLanes& lanes, const Frontier& f,
   reg.counter("trace.reconstruct.runs").add();
   obs::TraceSpan span("trace", "reconstruct");
   obs::ScopedTimer total_timer(reg.histogram("trace.reconstruct.total_ns"));
-  const ParallelOptions& par = rt_.opts_.parallel;
   const std::size_t n = rt_.graph_.node_count();
   {
     obs::ScopedTimer t(reg.histogram("trace.align.prepare_ns"));
-    aligner_.pull(lanes, f.ceiling, rt_.alignments_, pool, par);
+    aligner_.pull(lanes, f.ceiling, rt_.alignments_, pool);
     for (NodeId id = 0; id < n; ++id) {
       const NodeAlignment& a = rt_.alignments_[id];
       NodeState& ns = nodes_[id];
@@ -139,7 +138,7 @@ void Reconstruction::advance(const RecordLanes& lanes, const Frontier& f,
       ns.synced.resize(outs, 0);
     }
   }
-  aligner_.match(lanes, f, rt_.alignments_, rt_.align_stats_, pool, par);
+  aligner_.match(lanes, f, rt_.alignments_, rt_.align_stats_, pool);
   // Committed arrivals may carry consumers the passes just decided.
   for (NodeId d = 0; d < n; ++d) refresh_consumers(d, false);
 
@@ -200,16 +199,13 @@ void Reconstruction::walk_terminals(const RecordLanes& lanes,
   first[kKinds * n] = seeds.size();
   for (Seed& s : seeds) s.id = alloc_journey();
 
-  parallel_for_over(
-      pool, seeds.size(),
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          Seed& s = seeds[i];
-          s.committed =
-              walk(lanes, s.kind, s.node, s.entry, rt_.journeys_[s.id], s.id);
-        }
-      },
-      chunk_grain(rt_.opts_.parallel, seeds.size()));
+  parallel_for_over(pool, seeds.size(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      Seed& s = seeds[i];
+      s.committed =
+          walk(lanes, s.kind, s.node, s.entry, rt_.journeys_[s.id], s.id);
+    }
+  });
 
   // Commit, per (kind, node), the longest prefix of entries whose terminal
   // status and journey are settled (or forced); the rest is speculative.
@@ -509,12 +505,9 @@ void Reconstruction::build_timelines(const RecordLanes& lanes,
       merge(std::move(tail), true);
     }
   };
-  parallel_for_over(pool, n,
-                    [&](std::size_t b, std::size_t e) {
-                      for (std::size_t id = b; id < e; ++id)
-                        build(static_cast<NodeId>(id));
-                    },
-                    chunk_grain(rt_.opts_.parallel, n));
+  parallel_for_over(pool, n, [&](std::size_t b, std::size_t e) {
+    for (std::size_t id = b; id < e; ++id) build(static_cast<NodeId>(id));
+  });
 }
 
 void Reconstruction::rebuild_order() {
@@ -561,7 +554,7 @@ void Reconstruction::discard_speculative(ThreadPool* pool) {
     }
     tl.arrivals.resize(ns.arr_committed);
   }
-  aligner_.rollback(rt_.alignments_, pool, rt_.opts_.parallel);
+  aligner_.rollback(rt_.alignments_, pool);
   for (NodeId d = 0; d < nodes_.size(); ++d) refresh_consumers(d, true);
   rt_.order_.clear();  // rebuilt by the next advance
   tail_held_ = false;

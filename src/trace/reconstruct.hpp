@@ -131,7 +131,7 @@ struct ReconstructOptions {
   /// Batch size above which a read cannot prove the queue emptied.
   std::uint16_t max_batch = 32;
   /// Shard alignment, journey walks, and timeline construction across a
-  /// work-stealing pool. Defaults to sequential; parallel output is
+  /// thread pool. Defaults to sequential; parallel output is
   /// byte-identical to sequential (see DESIGN.md "Parallel analysis").
   ParallelOptions parallel{};
 };

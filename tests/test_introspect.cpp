@@ -435,7 +435,6 @@ TEST(EndToEnd, ConcurrentGetsDuringWindowCloses) {
   oopt.latency_threshold = 200_us;
   oopt.reconstruct.prop_delay = prop_delay;
   oopt.introspection = hub;
-  oopt.explain_top_max = 4;
 
   TimeSeriesStore store;
   HealthWatchdog watchdog(Registry::global(), store, HealthOptions{});
@@ -511,22 +510,35 @@ TEST(EndToEnd, HubPublishingMatchesCaptureProvenancePath) {
   base.latency_threshold = 200_us;
   base.reconstruct.prop_delay = prop_delay;
 
-  // The hub path forces sequential provenance-capturing diagnosis; the
-  // diagnoses must still be byte-identical to the plain path.
+  // The hub path captures provenance; the diagnoses must still be
+  // byte-identical to the plain path, and a 4-thread hubbed engine must
+  // capture exactly the sequential one's diagnoses and provenances.
   online::OnlineOptions with_hub = base;
   with_hub.introspection = std::make_shared<IntrospectionHub>();
+  online::OnlineOptions par_hub = base;
+  par_hub.introspection = std::make_shared<IntrospectionHub>();
+  par_hub.reconstruct.parallel.num_threads = 4;
+  par_hub.diagnoser.parallel.num_threads = 4;
   online::OnlineEngine plain(graph, rates, base);
   online::OnlineEngine hubbed(graph, rates, with_hub);
+  online::OnlineEngine par_hubbed(graph, rates, par_hub);
   const auto w1 = online::replay_collector(col, plain, 64, true);
   const auto w2 = online::replay_collector(col, hubbed, 64, true);
+  const auto w3 = online::replay_collector(col, par_hubbed, 64, true);
   ASSERT_EQ(w1.size(), w2.size());
+  ASSERT_EQ(w2.size(), w3.size());
+  std::size_t captured = 0;
   for (std::size_t i = 0; i < w1.size(); ++i) {
     EXPECT_EQ(w1[i].diagnoses, w2[i].diagnoses) << "window " << i;
     EXPECT_TRUE(w1[i].provenances.empty());
     if (!w2[i].diagnoses.empty()) {
       EXPECT_EQ(w2[i].provenances.size(), w2[i].diagnoses.size());
     }
+    EXPECT_EQ(w2[i].diagnoses, w3[i].diagnoses) << "window " << i;
+    EXPECT_TRUE(w2[i].provenances == w3[i].provenances) << "window " << i;
+    captured += w3[i].provenances.size();
   }
+  EXPECT_GT(captured, 0u);
 }
 
 }  // namespace
