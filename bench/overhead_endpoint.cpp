@@ -1,15 +1,13 @@
 // Introspection-plane overhead: what the live telemetry costs the host.
 //
-//  * BM_SamplerTick       — one sampler tick (runtime gauges + registry
-//                           snapshot + ring append across every metric)
-//  * BM_HealthEvaluate    — the watchdog's five-signal verdict on a tick
+//  * BM_HealthEvaluate    — the watchdog's four-signal verdict on a tick
 //  * BM_RenderPrometheus/ — rendering the full exposition the endpoint
 //    BM_RenderJson          serves (also exercised by --metrics-every)
 //  * BM_HttpGetMetrics    — end-to-end loopback GET /metrics including
 //                           connect/parse/render/close
 //
-// The sampler defaults to one tick per second and renders only on
-// request, so the budget question is "does a scrape stall the engine" —
+// The watchdog defaults to one tick per second and the server renders only
+// on request, so the budget question is "does a scrape stall the engine" —
 // these numbers bound the answer (everything here runs off the engine
 // thread; the shared state is one registry snapshot).
 #include "bench_main.hpp"
@@ -19,31 +17,49 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <string>
 
 #include "obs/health.hpp"
 #include "obs/http.hpp"
 #include "obs/introspect.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
 
 using namespace microscope;
 using namespace microscope::obs;
 
 namespace {
 
-/// A registry shaped like a live pipeline: every canonical metric
-/// registered, with nonzero counters and populated histograms.
+/// A registry shaped like a live pipeline's with a watchdog attached: 47
+/// counters, 12 gauges and 12 histograms (ten of them *_ns latencies, one
+/// on depth and one on score buckets), with nonzero counters and populated
+/// histograms. Like an online run's, it holds the six metrics the watchdog
+/// reads.
 Registry& bench_registry() {
   static Registry reg;
   static bool once = [] {
-    register_pipeline_metrics(reg);
-    reg.counter("online.packets_ingested").add(1'000'000);
-    reg.counter("online.windows_closed").add(240);
+    HealthWatchdog registers_its_names(reg);  // 4 counters, 1 gauge
+    reg.counter("online.late_dropped_batches");
+    reg.counter("online.backpressure_dropped_batches");
+    reg.counter("agg.board_evicted");
     reg.gauge("online.watermark_lag_ns").set(2.5e6);
-    auto& h = reg.histogram("core.diagnose.total_ns");
+    reg.gauge("online.ring_dropped_records");
+    reg.gauge("sketch.fill_frac");
+    auto name = [](const char* stem, int i) {
+      return "bench.stage" + std::to_string(i % 5) + "." + stem +
+             std::to_string(i);
+    };
+    for (int i = 0; i < 40; ++i) reg.counter(name("events", i));
+    for (int i = 0; i < 8; ++i) reg.gauge(name("level", i));
+    for (int i = 0; i < 9; ++i) reg.histogram(name("lat", i) + "_ns");
+    reg.histogram(name("depth", 0), depth_bounds());
+    reg.histogram(name("score", 0), score_bounds());
+    reg.counter(name("events", 0)).add(1'000'000);
+    reg.counter(name("events", 1)).add(240);
+    reg.gauge(name("level", 0)).set(384);
+    auto& h = reg.histogram(name("lat", 0) + "_ns");
     for (int i = 0; i < 1000; ++i) h.record(50'000 + i * 997);
-    reg.gauge("online.retained_batches").set(384);
+    // The twelfth histogram is the one every render records its cost in.
     auto& d = reg.histogram("obs.render_ns");
     for (int i = 0; i < 1000; ++i) d.record(20'000 + i * 131);
     return true;
@@ -52,27 +68,16 @@ Registry& bench_registry() {
   return reg;
 }
 
-void BM_SamplerTick(benchmark::State& state) {
-  Registry& reg = bench_registry();
-  TimeSeriesStore store;
-  Sampler sampler(reg, store, SamplerOptions{});
-  for (auto _ : state) {
-    sampler.sample_now();
-    benchmark::DoNotOptimize(store.samples_taken());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-
 void BM_HealthEvaluate(benchmark::State& state) {
   Registry& reg = bench_registry();
-  TimeSeriesStore store;
-  // Enough history that the lag-p95 signal does real percentile work.
-  for (int i = 0; i < 64; ++i)
-    store.sample(reg.snapshot(), static_cast<std::int64_t>(i) * 1'000'000'000);
-  HealthWatchdog watchdog(reg, store, HealthOptions{});
+  HealthWatchdog watchdog(reg, HealthOptions{});
   const Snapshot snap = reg.snapshot();
+  // A full lag history, so the lag-p95 signal does real percentile work.
+  HealthWatchdog::Clock::time_point now{};
+  for (std::size_t i = 0; i < watchdog.options().history; ++i)
+    watchdog.evaluate(snap, now += std::chrono::seconds(1));
   for (auto _ : state) {
-    watchdog.evaluate(snap);
+    watchdog.evaluate(snap, now += std::chrono::seconds(1));
     benchmark::DoNotOptimize(watchdog.state());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -154,7 +159,6 @@ void BM_HttpGetMetrics(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_SamplerTick);
 BENCHMARK(BM_HealthEvaluate);
 BENCHMARK(BM_RenderPrometheus);
 BENCHMARK(BM_RenderJson);

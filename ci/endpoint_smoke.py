@@ -3,9 +3,9 @@
 
 Phase 1 — replay the Fig. 10 scenario with the HTTP plane on and assert
 every endpoint answers with a schema-valid body while windows close:
-/metrics (validated by check_prom_format), /metrics.json, /version,
-/readyz, /windows, /series?name=online.watermark_lag_ns, and
-/explain?top=3&json=1 with live provenance.
+/metrics (validated by check_prom_format, carrying the collector, online
+and obs stages), /version, /readyz, /windows, and /explain?top=3&json=1
+with live provenance.
 
 Phase 2 — rerun with --max-retained 2 so backpressure drops batches, and
 poll /healthz through the storm: it must answer 503 ("unhealthy") while
@@ -98,12 +98,12 @@ def phase1():
                        input=prom.encode(), check=True)
         if "microscope_online_windows_closed_total" not in prom:
             fail("/metrics missing online window counters")
-
-        snap = json.loads(get(port, "/metrics.json"))
-        names = [m["name"] for m in snap["metrics"]]
-        for stage in ("collector.", "online.", "obs."):
+        names = [line.split(" ", 3)[2] for line in prom.splitlines()
+                 if line.startswith("# TYPE ")]
+        for stage in ("microscope_collector_", "microscope_online_",
+                      "microscope_obs_"):
             if not any(n.startswith(stage) for n in names):
-                fail(f"/metrics.json missing {stage} stage")
+                fail(f"/metrics missing the {stage}* stage")
 
         version = json.loads(get(port, "/version"))
         for key in ("git_hash", "build_type", "metrics"):
@@ -116,20 +116,6 @@ def phase1():
         for key in ("index", "start_ns", "end_ns", "journeys", "diagnoses"):
             if key not in windows["windows"][0]:
                 fail(f"/windows entry missing {key!r}")
-
-        # The sampler runs at 50 ms: watermark lag history accrues fast.
-        series = json.loads(
-            get(port, "/series?name=online.watermark_lag_ns&last=20"))
-        if series["name"] != "online.watermark_lag_ns":
-            fail(f"/series wrong name: {series['name']}")
-        if series["unit"] != "ns":
-            fail(f"/series wrong unit: {series['unit']}")
-        if not series["points"]:
-            fail("/series returned no points")
-        bogus = json.loads(get(port, "/series?name=no.such.metric",
-                               want_status=404))
-        if "error" not in bogus:
-            fail("/series 404 body has no error key")
 
         # Fig. 10 injects an interrupt at nat1: a diagnosed window must
         # eventually publish live explain provenance.

@@ -47,21 +47,19 @@
 //                                     chrome://tracing)
 //     --trace-jsonl <path>            same timeline as structured JSONL
 //     --http <addr:port|:port>        serve the live introspection plane
-//                                     (/metrics /metrics.json /healthz
-//                                     /readyz /version /windows /series
-//                                     /explain) while the run executes;
-//                                     binds 127.0.0.1 unless addr is given
-//                                     (see DESIGN.md §15)
-//     --sample-every <ms>             metric time-series sampling cadence
-//                                     for /series and the health watchdog
+//                                     (/metrics /healthz /readyz /version
+//                                     /windows /explain) while the run
+//                                     executes; binds 127.0.0.1 unless
+//                                     addr is given (see DESIGN.md §15)
+//     --sample-every <ms>             health watchdog tick cadence
 //                                     (default 1000; needs --http)
 //     --health-lag-ms <deg>,<unh>     watermark-lag-p95 health thresholds
 //                                     in ms (default 100,1000)
 //     --health-drops <deg>,<unh>      dropped batches+records per second
 //                                     health thresholds (default 1,50)
-//     --health-recover-ticks <n>      consecutive calm samples before a
+//     --health-recover-ticks <n>      consecutive calm ticks before a
 //                                     health downgrade (default 3)
-//     --http-linger <ms>              keep serving (and sampling) this long
+//     --http-linger <ms>              keep serving (and ticking) this long
 //                                     after the run finishes, so recovery
 //                                     to healthy is observable
 //     --pace <ms>                     follow modes: sleep this long per
@@ -479,9 +477,8 @@ int main(int argc, char** argv) {
     oopt.agg_catalog = eval::make_catalog(topo);
   }
 
-  // Registered up front so --metrics exports enumerate every pipeline
-  // stage, zero-valued where this invocation never ran one.
-  obs::register_pipeline_metrics();
+  // --metrics lists the stages this invocation built: each registers its
+  // names when constructed.
   auto dump_metrics = [&] {
     if (!want_metrics) return;
     std::cout << (metrics_json ? obs::render_json() + "\n"
@@ -490,12 +487,9 @@ int main(int argc, char** argv) {
 
   // ---- live introspection plane (--http, DESIGN.md §15) ----
   // Declaration order is the shutdown contract: the server (last) dies
-  // first, then the sampler joins, and only then do the watchdog and the
-  // series store it feeds go away.
+  // first, and only then does the watchdog it reads stop ticking.
   std::shared_ptr<obs::IntrospectionHub> hub;
-  std::unique_ptr<obs::TimeSeriesStore> series;
   std::unique_ptr<obs::HealthWatchdog> watchdog;
-  std::unique_ptr<obs::Sampler> sampler;
   std::unique_ptr<obs::HttpServer> http_server;
   if (!http_spec.empty()) {
     obs::HttpOptions hopt;
@@ -505,24 +499,17 @@ int main(int argc, char** argv) {
     oopt.introspection = hub;
     if (oopt.agg_catalog.node_names.empty())
       oopt.agg_catalog = eval::make_catalog(topo);
-    series = std::make_unique<obs::TimeSeriesStore>();
     watchdog = std::make_unique<obs::HealthWatchdog>(obs::Registry::global(),
-                                                     *series, health_opts);
-    sampler = std::make_unique<obs::Sampler>(
-        obs::Registry::global(), *series,
-        obs::SamplerOptions{std::chrono::milliseconds(sample_every_ms)},
-        [&w = *watchdog](const obs::Snapshot& s) { w.evaluate(s); });
+                                                     health_opts);
     http_server = std::make_unique<obs::HttpServer>(hopt);
     obs::IntrospectionWiring wiring;
-    wiring.series = series.get();
     wiring.health = watchdog.get();
     wiring.hub = hub.get();
     obs::install_introspection_routes(*http_server, wiring);
     if (!http_server->start(&err)) usage_error(err);
-    sampler->start();
+    watchdog->start(std::chrono::milliseconds(sample_every_ms));
     std::cerr << "introspection plane on http://" << http_server->address()
-              << " (/metrics /metrics.json /healthz /readyz /version"
-                 " /windows /series /explain)\n";
+              << " (/metrics /healthz /readyz /version /windows /explain)\n";
   }
   auto shutdown_introspection = [&] {
     if (!http_server) return;
@@ -532,7 +519,7 @@ int main(int argc, char** argv) {
                 << " ...\n";
       std::this_thread::sleep_for(std::chrono::milliseconds(http_linger_ms));
     }
-    sampler->stop();
+    watchdog->stop();
     http_server->stop();
     http_server.reset();
   };

@@ -67,6 +67,7 @@ void record_diagnosis(const Diagnosis& d, DiagnoseMetrics& m) {
 Diagnoser::Diagnoser(const trace::ReconstructedTrace& rt,
                      std::vector<RatePerNs> peak_rates, DiagnoserOptions opts)
     : rt_(&rt), peak_rates_(std::move(peak_rates)), opts_(opts) {
+  DiagnoseMetrics::get();  // the stage's names exist once a Diagnoser does
   if (peak_rates_.size() < rt.graph().node_count())
     peak_rates_.resize(rt.graph().node_count());
 }

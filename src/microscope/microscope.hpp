@@ -31,7 +31,6 @@
 #include "obs/http.hpp"
 #include "obs/introspect.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
 #include "obs/tracing.hpp"
 
 #include "sim/event_queue.hpp"

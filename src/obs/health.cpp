@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <utility>
 
 namespace microscope::obs {
 
@@ -11,6 +13,14 @@ namespace {
 constexpr std::size_t kNumSignals = 4;
 constexpr const char* kSignalNames[kNumSignals] = {
     "watermark_lag", "drop_rate", "sketch_fill", "board_evictions"};
+
+/// Counters (and the ring's cumulative drop gauge) whose per-second change
+/// feeds a signal: the first three sum to drop_rate, the last is
+/// board_evictions.
+constexpr std::size_t kNumRateInputs = 4;
+constexpr const char* kRateInputs[kNumRateInputs] = {
+    "online.late_dropped_batches", "online.backpressure_dropped_batches",
+    "online.ring_dropped_records", "agg.board_evicted"};
 
 double p95_of(std::vector<double> vals) {
   if (vals.empty()) return 0.0;
@@ -23,16 +33,21 @@ double p95_of(std::vector<double> vals) {
   return vals[idx];
 }
 
-/// Newest per-second rate of a sampled counter (0 before two samples exist
-/// or while the counter is flat).
-double newest_rate(const TimeSeriesStore& store, std::string_view name) {
-  const auto r = store.rate(name, 1);
-  return r.empty() ? 0.0 : r.back().value;
-}
-
 double gauge_value(const Snapshot& snap, std::string_view name) {
   const MetricSnapshot* m = snap.find(name);
   return m ? m->value : 0.0;
+}
+
+/// Per-second change of `name` over the `dt_s` since the previous tick,
+/// whose value `prev` holds and is advanced (NaN until the metric is first
+/// seen): 0 until the metric has been seen on two ticks.
+double rate_since(const Snapshot& snap, const char* name, double& prev,
+                  double dt_s) {
+  const MetricSnapshot* m = snap.find(name);
+  if (!m) return 0.0;
+  const double before = std::exchange(prev, m->value);
+  if (std::isnan(before) || dt_s <= 0) return 0.0;
+  return (m->value - before) / dt_s;
 }
 
 void append_double(std::string& out, double v) {
@@ -59,9 +74,11 @@ std::string_view health_state_name(HealthState s) {
   return "ok";
 }
 
-HealthWatchdog::HealthWatchdog(Registry& reg, const TimeSeriesStore& store,
-                               HealthOptions opts)
-    : reg_(reg), store_(store), opts_(opts) {
+HealthWatchdog::HealthWatchdog(Registry& reg, HealthOptions opts)
+    : reg_(reg),
+      opts_(opts),
+      state_gauge_(reg.gauge("obs.health.state")),
+      prev_inputs_(kNumRateInputs, std::numeric_limits<double>::quiet_NaN()) {
   const double degraded_at[kNumSignals] = {
       opts_.lag_p95_degraded_ns, opts_.drop_rate_degraded,
       opts_.sketch_fill_degraded, opts_.evict_rate_degraded};
@@ -77,8 +94,10 @@ HealthWatchdog::HealthWatchdog(Registry& reg, const TimeSeriesStore& store,
     t.flip_counter = &reg_.counter(std::string("obs.health.signal_flips.") +
                                    kSignalNames[i]);
   }
-  reg_.gauge("obs.health.state").set(0.0);
+  state_gauge_.set(0.0);
 }
+
+HealthWatchdog::~HealthWatchdog() { stop(); }
 
 HealthState HealthWatchdog::grade(double value, double degraded_at,
                                   double unhealthy_at) {
@@ -113,32 +132,62 @@ void HealthWatchdog::feed(Tracker& t, double value) {
   }
 }
 
-void HealthWatchdog::evaluate(const Snapshot& snap) {
-  // Signal values come from the time-series store (rates, p95 history) and
-  // the snapshot (instantaneous gauges); both are safe from this thread.
-  std::vector<double> lag_hist;
-  for (const SeriesPoint& p :
-       store_.last("online.watermark_lag_ns", opts_.history)) {
-    lag_hist.push_back(p.value);
-  }
-  const double lag_p95 = p95_of(std::move(lag_hist));
+void HealthWatchdog::tick(Clock::time_point now) {
+  evaluate(reg_.snapshot(), now);
+}
 
-  const double drop_rate =
-      newest_rate(store_, "online.late_dropped_batches") +
-      newest_rate(store_, "online.backpressure_dropped_batches") +
-      newest_rate(store_, "online.ring_dropped_records");
+void HealthWatchdog::evaluate(const Snapshot& snap, Clock::time_point now) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (const MetricSnapshot* lag = snap.find("online.watermark_lag_ns")) {
+    lag_history_.push_back(lag->value);
+    while (lag_history_.size() > opts_.history) lag_history_.pop_front();
+  }
+  const double lag_p95 =
+      p95_of(std::vector<double>(lag_history_.begin(), lag_history_.end()));
+
+  const double dt_s =
+      ticks_ == 0 ? 0.0
+                  : std::chrono::duration<double>(now - prev_tick_).count();
+  prev_tick_ = now;
+  double rates[kNumRateInputs];
+  for (std::size_t i = 0; i < kNumRateInputs; ++i)
+    rates[i] = rate_since(snap, kRateInputs[i], prev_inputs_[i], dt_s);
+  const double drop_rate = rates[0] + rates[1] + rates[2];
+  const double evict_rate = rates[3];
   const double fill = gauge_value(snap, "sketch.fill_frac");
-  const double evict_rate = newest_rate(store_, "agg.board_evicted");
 
   const double values[kNumSignals] = {lag_p95, drop_rate, fill, evict_rate};
-
-  std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < kNumSignals; ++i) feed(trackers_[i], values[i]);
   HealthState worst = HealthState::kOk;
   for (const Tracker& t : trackers_) worst = std::max(worst, t.report.state);
   overall_ = worst;
   ++ticks_;
-  reg_.gauge("obs.health.state").set(static_cast<double>(overall_));
+  state_gauge_.set(static_cast<double>(overall_));
+}
+
+void HealthWatchdog::start(std::chrono::milliseconds every) {
+  if (thread_.joinable()) return;
+  if (every.count() <= 0) every = std::chrono::milliseconds(1);
+  stop_requested_ = false;
+  thread_ = std::thread([this, every] {
+    tick();  // immediate first verdict: short runs still get one
+    std::unique_lock<std::mutex> lock(thread_mu_);
+    while (!cv_.wait_for(lock, every, [this] { return stop_requested_; })) {
+      lock.unlock();
+      tick();
+      lock.lock();
+    }
+  });
+}
+
+void HealthWatchdog::stop() {
+  if (!thread_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(thread_mu_);
+    stop_requested_ = true;
+  }
+  cv_.notify_all();
+  thread_.join();
 }
 
 HealthState HealthWatchdog::state() const {

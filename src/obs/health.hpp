@@ -2,13 +2,15 @@
 // ok -> degraded -> unhealthy state machine with hysteresis.
 //
 // Raw metrics say what the pipeline did; operators polling /healthz want a
-// verdict: is the engine keeping up? The watchdog derives four signals on
-// every sampler tick (timeseries.hpp invokes evaluate() as its hook):
+// verdict: is the engine keeping up? Each tick the watchdog snapshots the
+// registry and derives four signals, keeping only the history they read:
 //
-//   watermark_lag    p95 of online.watermark_lag_ns over recent history
-//   drop_rate        late + backpressure + ring drops per second
+//   watermark_lag    p95 of online.watermark_lag_ns over the last
+//                    `history` ticks
+//   drop_rate        late + backpressure + ring drops per second since the
+//                    previous tick
 //   sketch_fill      sketch.fill_frac, instantaneous
-//   board_evictions  agg.board_evicted per second
+//   board_evictions  agg.board_evicted per second since the previous tick
 //
 // Each signal maps its value through degraded/unhealthy thresholds
 // (CLI --health-*); the overall state is the worst signal. Upgrades are
@@ -18,15 +20,21 @@
 // the obs.health.state gauge (0/1/2), per-signal flip counters
 // (obs.health.signal_flips.<name>), and the /healthz JSON body; the HTTP
 // layer maps unhealthy to status 503 and everything else to 200.
+//
+// start() runs the ticks on the watchdog's own thread, paced by CLI
+// --sample-every; tests call tick() with a synthetic clock instead.
 #pragma once
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
 
 namespace microscope::obs {
 
@@ -51,7 +59,7 @@ struct HealthOptions {
   double evict_rate_unhealthy = 50.0;
   /// Consecutive calmer ticks required before a downgrade (hysteresis).
   int recover_ticks = 3;
-  /// Samples of history consulted for the lag p95.
+  /// Ticks of history consulted for the lag p95.
   std::size_t history = 30;
 };
 
@@ -67,12 +75,25 @@ struct SignalReport {
 
 class HealthWatchdog {
  public:
-  HealthWatchdog(Registry& reg, const TimeSeriesStore& store,
-                 HealthOptions opts = {});
+  using Clock = std::chrono::steady_clock;
 
-  /// One evaluation tick over the freshest snapshot (the sampler hook).
-  /// Thread-safe against state()/signals()/report_json().
-  void evaluate(const Snapshot& snap);
+  explicit HealthWatchdog(Registry& reg, HealthOptions opts = {});
+  ~HealthWatchdog();
+
+  HealthWatchdog(const HealthWatchdog&) = delete;
+  HealthWatchdog& operator=(const HealthWatchdog&) = delete;
+
+  /// One evaluation tick over a fresh registry snapshot taken at `now`.
+  void tick(Clock::time_point now = Clock::now());
+
+  /// The evaluation behind tick(), over a snapshot the caller took at
+  /// `now`. Thread-safe against state()/signals()/report_json().
+  void evaluate(const Snapshot& snap, Clock::time_point now);
+
+  /// Tick on the watchdog's own thread: once immediately, then every
+  /// `every`. start()/stop() are idempotent; stop() joins.
+  void start(std::chrono::milliseconds every);
+  void stop();
 
   HealthState state() const;
   bool healthy() const { return state() != HealthState::kUnhealthy; }
@@ -100,13 +121,24 @@ class HealthWatchdog {
   void feed(Tracker& t, double value);
 
   Registry& reg_;
-  const TimeSeriesStore& store_;
   HealthOptions opts_;
+  Gauge& state_gauge_;
 
   mutable std::mutex mu_;
   std::vector<Tracker> trackers_;
   HealthState overall_{HealthState::kOk};
   std::uint64_t ticks_{0};
+  // Signal history: the newest `history` lag values, and each rate
+  // input's value at the previous tick (NaN until seen) with that tick's
+  // time.
+  std::deque<double> lag_history_;
+  std::vector<double> prev_inputs_;
+  Clock::time_point prev_tick_{};
+
+  std::thread thread_;
+  std::mutex thread_mu_;
+  std::condition_variable cv_;
+  bool stop_requested_{false};
 };
 
 }  // namespace microscope::obs

@@ -80,7 +80,9 @@ bool write_all(int fd, const char* data, std::size_t len) {
   return true;
 }
 
-void write_response(int fd, const HttpResponse& resp) {
+/// Writes the response; a HEAD response carries the GET body's length but
+/// no body (RFC 9110 §8.6).
+void write_response(int fd, const HttpResponse& resp, bool head_only = false) {
   std::string head = "HTTP/1.1 ";
   head += std::to_string(resp.status);
   head += ' ';
@@ -89,8 +91,10 @@ void write_response(int fd, const HttpResponse& resp) {
   head += resp.content_type;
   head += "\r\nContent-Length: ";
   head += std::to_string(resp.body.size());
+  // Every route serves the same two methods (RFC 9110 §15.5.6).
+  if (resp.status == 405) head += "\r\nAllow: GET, HEAD";
   head += "\r\nConnection: close\r\n\r\n";
-  if (write_all(fd, head.data(), head.size())) {
+  if (write_all(fd, head.data(), head.size()) && !head_only) {
     write_all(fd, resp.body.data(), resp.body.size());
   }
 }
@@ -103,7 +107,11 @@ std::string_view HttpRequest::param(std::string_view name,
   return it == query.end() ? fallback : std::string_view(it->second);
 }
 
-HttpServer::HttpServer(HttpOptions opts) : opts_(std::move(opts)) {}
+HttpServer::HttpServer(HttpOptions opts)
+    : opts_(std::move(opts)),
+      requests_metric_(Registry::global().counter("obs.http.requests")),
+      bad_requests_metric_(
+          Registry::global().counter("obs.http.bad_requests")) {}
 
 HttpServer::~HttpServer() { stop(); }
 
@@ -192,14 +200,13 @@ void HttpServer::loop() {
 }
 
 void HttpServer::serve_one(int fd) {
-  Registry& reg = Registry::global();
   std::string buf;
   buf.reserve(512);
   // Read until the end of the request head or the size cap. The body (if
   // any) is ignored — every route is a GET.
   while (buf.find("\r\n\r\n") == std::string::npos) {
     if (buf.size() >= opts_.max_request_bytes) {
-      reg.counter("obs.http.bad_requests").add();
+      bad_requests_metric_.add();
       write_response(fd, {431, "text/plain; charset=utf-8",
                           "request too large\n"});
       return;
@@ -208,7 +215,7 @@ void HttpServer::serve_one(int fd) {
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      reg.counter("obs.http.bad_requests").add();
+      bad_requests_metric_.add();
       return;  // client went away or stalled past the timeout
     }
     buf.append(chunk, static_cast<std::size_t>(n));
@@ -221,7 +228,7 @@ void HttpServer::serve_one(int fd) {
   const std::size_t sp2 =
       sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
   if (sp2 == std::string_view::npos) {
-    reg.counter("obs.http.bad_requests").add();
+    bad_requests_metric_.add();
     write_response(fd, {400, "text/plain; charset=utf-8", "bad request\n"});
     return;
   }
@@ -236,7 +243,7 @@ void HttpServer::serve_one(int fd) {
   }
   req.path = url_decode(target);
 
-  reg.counter("obs.http.requests").add();
+  requests_metric_.add();
   served_.fetch_add(1, std::memory_order_relaxed);
 
   if (req.method != "GET" && req.method != "HEAD") {
@@ -245,14 +252,14 @@ void HttpServer::serve_one(int fd) {
     return;
   }
 
+  const bool head_only = req.method == "HEAD";
   const auto it = routes_.find(req.path);
   if (it == routes_.end()) {
-    write_response(fd, {404, "text/plain; charset=utf-8", "not found\n"});
+    write_response(fd, {404, "text/plain; charset=utf-8", "not found\n"},
+                   head_only);
     return;
   }
-  HttpResponse resp = it->second(req);
-  if (req.method == "HEAD") resp.body.clear();
-  write_response(fd, resp);
+  write_response(fd, it->second(req), head_only);
 }
 
 bool parse_http_address(std::string_view spec, HttpOptions& opts,

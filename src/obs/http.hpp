@@ -17,7 +17,7 @@
 // stop() wakes the accept loop via poll() timeout + stop flag and joins;
 // destruction stops implicitly. Handlers run on the server thread — they
 // must only touch thread-safe state (the metrics Registry, the
-// TimeSeriesStore, the HealthWatchdog, the IntrospectionHub).
+// HealthWatchdog, the IntrospectionHub).
 #pragma once
 
 #include <atomic>
@@ -29,6 +29,8 @@
 #include <thread>
 
 namespace microscope::obs {
+
+class Counter;
 
 struct HttpOptions {
   /// Bind address; keep the localhost default unless you have a reason.
@@ -103,6 +105,8 @@ class HttpServer {
   std::atomic<bool> stop_requested_{false};
   std::atomic<std::uint16_t> port_{0};
   std::atomic<std::uint64_t> served_{0};
+  Counter& requests_metric_;
+  Counter& bad_requests_metric_;
 };
 
 /// Parse "addr:port" (the CLI --http argument) into opts; false + *err on

@@ -165,9 +165,6 @@ void install_introspection_routes(HttpServer& server, IntrospectionWiring w) {
   server.handle("/metrics", [reg](const HttpRequest&) {
     return HttpResponse{200, kProm, render_prometheus(*reg)};
   });
-  server.handle("/metrics.json", [reg](const HttpRequest&) {
-    return HttpResponse{200, kJson, render_json(*reg)};
-  });
   server.handle("/version", [](const HttpRequest&) {
     return HttpResponse{200, kJson, build_info_json() + "\n"};
   });
@@ -194,41 +191,6 @@ void install_introspection_routes(HttpServer& server, IntrospectionWiring w) {
                           "{\"error\": \"no engine attached\"}\n"};
     }
     return HttpResponse{200, kJson, w.hub->windows_json() + "\n"};
-  });
-
-  server.handle("/series", [w](const HttpRequest& req) {
-    if (!w.series) {
-      return HttpResponse{404, kJson,
-                          "{\"error\": \"time-series sampling disabled\"}\n"};
-    }
-    const std::string name(req.param("name"));
-    if (name.empty()) {
-      // Bare /series lists what can be queried.
-      std::string body = "{\"capacity\": ";
-      append_i64(body, static_cast<std::int64_t>(w.series->capacity()));
-      body += ", \"samples\": ";
-      append_i64(body, static_cast<std::int64_t>(w.series->samples_taken()));
-      body += ", \"names\": [";
-      bool first = true;
-      for (const std::string& n : w.series->names()) {
-        if (!first) body += ", ";
-        first = false;
-        body += "\"" + json_escape(n) + "\"";
-      }
-      body += "]}\n";
-      return HttpResponse{200, kJson, body};
-    }
-    const std::size_t n =
-        parse_count(req.param("last"), 60, w.series->capacity());
-    const auto points = w.series->last(name, n);
-    if (points.empty()) {
-      return HttpResponse{404, kJson,
-                          "{\"error\": \"unknown or never-sampled metric: " +
-                              json_escape(name) + "\"}\n"};
-    }
-    return HttpResponse{
-        200, kJson,
-        series_to_json(name, points, w.series->rate(name, n)) + "\n"};
   });
 
   server.handle("/explain", [w](const HttpRequest& req) {

@@ -14,10 +14,10 @@
 // dependencies (strings cross the boundary, types do not).
 //
 // install_introspection_routes() wires the canonical endpoint table
-// (DESIGN.md §15): /metrics, /metrics.json, /healthz, /readyz, /version,
-// /windows, /series, /explain. Null wiring members degrade their routes
-// (404/not-configured) rather than failing — a server with only a
-// Registry is still a useful /metrics port.
+// (DESIGN.md §15): /metrics, /healthz, /readyz, /version, /windows,
+// /explain. Null wiring members degrade their routes (404/not-configured)
+// rather than failing — a server with only a Registry is still a useful
+// /metrics port. History of /metrics is the scraper's job.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "obs/http.hpp"
-#include "obs/timeseries.hpp"
+#include "obs/metrics.hpp"
 
 namespace microscope::obs {
 
@@ -97,7 +97,6 @@ class IntrospectionHub {
 /// corresponding route instead of failing.
 struct IntrospectionWiring {
   Registry* registry{nullptr};  // defaults to Registry::global() when null
-  const TimeSeriesStore* series{nullptr};
   const HealthWatchdog* health{nullptr};
   const IntrospectionHub* hub{nullptr};
 };

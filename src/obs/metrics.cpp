@@ -182,151 +182,6 @@ Registry& Registry::global() {
 
 namespace {
 
-/// Explicit unit assignments for canonical names whose suffix alone is
-/// ambiguous (filled by register_pipeline_metrics; mutex-guarded because
-/// registration can race snapshots in tests).
-std::mutex& units_mu() {
-  static std::mutex mu;
-  return mu;
-}
-std::map<std::string, MetricUnit, std::less<>>& units_map() {
-  static std::map<std::string, MetricUnit, std::less<>> m;
-  return m;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-void note_unit(std::string_view name, MetricUnit unit) {
-  std::lock_guard<std::mutex> lock(units_mu());
-  units_map().emplace(std::string(name), unit);
-}
-
-}  // namespace
-
-MetricUnit metric_unit(std::string_view name) {
-  {
-    std::lock_guard<std::mutex> lock(units_mu());
-    const auto it = units_map().find(name);
-    if (it != units_map().end()) return it->second;
-  }
-  if (ends_with(name, "_ns")) return MetricUnit::kNanoseconds;
-  if (ends_with(name, "_seconds")) return MetricUnit::kSeconds;
-  if (ends_with(name, "_bytes")) return MetricUnit::kBytes;
-  if (ends_with(name, "_records")) return MetricUnit::kRecords;
-  if (ends_with(name, "_batches")) return MetricUnit::kBatches;
-  if (ends_with(name, "_packets")) return MetricUnit::kPackets;
-  if (ends_with(name, "_frac")) return MetricUnit::kRatio;
-  if (ends_with(name, "_unix")) return MetricUnit::kUnixTime;
-  return MetricUnit::kNone;
-}
-
-const std::map<std::string, std::string>& metric_renames() {
-  // The unit-suffix audit: old dashboards querying the left column must
-  // move to the right one. Keys must stay absent from the registry and
-  // values present (pinned by test_obs.UnitAuditRenames).
-  static const std::map<std::string, std::string> renames = {
-      {"core.diagnose.ns", "core.diagnose.total_ns"},
-  };
-  return renames;
-}
-
-void register_pipeline_metrics(Registry& reg) {
-  // Stage 1: collector hooks + SPSC ring / dumper.
-  reg.counter("collector.rx_batches");
-  reg.counter("collector.rx_packets");
-  reg.counter("collector.tx_batches");
-  reg.counter("collector.tx_packets");
-  reg.counter("collector.ring.records");
-  reg.counter("collector.ring.overruns");
-  reg.counter("collector.ring.drained_bytes");
-  reg.histogram("collector.ring.dump_ns");
-  // Wire decode validation (one per DecodeErrorKind, plus throughput).
-  reg.counter("collector.decode.records");
-  reg.counter("collector.decode.bad_sync");
-  reg.counter("collector.decode.bad_length");
-  reg.counter("collector.decode.bad_crc");
-  reg.counter("collector.decode.bad_kind");
-  reg.counter("collector.decode.unknown_node");
-  reg.counter("collector.decode.oversized_batch");
-  reg.counter("collector.decode.timestamp_regression");
-  reg.counter("collector.decode.truncated_tail");
-  reg.counter("collector.decode.resync_bytes");
-  // Stage 2: record alignment.
-  reg.histogram("trace.align.prepare_ns");
-  reg.histogram("trace.align.link_pass_ns");
-  reg.histogram("trace.align.internal_pass_ns");
-  reg.counter("trace.align.link_matched");
-  reg.counter("trace.align.link_ambiguous");
-  reg.counter("trace.align.link_unmatched");
-  reg.counter("trace.align.queue_drops_inferred");
-  reg.counter("trace.align.internal_matched");
-  reg.counter("trace.align.internal_ambiguous");
-  reg.counter("trace.align.internal_expired");
-  reg.counter("trace.align.policy_drops_inferred");
-  // Stage 3: trace reconstruction.
-  reg.counter("trace.reconstruct.runs");
-  reg.counter("trace.reconstruct.journeys");
-  reg.counter("trace.reconstruct.truncated_journeys");
-  reg.histogram("trace.reconstruct.total_ns");
-  reg.histogram("trace.reconstruct.walk_ns");
-  reg.histogram("trace.reconstruct.timeline_ns");
-  // Stage 4: core diagnosis.
-  reg.counter("core.diagnose.victims");
-  reg.counter("core.diagnose.no_period");
-  reg.counter("core.diagnose.relations");
-  reg.histogram("core.diagnose.total_ns");
-  reg.histogram("core.diagnose.depth", depth_bounds());
-  reg.histogram("core.diagnose.relation_score", score_bounds());
-  // Conservation check: accumulated |rounding error| between each
-  // propagated S_i and the sum of the shares handed out for it.
-  reg.gauge("core.diagnosis.attribution_residual");
-  // Stage 5: online streaming engine.
-  reg.counter("online.batches_ingested");
-  reg.counter("online.packets_ingested");
-  reg.counter("online.late_dropped_batches");
-  reg.counter("online.backpressure_dropped_batches");
-  reg.counter("online.windows_closed");
-  reg.counter("online.windows_idle_forced");
-  reg.counter("online.windows_skipped_empty");
-  reg.histogram("online.window_close_ns");
-  // Journeys a closed window walked / journeys it committed (1 = no
-  // repeated reconstruction work).
-  reg.gauge("online.window.amplification");
-  reg.gauge("online.watermark_lag_ns");
-  reg.gauge("online.ring_dropped_records");
-  reg.gauge("online.retained_batches");
-  reg.gauge("online.retained_bytes");
-  // Stage 5c: culprit aggregation (exact board cap + bounded-memory
-  // sketch mode, DESIGN.md §14).
-  reg.counter("agg.board_evicted");
-  reg.gauge("sketch.budget_bytes");
-  reg.gauge("sketch.fill_frac");
-  reg.gauge("sketch.est_error_bound");
-  reg.counter("sketch.hh_evicted");
-  // Introspection plane (DESIGN.md §15): the HTTP endpoint, the metric
-  // sampler, the export renderers, and the health watchdog.
-  reg.counter("obs.http.requests");
-  reg.counter("obs.http.bad_requests");
-  reg.counter("obs.series.samples");
-  reg.histogram("obs.render_ns");
-  reg.gauge("obs.uptime_seconds");
-  reg.gauge("obs.start_time_unix");
-  reg.gauge("obs.health.state");
-
-  // Units for names the suffix heuristic cannot classify (shares, scores,
-  // plain entry counts). Everything else derives from its suffix.
-  note_unit("sketch.est_error_bound", MetricUnit::kRatio);
-  note_unit("online.window.amplification", MetricUnit::kRatio);
-  note_unit("core.diagnosis.attribution_residual", MetricUnit::kPackets);
-  note_unit("obs.health.state", MetricUnit::kNone);
-  refresh_runtime_gauges(reg);
-}
-
-namespace {
-
 /// Integers print without a decimal point; everything else as shortest
 /// round-trippable-ish %.9g. Keeps the JSON golden test byte-stable.
 void append_num(std::string& out, double v) {
@@ -473,8 +328,7 @@ namespace {
 std::string prom_name(const std::string& name, double& scale) {
   scale = 1.0;
   std::string base = name;
-  if (metric_unit(name) == MetricUnit::kNanoseconds &&
-      base.size() > 3 && base.compare(base.size() - 3, 3, "_ns") == 0) {
+  if (is_duration_metric(name)) {
     base.replace(base.size() - 3, 3, "_seconds");
     scale = 1e-9;
   }
@@ -585,42 +439,8 @@ std::string to_prometheus(const Snapshot& snap, bool include_build_info) {
 
 namespace {
 
-/// Process start instants, latched on first use (register_pipeline_metrics
-/// calls refresh_runtime_gauges, so "first use" is registration time).
-struct ProcessClock {
-  std::chrono::steady_clock::time_point steady_start;
-  double start_unix_seconds;
-};
-
-const ProcessClock& process_clock() {
-  static const ProcessClock pc = [] {
-    ProcessClock p;
-    p.steady_start = std::chrono::steady_clock::now();
-    p.start_unix_seconds =
-        std::chrono::duration<double>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count();
-    return p;
-  }();
-  return pc;
-}
-
-}  // namespace
-
-void refresh_runtime_gauges(Registry& reg) {
-  const ProcessClock& pc = process_clock();
-  reg.gauge("obs.start_time_unix").set(pc.start_unix_seconds);
-  reg.gauge("obs.uptime_seconds")
-      .set(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         pc.steady_start)
-               .count());
-}
-
-namespace {
-
 template <typename Fn>
 std::string render_with_cost(Registry& reg, Fn&& fn) {
-  refresh_runtime_gauges(reg);
   // The timer's sample lands after this snapshot is taken; it shows up in
   // the next render. Export cost being one render stale is fine.
   ScopedTimer t(reg.histogram("obs.render_ns"));

@@ -13,6 +13,8 @@
 //  * Hot-path updates are single relaxed atomic RMWs — no locks, no
 //    allocation, no syscalls. Registration (name -> metric) takes a mutex
 //    but happens once per site; instrumented classes cache the pointer.
+//    Each name has exactly one registration site, in the module that
+//    updates it (ci/check_metric_names.py enforces this).
 //  * Snapshots are wait-free for writers: readers copy atomics metric by
 //    metric. A snapshot is internally consistent per metric (monotone
 //    counters never appear to run backward) but makes no cross-metric
@@ -244,11 +246,6 @@ class Registry {
   std::map<std::string, Entry, std::less<>> metrics_;
 };
 
-/// Pre-register the canonical metric names of all five pipeline stages so
-/// exports enumerate every stage (zero-valued where nothing ran yet). Also
-/// fills the unit map consulted by metric_unit() / the Prometheus exporter.
-void register_pipeline_metrics(Registry& reg = Registry::global());
-
 /// Aligned human-readable rendering (histograms as count/mean/p50/p95/p99).
 std::string to_text(const Snapshot& snap);
 
@@ -256,31 +253,6 @@ std::string to_text(const Snapshot& snap);
 /// integers emitted without a decimal point, only non-empty histogram
 /// buckets listed. The golden test in tests/test_obs.cpp pins this format.
 std::string to_json(const Snapshot& snap);
-
-// --- units & Prometheus exposition (DESIGN.md §15) -----------------------
-
-/// Coarse unit class of a metric, keyed by the canonical name suffix
-/// convention (_ns, _bytes, _records, _batches, _packets, _seconds, _frac).
-/// register_pipeline_metrics records explicit units for every canonical
-/// name; unknown names fall back to the suffix heuristic.
-enum class MetricUnit : std::uint8_t {
-  kNone,          // bare event / entry counts, scores, states
-  kNanoseconds,   // *_ns — exported to Prometheus in base-unit seconds
-  kSeconds,       // *_seconds
-  kBytes,         // *_bytes
-  kRecords,       // *_records
-  kBatches,       // *_batches
-  kPackets,       // *_packets
-  kRatio,         // *_frac and other 0..1 fills/shares
-  kUnixTime,      // *_unix — seconds since the epoch
-};
-MetricUnit metric_unit(std::string_view name);
-
-/// Unit-suffix audit renames (old canonical name -> current name). The old
-/// names no longer exist in the registry; this map is the migration
-/// contract for external dashboards, pinned by test_obs: every key must be
-/// absent from register_pipeline_metrics' output and every value present.
-const std::map<std::string, std::string>& metric_renames();
 
 /// Prometheus text exposition (format 0.0.4): one HELP + TYPE block per
 /// metric, names prefixed microscope_ with dots mapped to underscores,
@@ -292,15 +264,10 @@ const std::map<std::string, std::string>& metric_renames();
 /// appended. ci/check_prom_format.py validates this output in CI.
 std::string to_prometheus(const Snapshot& snap, bool include_build_info = true);
 
-/// Refresh the process-lifetime gauges (obs.uptime_seconds,
-/// obs.start_time_unix) from the wall/steady clocks. The start instant is
-/// latched on the first call in the process (typically at registration).
-void refresh_runtime_gauges(Registry& reg = Registry::global());
-
 /// Shared snapshot-and-render entry points used by --metrics dumps, the
-/// periodic --metrics-every observer, and the HTTP introspection endpoints.
-/// Each refreshes the runtime gauges and records its own wall cost into the
-/// obs.render_ns histogram, so export cost is itself observable.
+/// periodic --metrics-every observer, and the /metrics endpoint. Each
+/// records its own wall cost into the obs.render_ns histogram, so export
+/// cost is itself observable.
 std::string render_text(Registry& reg = Registry::global());
 std::string render_json(Registry& reg = Registry::global());
 std::string render_prometheus(Registry& reg = Registry::global());

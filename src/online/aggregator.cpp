@@ -9,16 +9,6 @@
 
 namespace microscope::online {
 
-namespace {
-
-obs::Counter& board_evicted_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("agg.board_evicted");
-  return c;
-}
-
-}  // namespace
-
 StreamingAggregator::StreamingAggregator(StreamingAggregatorOptions opts)
     : opts_(opts) {}
 
@@ -67,7 +57,7 @@ void StreamingAggregator::ingest(std::span<const core::Diagnosis> diagnoses) {
     for (std::size_t i = 0; i < excess; ++i)
       board_.erase(order[i].second);
     board_evicted_ += excess;
-    board_evicted_counter().add(excess);
+    board_evicted_metric().add(excess);
   }
 
   recent_.push_back(autofocus::flatten_diagnoses(diagnoses));

@@ -28,6 +28,7 @@
 
 #include "autofocus/aggregate.hpp"
 #include "core/relation.hpp"
+#include "obs/metrics.hpp"
 
 namespace microscope::online {
 
@@ -65,6 +66,18 @@ class CulpritAggregator {
   /// Approximate heap footprint of the aggregation state (estimated
   /// per-entry costs; exact for fixed-size sketch tables).
   virtual std::size_t memory_bytes() const = 0;
+
+ protected:
+  CulpritAggregator() { board_evicted_metric(); }
+
+  /// agg.board_evicted: culprits either implementation evicted from its
+  /// capped board, resolved once per process; building an aggregator
+  /// registers it.
+  static obs::Counter& board_evicted_metric() {
+    static obs::Counter& c =
+        obs::Registry::global().counter("agg.board_evicted");
+    return c;
+  }
 };
 
 struct StreamingAggregatorOptions {

@@ -125,6 +125,7 @@ OnlineEngine::OnlineEngine(trace::GraphView graph,
   if (!opts.reconstruct.align.use_order || !opts.reconstruct.align.use_timing)
     throw std::invalid_argument(
         "OnlineEngine: the use_order/use_timing ablations are offline-only");
+  OnlineMetrics::get();  // the stage's names exist once an engine does
 }
 
 void OnlineEngine::register_node(NodeId id, bool full_flow) {

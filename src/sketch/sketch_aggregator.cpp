@@ -19,21 +19,18 @@ constexpr std::size_t kTrackedEntryBytes = 160;
 constexpr std::size_t kBoardEntryBytes = 96;
 
 /// Registry handles, resolved once per process (same pattern as the
-/// engines' OnlineMetrics). Names are pre-registered by
-/// obs::register_pipeline_metrics.
+/// engines' OnlineMetrics); building a SketchAggregator registers them.
 struct SketchMetrics {
   obs::Gauge& budget_bytes;
   obs::Gauge& fill_frac;
   obs::Gauge& est_error_bound;
   obs::Counter& hh_evicted;
-  obs::Counter& board_evicted;
 
   static SketchMetrics& get() {
     obs::Registry& r = obs::Registry::global();
     static SketchMetrics m{
         r.gauge("sketch.budget_bytes"), r.gauge("sketch.fill_frac"),
-        r.gauge("sketch.est_error_bound"), r.counter("sketch.hh_evicted"),
-        r.counter("agg.board_evicted")};
+        r.gauge("sketch.est_error_bound"), r.counter("sketch.hh_evicted")};
     return m;
   }
 };
@@ -153,7 +150,9 @@ SketchAggregator::SketchAggregator(SketchOptions opts,
       catalog_(std::move(catalog)),
       sizing_(SketchSizing::from_budget(
           std::max<std::size_t>(opts.memory_budget, 1024), opts.delta)),
-      cm_(sizing_.width, sizing_.depth) {}
+      cm_(sizing_.width, sizing_.depth) {
+  SketchMetrics::get();
+}
 
 void SketchAggregator::ingest(std::span<const core::Diagnosis> diagnoses) {
   // Decay first so the newest window always enters at full weight. This is
@@ -218,7 +217,7 @@ void SketchAggregator::board_add(const core::Culprit& culprit, double score,
     if (it->second.score < victim->second.score) victim = it;
   board_.erase(victim);
   ++board_evicted_;
-  SketchMetrics::get().board_evicted.add();
+  board_evicted_metric().add();
 }
 
 void SketchAggregator::add_record(const autofocus::RelationRecord& rec) {

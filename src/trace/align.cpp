@@ -92,11 +92,28 @@ RecordLanes lanes_of(const collector::Collector& col) {
   return out;
 }
 
+AlignMetrics& AlignMetrics::get() {
+  obs::Registry& r = obs::Registry::global();
+  static AlignMetrics m{r.histogram("trace.align.prepare_ns"),
+                        r.histogram("trace.align.link_pass_ns"),
+                        r.histogram("trace.align.internal_pass_ns"),
+                        r.counter("trace.align.link_matched"),
+                        r.counter("trace.align.link_ambiguous"),
+                        r.counter("trace.align.link_unmatched"),
+                        r.counter("trace.align.queue_drops_inferred"),
+                        r.counter("trace.align.internal_matched"),
+                        r.counter("trace.align.internal_ambiguous"),
+                        r.counter("trace.align.internal_expired"),
+                        r.counter("trace.align.policy_drops_inferred")};
+  return m;
+}
+
 Aligner::Aligner(const GraphView& graph, const AlignOptions& opts)
     : graph_(graph),
       opts_(opts),
       nodes_(graph.node_count()),
       downstreams_seen_(graph.node_count(), 0) {
+  AlignMetrics::get();  // the stage's names exist once an Aligner does
   for (NodeId id = 0; id < graph.node_count(); ++id)
     downstreams_seen_[id] = graph.downstreams[id].empty() ? 1 : 0;
 }
@@ -603,19 +620,19 @@ void Aligner::match(const RecordLanes& lanes, const Frontier& f,
   span.set_items(n);
   // Per-node stat shards, merged in node-id order at the end.
   std::vector<AlignStats> node_stats(n);
-  obs::Registry& reg = obs::Registry::global();
+  AlignMetrics& m = AlignMetrics::get();
   // Pass 1 writes only out[d], its cursors, and the drop flags / consumer
   // slots of entries whose peer is d; pass 2 only out[d] and d's own
   // streams' internal cursors — per-node sharding is race-free.
   {
-    obs::ScopedTimer t(reg.histogram("trace.align.link_pass_ns"));
+    obs::ScopedTimer t(m.link_pass_ns);
     parallel_for_over(pool, n, [&](std::size_t b, std::size_t e) {
       for (std::size_t id = b; id < e; ++id)
         link_node(static_cast<NodeId>(id), lanes, f, out, node_stats[id]);
     });
   }
   {
-    obs::ScopedTimer t(reg.histogram("trace.align.internal_pass_ns"));
+    obs::ScopedTimer t(m.internal_pass_ns);
     parallel_for_over(pool, n, [&](std::size_t b, std::size_t e) {
       for (std::size_t id = b; id < e; ++id)
         internal_node(static_cast<NodeId>(id), lanes, f, out, node_stats[id]);
@@ -628,16 +645,14 @@ void Aligner::match(const RecordLanes& lanes, const Frontier& f,
   // Registry mirror of the committed AlignStats: link_ambiguous doubles as
   // the IPID-collision resolution count (matches that needed the
   // order/time side channels to disambiguate).
-  reg.counter("trace.align.link_matched").add(total.link_matched);
-  reg.counter("trace.align.link_ambiguous").add(total.link_ambiguous);
-  reg.counter("trace.align.link_unmatched").add(total.link_unmatched);
-  reg.counter("trace.align.queue_drops_inferred")
-      .add(total.queue_drops_inferred);
-  reg.counter("trace.align.internal_matched").add(total.internal_matched);
-  reg.counter("trace.align.internal_ambiguous").add(total.internal_ambiguous);
-  reg.counter("trace.align.internal_expired").add(total.internal_expired);
-  reg.counter("trace.align.policy_drops_inferred")
-      .add(total.policy_drops_inferred);
+  m.link_matched.add(total.link_matched);
+  m.link_ambiguous.add(total.link_ambiguous);
+  m.link_unmatched.add(total.link_unmatched);
+  m.queue_drops_inferred.add(total.queue_drops_inferred);
+  m.internal_matched.add(total.internal_matched);
+  m.internal_ambiguous.add(total.internal_ambiguous);
+  m.internal_expired.add(total.internal_expired);
+  m.policy_drops_inferred.add(total.policy_drops_inferred);
 }
 
 void Aligner::rollback(std::vector<NodeAlignment>& out, ThreadPool* pool) {
@@ -793,8 +808,7 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
   Aligner al(graph, opts);
   std::vector<NodeAlignment> out;
   {
-    obs::ScopedTimer t(
-        obs::Registry::global().histogram("trace.align.prepare_ns"));
+    obs::ScopedTimer t(AlignMetrics::get().prepare_ns);
     al.pull(lanes, kTimeNever, out, pool);
   }
   AlignStats total;

@@ -132,6 +132,26 @@ struct AlignStats {
   friend bool operator==(const AlignStats&, const AlignStats&) = default;
 };
 
+/// Registry handles of the alignment stage (trace.align.*), resolved once
+/// per process; building an Aligner registers them. The counters mirror
+/// the committed AlignStats. prepare_ns times the pull into per-entry
+/// lanes, which align_all and Reconstruction::advance both run.
+struct AlignMetrics {
+  obs::Histogram& prepare_ns;
+  obs::Histogram& link_pass_ns;
+  obs::Histogram& internal_pass_ns;
+  obs::Counter& link_matched;
+  obs::Counter& link_ambiguous;
+  obs::Counter& link_unmatched;
+  obs::Counter& queue_drops_inferred;
+  obs::Counter& internal_matched;
+  obs::Counter& internal_ambiguous;
+  obs::Counter& internal_expired;
+  obs::Counter& policy_drops_inferred;
+
+  static AlignMetrics& get();
+};
+
 /// One node's record lanes as the reconstruction reads them: batch b of a
 /// direction is absolute batch batch_base + b, entry k absolute entry
 /// entry_base + k (both indexed by collector::Direction). Offline the bases

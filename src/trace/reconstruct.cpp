@@ -79,12 +79,37 @@ bool arrival_before(const Arrival& a, const Arrival& b) {
   return a.up_tx_idx < b.up_tx_idx;
 }
 
+/// Registry handles of the reconstruction stage, resolved once per
+/// process; building a Reconstruction registers them. total_ns covers
+/// advance, discard_speculative and evict_before.
+struct ReconstructMetrics {
+  obs::Counter& runs;
+  obs::Counter& journeys;
+  obs::Counter& truncated_journeys;
+  obs::Histogram& total_ns;
+  obs::Histogram& walk_ns;
+  obs::Histogram& timeline_ns;
+
+  static ReconstructMetrics& get() {
+    obs::Registry& r = obs::Registry::global();
+    static ReconstructMetrics m{
+        r.counter("trace.reconstruct.runs"),
+        r.counter("trace.reconstruct.journeys"),
+        r.counter("trace.reconstruct.truncated_journeys"),
+        r.histogram("trace.reconstruct.total_ns"),
+        r.histogram("trace.reconstruct.walk_ns"),
+        r.histogram("trace.reconstruct.timeline_ns")};
+    return m;
+  }
+};
+
 }  // namespace
 
 Reconstruction::Reconstruction(const GraphView& graph, ReconstructOptions opts)
     : rt_(graph, opts),
       aligner_(graph, opts.align),
       nodes_(graph.node_count()) {
+  ReconstructMetrics::get();  // the stage's names exist once this does
   rt_.timelines_.resize(graph.node_count());
   rt_.jid_of_rx_.resize(graph.node_count());
 }
@@ -119,13 +144,13 @@ void Reconstruction::set_jid_of_tx(NodeId u, std::uint32_t tx,
 
 void Reconstruction::advance(const RecordLanes& lanes, const Frontier& f,
                              ThreadPool* pool) {
-  obs::Registry& reg = obs::Registry::global();
-  reg.counter("trace.reconstruct.runs").add();
+  ReconstructMetrics& m = ReconstructMetrics::get();
+  m.runs.add();
   obs::TraceSpan span("trace", "reconstruct");
-  obs::ScopedTimer total_timer(reg.histogram("trace.reconstruct.total_ns"));
+  obs::ScopedTimer total_timer(m.total_ns);
   const std::size_t n = rt_.graph_.node_count();
   {
-    obs::ScopedTimer t(reg.histogram("trace.align.prepare_ns"));
+    obs::ScopedTimer t(AlignMetrics::get().prepare_ns);
     aligner_.pull(lanes, f.ceiling, rt_.alignments_, pool);
     for (NodeId id = 0; id < n; ++id) {
       const NodeAlignment& a = rt_.alignments_[id];
@@ -143,17 +168,17 @@ void Reconstruction::advance(const RecordLanes& lanes, const Frontier& f,
   for (NodeId d = 0; d < n; ++d) refresh_consumers(d, false);
 
   {
-    obs::ScopedTimer t(reg.histogram("trace.reconstruct.walk_ns"));
+    obs::ScopedTimer t(m.walk_ns);
     walk_terminals(lanes, f, pool);
   }
   {
-    obs::ScopedTimer t(reg.histogram("trace.reconstruct.timeline_ns"));
+    obs::ScopedTimer t(m.timeline_ns);
     build_timelines(lanes, f, pool);
   }
   rebuild_order();
   tail_held_ = !f.final();
 
-  reg.counter("trace.reconstruct.journeys").add(walked_);
+  m.journeys.add(walked_);
   span.set_items(walked_);
 }
 
@@ -251,9 +276,7 @@ void Reconstruction::walk_terminals(const RecordLanes& lanes,
     std::uint64_t truncated = 0;
     for (const Seed& s : seeds)
       if (rt_.journeys_[s.id].fate == Fate::kTruncated) ++truncated;
-    obs::Registry::global()
-        .counter("trace.reconstruct.truncated_journeys")
-        .add(truncated);
+    ReconstructMetrics::get().truncated_journeys.add(truncated);
   }
 }
 
@@ -533,8 +556,7 @@ void Reconstruction::unlink(const Journey& j) {
 }
 
 void Reconstruction::discard_speculative(ThreadPool* pool) {
-  obs::ScopedTimer total_timer(
-      obs::Registry::global().histogram("trace.reconstruct.total_ns"));
+  obs::ScopedTimer total_timer(ReconstructMetrics::get().total_ns);
   for (NodeState& ns : nodes_) {
     for (int k = 0; k < kKinds; ++k) {
       for (const std::uint32_t id : ns.spec[k]) {
@@ -561,8 +583,7 @@ void Reconstruction::discard_speculative(ThreadPool* pool) {
 }
 
 void Reconstruction::evict_before(TimeNs horizon) {
-  obs::ScopedTimer total_timer(
-      obs::Registry::global().histogram("trace.reconstruct.total_ns"));
+  obs::ScopedTimer total_timer(ReconstructMetrics::get().total_ns);
   aligner_.evict_before(horizon, rt_.alignments_);
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     NodeState& ns = nodes_[id];

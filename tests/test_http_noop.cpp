@@ -2,7 +2,8 @@
 // binary compiles the obs/ sources directly with metrics disabled (no
 // microscope link — see tests/CMakeLists.txt): the HTTP server must still
 // start and answer every route, with the registry-backed bodies degrading
-// to build info + flat zeroes instead of breaking.
+// to build info + flat zeroes instead of breaking, and the health watchdog
+// must still tick.
 #ifndef MICROSCOPE_NO_METRICS
 #error "this test must be built with MICROSCOPE_NO_METRICS"
 #endif
@@ -14,14 +15,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 
 #include "obs/health.hpp"
 #include "obs/http.hpp"
 #include "obs/introspect.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
 
 namespace microscope::obs {
 namespace {
@@ -62,13 +64,11 @@ int http_get(std::uint16_t port, const std::string& target,
 TEST(HttpNoop, CompiledOutFlagIsVisible) { EXPECT_FALSE(kMetricsEnabled); }
 
 TEST(HttpNoop, ServerAnswersEveryRouteWithMetricsCompiledOut) {
-  TimeSeriesStore store;
-  HealthWatchdog watchdog(Registry::global(), store, HealthOptions{});
+  HealthWatchdog watchdog(Registry::global(), HealthOptions{});
   IntrospectionHub hub;
 
   HttpServer srv;
   IntrospectionWiring wiring;
-  wiring.series = &store;
   wiring.health = &watchdog;
   wiring.hub = &hub;
   install_introspection_routes(srv, wiring);
@@ -86,7 +86,6 @@ TEST(HttpNoop, ServerAnswersEveryRouteWithMetricsCompiledOut) {
       body.find("microscope_obs_health_signal_flips_drop_rate_total 0\n"),
       std::string::npos);
 
-  EXPECT_EQ(http_get(srv.port(), "/metrics.json", &body), 200);
   EXPECT_EQ(http_get(srv.port(), "/version", &body), 200);
   EXPECT_NE(body.find("\"metrics\": false"), std::string::npos);
 
@@ -105,25 +104,29 @@ TEST(HttpNoop, ServerAnswersEveryRouteWithMetricsCompiledOut) {
   srv.stop();
 }
 
-TEST(HttpNoop, SamplerAndWatchdogStayInertButFunctional) {
-  Registry& reg = Registry::global();
-  TimeSeriesStore store;
-  HealthWatchdog watchdog(reg, store, HealthOptions{});
-  Sampler sampler(reg, store, SamplerOptions{std::chrono::milliseconds(1)},
-                  [&](const Snapshot& s) { watchdog.evaluate(s); });
-  sampler.sample_now();
-  sampler.sample_now();
+TEST(HttpNoop, WatchdogTicksStayInertButFunctional) {
+  HealthWatchdog watchdog(Registry::global(), HealthOptions{});
+  watchdog.tick();
+  watchdog.tick();
   // Snapshots enumerate registered names but stay flat zero with metrics
-  // compiled out: the series degrade, nothing crashes, verdict stays ok.
-  EXPECT_EQ(store.samples_taken(), 2u);
-  for (const std::string& name : store.names())
-    for (const SeriesPoint& p : store.last(name, 2))
-      EXPECT_EQ(p.value, 0.0) << name;
+  // compiled out: every signal reads zero, nothing crashes, verdict ok.
+  for (const SignalReport& s : watchdog.signals())
+    EXPECT_EQ(s.value, 0.0) << s.name;
   EXPECT_EQ(watchdog.state(), HealthState::kOk);
   EXPECT_TRUE(watchdog.healthy());
   EXPECT_EQ(watchdog.ticks(), 2u);
   EXPECT_NE(watchdog.report_json().find("\"state\": \"ok\""),
             std::string::npos);
+
+  // The watchdog's own thread ticks once at start, then on its cadence.
+  watchdog.start(std::chrono::milliseconds(1));
+  watchdog.start(std::chrono::milliseconds(1));  // idempotent
+  for (int i = 0; i < 2000 && watchdog.ticks() < 5; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  watchdog.stop();
+  watchdog.stop();  // idempotent
+  EXPECT_GE(watchdog.ticks(), 5u);
+  EXPECT_EQ(watchdog.state(), HealthState::kOk);
 }
 
 }  // namespace

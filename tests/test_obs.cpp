@@ -183,19 +183,6 @@ TEST(Registry, SnapshotSortedByName) {
   EXPECT_EQ(s.find("nope"), nullptr);
 }
 
-TEST(Registry, PipelineMetricsCoverEveryStage) {
-  Registry reg;
-  register_pipeline_metrics(reg);
-  const Snapshot s = reg.snapshot();
-  // One canonical name per stage; the full list lives in metrics.cpp.
-  EXPECT_NE(s.find("collector.ring.records"), nullptr);
-  EXPECT_NE(s.find("collector.decode.bad_crc"), nullptr);
-  EXPECT_NE(s.find("trace.align.prepare_ns"), nullptr);
-  EXPECT_NE(s.find("trace.reconstruct.journeys"), nullptr);
-  EXPECT_NE(s.find("core.diagnose.victims"), nullptr);
-  EXPECT_NE(s.find("online.windows_closed"), nullptr);
-}
-
 // Writers never block on a snapshot, and a snapshot never tears a single
 // metric: counters read monotonically, histogram bucket sums never trail
 // the reported count. This test is part of the TSan CI filter.
@@ -325,49 +312,6 @@ TEST(Export, PrometheusBuildInfoLabels) {
             std::string::npos);
   EXPECT_NE(prom.find("build_type=\""), std::string::npos);
   EXPECT_NE(prom.find("\"} 1\n"), std::string::npos);
-}
-
-// The units-audit migration contract: every old canonical name is gone
-// from the registry, every renamed successor is present, and the unit map
-// classifies the canonical suffixes. This keeps external dashboards from
-// silently reading a stale name.
-TEST(Export, UnitAuditRenames) {
-  Registry reg;
-  register_pipeline_metrics(reg);
-  const Snapshot s = reg.snapshot();
-  ASSERT_FALSE(metric_renames().empty());
-  for (const auto& [old_name, new_name] : metric_renames()) {
-    EXPECT_EQ(s.find(old_name), nullptr)
-        << old_name << " should have been renamed to " << new_name;
-    EXPECT_NE(s.find(new_name), nullptr) << new_name;
-  }
-}
-
-TEST(Export, MetricUnitsClassifyCanonicalNames) {
-  Registry reg;
-  register_pipeline_metrics(reg);  // fills the explicit unit map
-  EXPECT_EQ(metric_unit("online.watermark_lag_ns"), MetricUnit::kNanoseconds);
-  EXPECT_EQ(metric_unit("online.retained_bytes"), MetricUnit::kBytes);
-  EXPECT_EQ(metric_unit("online.ring_dropped_records"), MetricUnit::kRecords);
-  EXPECT_EQ(metric_unit("sketch.fill_frac"), MetricUnit::kRatio);
-  EXPECT_EQ(metric_unit("sketch.est_error_bound"), MetricUnit::kRatio);
-  EXPECT_EQ(metric_unit("obs.start_time_unix"), MetricUnit::kUnixTime);
-  EXPECT_EQ(metric_unit("obs.uptime_seconds"), MetricUnit::kSeconds);
-  EXPECT_EQ(metric_unit("online.packets_ingested"), MetricUnit::kNone);
-  EXPECT_EQ(metric_unit("no.such.metric"), MetricUnit::kNone);
-}
-
-TEST(Export, RuntimeGaugesTickWithProcessLifetime) {
-  SKIP_IF_METRICS_DISABLED();
-  Registry reg;
-  refresh_runtime_gauges(reg);
-  const Snapshot s = reg.snapshot();
-  const MetricSnapshot* uptime = s.find("obs.uptime_seconds");
-  const MetricSnapshot* start = s.find("obs.start_time_unix");
-  ASSERT_NE(uptime, nullptr);
-  ASSERT_NE(start, nullptr);
-  EXPECT_GE(uptime->value, 0.0);
-  EXPECT_GT(start->value, 1.0e9);  // sanity: after 2001 in unix seconds
 }
 
 TEST(Export, RenderHelpersRecordTheirOwnCost) {
