@@ -151,9 +151,7 @@ void BM_SketchIngest(benchmark::State& state) {
   online::StreamingAggregatorOptions sopts;
   sopts.decay = 0.8;
   sketch::SketchAggregator agg(
-      sketch::SketchOptions::from_streaming(
-          sopts, static_cast<std::size_t>(state.range(1))),
-      bench_catalog());
+      sopts, static_cast<std::size_t>(state.range(1)), bench_catalog());
   for (auto _ : state) {
     agg.ingest(window);
     benchmark::DoNotOptimize(agg.windows_ingested());

@@ -3,12 +3,14 @@
 // workload (16-NF topology, CAIDA-like traffic, one injected interrupt).
 //
 // Thread counts 0 and 1 are the sequential baseline (no pool at all). N >= 2
-// builds a pool of N workers per call, and the calling thread runs chunks
-// too, so N + 1 threads work. cpu_time counts only the calling thread:
-// read scaling off real_time. Speedups are only meaningful on a machine
+// builds a pool of N workers per reconstruct() or diagnose_all() call, and
+// the calling thread runs chunks too, so N + 1 threads work. cpu_time
+// counts only the calling thread: read scaling off real_time. Speedups are only meaningful on a machine
 // that actually has the cores — on a single-CPU host every configuration
 // collapses to roughly the sequential rate.
 #include "bench_main.hpp"
+
+#include <memory>
 
 #include "microscope/microscope.hpp"
 #include "nf/inject.hpp"
@@ -45,19 +47,27 @@ Fixture& fixture() {
   return f;
 }
 
-trace::ReconstructOptions options_for(unsigned threads) {
+trace::ReconstructOptions reconstruct_options() {
   trace::ReconstructOptions ropt;
   ropt.prop_delay = fixture().net.topo->options().prop_delay;
-  ropt.parallel.num_threads = threads;
   return ropt;
+}
+
+/// A pool of `threads` workers, or none (sequential) for 0 and 1. Built
+/// inside each timed iteration: the start-up and join are part of a
+/// one-shot offline run's cost.
+std::unique_ptr<ThreadPool> pool_for(unsigned threads) {
+  return threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
 }
 
 void BM_ReconstructThreads(benchmark::State& state) {
   Fixture& f = fixture();
-  const auto ropt = options_for(static_cast<unsigned>(state.range(0)));
+  const auto ropt = reconstruct_options();
+  const auto threads = static_cast<unsigned>(state.range(0));
   std::size_t journeys = 0;
   for (auto _ : state) {
-    const auto rt = trace::reconstruct(f.col, f.graph, ropt);
+    const auto pool = pool_for(threads);
+    const auto rt = trace::reconstruct(f.col, f.graph, ropt, pool.get());
     journeys = rt.journeys().size();
     benchmark::DoNotOptimize(&rt);
   }
@@ -77,10 +87,10 @@ void BM_DiagnoseAllThreads(benchmark::State& state) {
   Fixture& f = fixture();
   // Reconstruct once (sequentially — it is identical either way) and fan
   // out the per-victim diagnosis, the embarrassingly parallel half.
-  static const auto rt = trace::reconstruct(f.col, f.graph, options_for(0));
-  core::DiagnoserOptions dopt;
-  dopt.parallel.num_threads = static_cast<unsigned>(state.range(0));
-  const core::Diagnoser diag(rt, f.net.topo->peak_rates(), dopt);
+  static const auto rt =
+      trace::reconstruct(f.col, f.graph, reconstruct_options());
+  const auto threads = static_cast<unsigned>(state.range(0));
+  const core::Diagnoser diag(rt, f.net.topo->peak_rates());
   static const auto victims = [] {
     const core::Diagnoser seq(rt, fixture().net.topo->peak_rates());
     return seq.latency_victims_by_percentile(99.0);
@@ -90,7 +100,8 @@ void BM_DiagnoseAllThreads(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    const auto ds = diag.diagnose_all(victims);
+    const auto pool = pool_for(threads);
+    const auto ds = diag.diagnose_all(victims, pool.get());
     benchmark::DoNotOptimize(ds.data());
   }
   state.counters["victims"] = static_cast<double>(victims.size());
@@ -108,15 +119,17 @@ BENCHMARK(BM_DiagnoseAllThreads)
 void BM_EndToEndThreads(benchmark::State& state) {
   Fixture& f = fixture();
   const unsigned threads = static_cast<unsigned>(state.range(0));
-  const auto ropt = options_for(threads);
-  core::DiagnoserOptions dopt;
-  dopt.parallel.num_threads = threads;
+  const auto ropt = reconstruct_options();
   std::size_t relations = 0;
   for (auto _ : state) {
-    const auto rt = trace::reconstruct(f.col, f.graph, ropt);
-    const core::Diagnoser diag(rt, f.net.topo->peak_rates(), dopt);
+    // A pool per stage: ci/bench_baseline.json timed a loop that starts
+    // and joins the workers twice per run.
+    const auto rpool = pool_for(threads);
+    const auto rt = trace::reconstruct(f.col, f.graph, ropt, rpool.get());
+    const core::Diagnoser diag(rt, f.net.topo->peak_rates());
     const auto victims = diag.latency_victims_by_percentile(99.0);
-    const auto ds = diag.diagnose_all(victims);
+    const auto dpool = pool_for(threads);
+    const auto ds = diag.diagnose_all(victims, dpool.get());
     relations = 0;
     for (const auto& d : ds) relations += d.relations.size();
     benchmark::DoNotOptimize(ds.data());

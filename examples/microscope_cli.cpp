@@ -1,12 +1,11 @@
 // microscope_cli — config-driven scenario runner and diagnoser.
 //
-// Runs a chosen topology with CAIDA-like traffic, injects faults described
-// on the command line, and prints the operator diagnosis report (optionally
-// persisting the raw trace for later offline analysis).
+// Runs the paper's 16-NF Fig. 10 topology with CAIDA-like traffic, injects
+// faults described on the command line, and prints the operator diagnosis
+// report (optionally persisting the raw trace for later offline analysis).
 //
 // Usage:
 //   microscope_cli [options]
-//     --topology fig10|chain          (default fig10)
 //     --duration <ms>                 simulated traffic length (default 150)
 //     --rate <mpps>                   aggregate rate (default 1.2)
 //     --seed <n>                      RNG seed (default 1)
@@ -45,7 +44,6 @@
 //                                     timeline and write it as Chrome
 //                                     trace-event JSON (open in Perfetto /
 //                                     chrome://tracing)
-//     --trace-jsonl <path>            same timeline as structured JSONL
 //     --http <addr:port|:port>        serve the live introspection plane
 //                                     (/metrics /healthz /readyz /version
 //                                     /windows /explain) while the run
@@ -194,9 +192,10 @@ void print_sketch_summary(const online::CulpritAggregator& agg) {
   const sketch::SketchStats st = sk->stats();
   std::cout << "sketch: budget " << st.budget_bytes << " B, cm " << st.width
             << "x" << st.depth << ", tracked " << st.tracked_size << "/"
-            << st.tracked_capacity << ", board " << st.board_size << "/"
-            << st.board_capacity << ", evicted " << st.hh_evicted << " hh + "
-            << st.board_evicted << " board, est err <= " << st.est_error_bound
+            << st.tracked_capacity << ", board " << sk->board_size() << "/"
+            << sk->board_capacity() << ", evicted " << st.hh_evicted
+            << " hh + " << sk->board_evicted()
+            << " board, est err <= " << st.est_error_bound
             << "\n";
 }
 
@@ -303,7 +302,6 @@ void run_explain(const core::Diagnoser& diag,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string topology = "fig10";
   DurationNs duration = 150_ms;
   double rate = 1.2;
   std::uint64_t seed = 1;
@@ -321,7 +319,6 @@ int main(int argc, char** argv) {
   bool metrics_json = false;
   std::size_t metrics_every = 10;
   std::string trace_out;
-  std::string trace_jsonl;
   std::string explain_spec;
   std::size_t agg_memory_budget = 0;
   std::string http_spec;
@@ -340,9 +337,7 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage_error(arg + " needs a value");
       return argv[++i];
     };
-    if (arg == "--topology") {
-      topology = next();
-    } else if (arg == "--duration") {
+    if (arg == "--duration") {
       duration = static_cast<DurationNs>(std::atof(next().c_str()) * 1e6);
     } else if (arg == "--rate") {
       rate = std::atof(next().c_str());
@@ -412,8 +407,6 @@ int main(int argc, char** argv) {
         usage_error("--health-recover-ticks needs n >= 1");
     } else if (arg == "--trace-out") {
       trace_out = next();
-    } else if (arg == "--trace-jsonl") {
-      trace_jsonl = next();
     } else if (arg == "--explain") {
       explain_spec = next();
     } else if (arg == "--version") {
@@ -442,8 +435,6 @@ int main(int argc, char** argv) {
       usage_error("unknown option " + arg);
     }
   }
-  if (topology != "fig10")
-    usage_error("only the fig10 topology is wired up in this CLI");
   if (!explain_spec.empty() && follow)
     usage_error(
         "--explain needs the offline pass (drop --follow/--follow-file)");
@@ -524,29 +515,19 @@ int main(int argc, char** argv) {
     http_server.reset();
   };
 
-  // Flight recorder: on when any trace export was requested. Exported at
-  // the end of whichever pipeline ran (the drain resets the recorder).
-  if (!trace_out.empty() || !trace_jsonl.empty())
-    obs::TraceRecorder::global().enable();
+  // Flight recorder: on when --trace-out asked for it. Exported at the end
+  // of whichever pipeline ran (the drain resets the recorder).
+  if (!trace_out.empty()) obs::TraceRecorder::global().enable();
   auto write_traces = [&] {
-    if (trace_out.empty() && trace_jsonl.empty()) return;
+    if (trace_out.empty()) return;
     obs::TraceRecorder& rec = obs::TraceRecorder::global();
     const std::uint64_t dropped = rec.dropped();
     const auto events = rec.drain();
-    auto write_file = [](const std::string& path, const std::string& body) {
-      std::ofstream f(path, std::ios::binary);
-      if (!f) usage_error("cannot write " + path);
-      f << body;
-    };
-    if (!trace_out.empty()) {
-      write_file(trace_out, obs::export_chrome_trace(events, dropped));
-      std::cout << "chrome trace written to " << trace_out << " ("
-                << events.size() << " events, " << dropped << " dropped)\n";
-    }
-    if (!trace_jsonl.empty()) {
-      write_file(trace_jsonl, obs::export_trace_jsonl(events, dropped));
-      std::cout << "jsonl trace written to " << trace_jsonl << "\n";
-    }
+    std::ofstream f(trace_out, std::ios::binary);
+    if (!f) usage_error("cannot write " + trace_out);
+    f << obs::export_chrome_trace(events, dropped);
+    std::cout << "chrome trace written to " << trace_out << " ("
+              << events.size() << " events, " << dropped << " dropped)\n";
   };
 
   if (!follow_file.empty()) {

@@ -101,4 +101,54 @@ std::size_t Collector::compressed_bytes() const {
   return bytes;
 }
 
+void batch_packets(const NodeTrace& t, Direction dir, const BatchRecord& rec,
+                   std::vector<Packet>& out) {
+  const bool tx = dir == Direction::kTx;
+  out.assign(rec.count, Packet{});
+  for (std::uint16_t i = 0; i < rec.count; ++i) {
+    out[i].ipid = (tx ? t.tx_ipids : t.rx_ipids)[rec.begin + i];
+    if (tx && t.full_flow) out[i].flow = t.tx_flows[rec.begin + i];
+  }
+}
+
+void for_each_batch_by_time(
+    const Collector& col, const std::function<void(const TimedBatch&)>& visit) {
+  // One cursor per non-empty (node, direction) lane, in (node, rx-first)
+  // order; the merge always advances the lane whose head has the smallest
+  // timestamp, and the first such lane in cursor order wins a tie.
+  struct Cursor {
+    NodeId node;
+    Direction dir;
+    const std::vector<BatchRecord>* batches;
+    std::size_t next{0};
+  };
+  std::vector<Cursor> cursors;
+  for (NodeId id = 0; id < col.node_count(); ++id) {
+    if (!col.has_node(id)) continue;
+    const NodeTrace& t = col.node(id);
+    if (!t.rx_batches.empty())
+      cursors.push_back({id, Direction::kRx, &t.rx_batches});
+    if (!t.tx_batches.empty())
+      cursors.push_back({id, Direction::kTx, &t.tx_batches});
+  }
+
+  std::vector<Packet> pkts;
+  while (true) {
+    Cursor* best = nullptr;
+    for (Cursor& c : cursors) {
+      if (c.next >= c.batches->size()) continue;
+      if (!best || (*c.batches)[c.next].ts < (*best->batches)[best->next].ts)
+        best = &c;
+    }
+    if (!best) break;
+
+    const NodeTrace& t = col.node(best->node);
+    const BatchRecord& rec = (*best->batches)[best->next++];
+    batch_packets(t, best->dir, rec, pkts);
+    const bool tx = best->dir == Direction::kTx;
+    visit({best->dir, best->node, tx ? rec.peer : kInvalidNode, rec.ts, pkts,
+           tx && t.full_flow});
+  }
+}
+
 }  // namespace microscope::collector

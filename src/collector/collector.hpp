@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -73,5 +74,28 @@ class Collector {
   obs::Counter* tx_batches_;
   obs::Counter* tx_packets_;
 };
+
+/// The packets of one recorded batch, as the hooks saw them: IPIDs, plus
+/// five-tuples on a full-flow node's tx lane. Overwrites `out`.
+void batch_packets(const NodeTrace& t, Direction dir, const BatchRecord& rec,
+                   std::vector<Packet>& out);
+
+/// One batch of a Collector, handed over in global time order.
+struct TimedBatch {
+  Direction dir{Direction::kRx};
+  NodeId node{kInvalidNode};
+  NodeId peer{kInvalidNode};  // tx only
+  TimeNs ts{0};
+  std::span<const Packet> pkts;
+  /// A full-flow node's tx lane: pkts carry five-tuples.
+  bool full_flow{false};
+};
+
+/// Visit every batch of `col` in one global time order: by timestamp,
+/// then node id, rx before tx, each lane's own order kept (a k-way merge
+/// on the lanes' heads). This is what the rings would have produced; the
+/// stream trace file and the collector replay are both written in it.
+void for_each_batch_by_time(
+    const Collector& col, const std::function<void(const TimedBatch&)>& visit);
 
 }  // namespace microscope::collector

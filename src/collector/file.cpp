@@ -82,21 +82,16 @@ void save_trace(const Collector& col, const std::string& path,
 
   // Records, re-encoded through the wire format.
   std::vector<std::byte> buf;
+  std::vector<Packet> pkts;
   for (const NodeId id : nodes) {
     const NodeTrace& t = col.node(id);
     for (const BatchRecord& rec : t.rx_batches) {
-      std::vector<Packet> pkts(rec.count);
-      for (std::uint16_t i = 0; i < rec.count; ++i)
-        pkts[i].ipid = t.rx_ipids[rec.begin + i];
+      batch_packets(t, Direction::kRx, rec, pkts);
       write_record(os, buf, version, Direction::kRx, id, kInvalidNode, rec.ts,
                    pkts, false);
     }
     for (const BatchRecord& rec : t.tx_batches) {
-      std::vector<Packet> pkts(rec.count);
-      for (std::uint16_t i = 0; i < rec.count; ++i) {
-        pkts[i].ipid = t.tx_ipids[rec.begin + i];
-        if (t.full_flow) pkts[i].flow = t.tx_flows[rec.begin + i];
-      }
+      batch_packets(t, Direction::kTx, rec, pkts);
       write_record(os, buf, version, Direction::kTx, id, rec.peer, rec.ts,
                    pkts, t.full_flow);
     }
@@ -108,64 +103,13 @@ void save_trace_stream(const Collector& col, const std::string& path,
                        std::uint16_t version) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os) throw std::runtime_error("cannot open for writing: " + path);
-
-  const std::vector<NodeId> nodes = registered_nodes(col);
-  write_header(os, col, nodes, version);
-
-  // One cursor per (node, direction) stream; per-node record order must
-  // survive the interleave, so the merge always advances the stream whose
-  // *head* has the smallest timestamp (ties broken by node id, rx first).
-  struct Cursor {
-    NodeId node;
-    Direction dir;
-    std::size_t next{0};
-  };
-  std::vector<Cursor> cursors;
-  for (const NodeId id : nodes) {
-    if (!col.node(id).rx_batches.empty())
-      cursors.push_back({id, Direction::kRx, 0});
-    if (!col.node(id).tx_batches.empty())
-      cursors.push_back({id, Direction::kTx, 0});
-  }
+  write_header(os, col, registered_nodes(col), version);
 
   std::vector<std::byte> buf;
-  while (true) {
-    Cursor* best = nullptr;
-    TimeNs best_ts = kTimeNever;
-    for (Cursor& c : cursors) {
-      const NodeTrace& t = col.node(c.node);
-      const auto& batches =
-          c.dir == Direction::kRx ? t.rx_batches : t.tx_batches;
-      if (c.next >= batches.size()) continue;
-      const TimeNs ts = batches[c.next].ts;
-      if (!best || ts < best_ts ||
-          (ts == best_ts && (c.node < best->node ||
-                             (c.node == best->node &&
-                              c.dir == Direction::kRx &&
-                              best->dir == Direction::kTx)))) {
-        best = &c;
-        best_ts = ts;
-      }
-    }
-    if (!best) break;
-
-    const NodeTrace& t = col.node(best->node);
-    const auto& batches =
-        best->dir == Direction::kRx ? t.rx_batches : t.tx_batches;
-    const BatchRecord& rec = batches[best->next++];
-    std::vector<Packet> pkts(rec.count);
-    for (std::uint16_t i = 0; i < rec.count; ++i) {
-      if (best->dir == Direction::kRx) {
-        pkts[i].ipid = t.rx_ipids[rec.begin + i];
-      } else {
-        pkts[i].ipid = t.tx_ipids[rec.begin + i];
-        if (t.full_flow) pkts[i].flow = t.tx_flows[rec.begin + i];
-      }
-    }
-    write_record(os, buf, version, best->dir, best->node,
-                 best->dir == Direction::kTx ? rec.peer : kInvalidNode, rec.ts,
-                 pkts, best->dir == Direction::kTx && t.full_flow);
-  }
+  for_each_batch_by_time(col, [&](const TimedBatch& b) {
+    write_record(os, buf, version, b.dir, b.node, b.peer, b.ts, b.pkts,
+                 b.full_flow);
+  });
   if (!os) throw std::runtime_error("write failed: " + path);
 }
 

@@ -36,11 +36,11 @@ void save_trace(const Collector& col, const std::string& path,
                 std::uint16_t version = kTraceFileVersionLatest);
 
 /// Like save_trace, but batch records are interleaved across nodes in
-/// global timestamp order (per-node record order is preserved exactly via
-/// a k-way merge on stream heads). The resulting file is byte-compatible
-/// with load_trace and, unlike the node-major layout, can be *tailed* by
-/// the online engine: watermarks advance and windows close while the file
-/// is still being read.
+/// global timestamp order (for_each_batch_by_time; per-node record order
+/// is preserved exactly). The resulting file is byte-compatible with
+/// load_trace and, unlike the node-major layout, can be *tailed* by the
+/// online engine: watermarks advance and windows close while the file is
+/// still being read.
 void save_trace_stream(const Collector& col, const std::string& path,
                        std::uint16_t version = kTraceFileVersionLatest);
 

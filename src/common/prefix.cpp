@@ -6,10 +6,6 @@
 
 namespace microscope {
 
-std::uint32_t prefix_mask(std::uint8_t len) {
-  return len == 0 ? 0u : (~0u << (32 - len));
-}
-
 Ipv4Prefix Ipv4Prefix::parent() const {
   const std::uint8_t plen = static_cast<std::uint8_t>(len - 1);
   return {addr & prefix_mask(plen), plen};

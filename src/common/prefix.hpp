@@ -33,7 +33,9 @@ struct Ipv4Prefix {
 std::string format_prefix(const Ipv4Prefix& p);
 
 /// Network mask for a prefix length (host order). len in [0, 32].
-std::uint32_t prefix_mask(std::uint8_t len);
+constexpr std::uint32_t prefix_mask(std::uint8_t len) {
+  return len == 0 ? 0u : (~0u << (32 - len));
+}
 
 struct Ipv4PrefixHash {
   std::size_t operator()(const Ipv4Prefix& p) const noexcept {

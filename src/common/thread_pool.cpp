@@ -89,11 +89,6 @@ void ThreadPool::parallel_for(
   run_chunks();
 }
 
-std::unique_ptr<ThreadPool> ThreadPool::make(const ParallelOptions& opts) {
-  if (opts.sequential()) return nullptr;
-  return std::make_unique<ThreadPool>(opts.num_threads);
-}
-
 void parallel_for_over(
     ThreadPool* pool, std::size_t n,
     const std::function<void(std::size_t, std::size_t)>& body) {

@@ -1,7 +1,10 @@
 // Fork-join thread pool for the analysis pipeline.
 //
 // Reconstruction and diagnosis are sharded across this pool (per node or
-// per victim). Every use in the codebase writes results into
+// per victim). The caller owns it: trace::reconstruct() and
+// Diagnoser::diagnose_all() take an optional ThreadPool* (null runs
+// sequentially), and the online engine builds one from
+// OnlineOptions::threads. Every use in the codebase writes results into
 // pre-assigned, disjoint output slots, so the analysis output is
 // byte-identical to a sequential run regardless of scheduling; see
 // DESIGN.md "Parallel analysis".
@@ -11,24 +14,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace microscope {
-
-/// Parallelism knob threaded through ReconstructOptions and
-/// DiagnoserOptions.
-struct ParallelOptions {
-  /// Worker threads for the analysis pool; the calling thread runs chunks
-  /// beside them, so N + 1 threads work. 0 or 1 = run sequentially on
-  /// the calling thread (no pool is created; the default preserves all
-  /// pre-existing single-threaded behavior exactly).
-  unsigned num_threads = 0;
-
-  bool sequential() const { return num_threads <= 1; }
-};
 
 /// A fork-join loop: `ThreadPool(N)` starts N persistent workers, and the
 /// thread calling parallel_for() runs chunks beside them, so N + 1 threads
@@ -49,9 +39,6 @@ class ThreadPool {
   /// nested fan-out); concurrent callers of one pool take turns.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& body);
-
-  /// nullptr when opts ask for a sequential run.
-  static std::unique_ptr<ThreadPool> make(const ParallelOptions& opts);
 
  private:
   void worker_main();

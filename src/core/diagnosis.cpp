@@ -77,9 +77,7 @@ std::vector<Diagnosis> Diagnoser::diagnose_all(
     std::vector<Provenance>* provs) const {
   std::vector<Diagnosis> out(victims.size());
   if (provs) provs->resize(victims.size());
-  const auto own = pool ? nullptr : ThreadPool::make(opts_.parallel);
-  ThreadPool* p = pool ? pool : own.get();
-  parallel_for_over(p, victims.size(), [&](std::size_t b, std::size_t e) {
+  parallel_for_over(pool, victims.size(), [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i)
       out[i] = diagnose(victims[i], provs ? &(*provs)[i] : nullptr);
   });

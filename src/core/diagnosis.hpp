@@ -24,11 +24,6 @@ struct DiagnoserOptions {
   std::size_t max_flows_per_relation = 64;
   /// k in the "beyond k standard deviations" hop-abnormality test.
   double abnormal_stddev_k = 1.0;
-  /// Fan out diagnose_all() across a thread pool. Defaults to
-  /// sequential; results are always collected in victim order, and each
-  /// per-victim diagnosis is a pure function of the (immutable)
-  /// reconstructed trace, so parallel output is byte-identical.
-  ParallelOptions parallel{};
   /// Online window index to stamp on trace spans recorded inside
   /// diagnose() (obs/tracing correlation tag). Carried through options
   /// because diagnose_all() fans out to pool threads, where the caller's
@@ -46,9 +41,10 @@ class Diagnoser {
   /// diagnosis itself is unaffected — capture is observation only).
   Diagnosis diagnose(const Victim& victim, Provenance* prov = nullptr) const;
 
-  /// Diagnose every victim, sharded across `pool` — or, when it is null,
-  /// a pool built for this call from options().parallel; out[i] is
-  /// diagnose(victims[i], &(*provs)[i]) regardless of scheduling. A
+  /// Diagnose every victim, sharded across `pool` when it is non-null and
+  /// in turn on the calling thread otherwise; out[i] is
+  /// diagnose(victims[i], &(*provs)[i]) regardless of scheduling (each
+  /// diagnosis is a pure function of the immutable reconstructed trace). A
   /// non-null `provs` is resized to victims.size() and receives each
   /// victim's provenance.
   std::vector<Diagnosis> diagnose_all(

@@ -13,8 +13,11 @@
 //   core/       queuing-period diagnosis: local, propagation, recursion
 //   autofocus/  causal pattern aggregation (hierarchical heavy hitters)
 //   sketch/     bounded-memory aggregation: count-min sketch + heavy-
-//               hitter pattern board under a byte budget
+//               hitter pattern table under a byte budget (the
+//               SketchAggregator is built into the online library)
 //   online/     streaming diagnosis: windows, watermarks, live aggregation
+//               (one culprit board for both aggregators), one analysis
+//               pool sized by OnlineOptions::threads
 //   netmedic/   the time-window-correlation baseline
 //   eval/       paper scenarios, experiment runner, oracle, reports
 #pragma once

@@ -10,7 +10,8 @@
 //   drop_rate        late + backpressure + ring drops per second since the
 //                    previous tick
 //   sketch_fill      sketch.fill_frac, instantaneous
-//   board_evictions  agg.board_evicted per second since the previous tick
+//   board_evictions  agg.board_evicted (culprits the board's cap evicted)
+//                    per second since the previous tick
 //
 // Each signal maps its value through degraded/unhealthy thresholds
 // (CLI --health-*); the overall state is the worst signal. Upgrades are
@@ -43,8 +44,9 @@ enum class HealthState : std::uint8_t { kOk = 0, kDegraded = 1, kUnhealthy = 2 }
 std::string_view health_state_name(HealthState s);
 
 struct HealthOptions {
-  /// Watermark lag p95 thresholds (ns). Defaults sized for the 100 ms
-  /// Fig. 10 window: one window behind is degraded, ten is unhealthy.
+  /// Watermark lag p95 thresholds (ns): 100 ms degraded, 1 s unhealthy,
+  /// which at the default (and CLI) 10 ms window is 10 and 100 windows
+  /// behind.
   double lag_p95_degraded_ns = 100e6;
   double lag_p95_unhealthy_ns = 1e9;
   /// Dropped batches/records per second (late + backpressure + ring).
@@ -53,8 +55,9 @@ struct HealthOptions {
   /// Sketch occupancy (0..1); past ~0.7 the CM error bound degrades fast.
   double sketch_fill_degraded = 0.70;
   double sketch_fill_unhealthy = 0.95;
-  /// Aggregation board evictions per second (windows falling off the board
-  /// before being read).
+  /// Culprits per second that the aggregation board's cap evicts
+  /// (agg.board_evicted): a steady rate means the culprit population
+  /// outgrows the board.
   double evict_rate_degraded = 1.0;
   double evict_rate_unhealthy = 50.0;
   /// Consecutive calmer ticks required before a downgrade (hysteresis).

@@ -258,32 +258,6 @@ std::string export_chrome_trace(const std::vector<TraceEvent>& events,
   return out;
 }
 
-std::string export_trace_jsonl(const std::vector<TraceEvent>& events,
-                               std::uint64_t dropped) {
-  std::string out = "{\"type\": \"header\", \"build\": ";
-  out += build_info_json();
-  out += ", \"events\": " + std::to_string(events.size());
-  out += ", \"dropped\": " + std::to_string(dropped) + "}\n";
-  for (const TraceEvent& ev : events) {
-    out += "{\"type\": \"event\", \"kind\": \"";
-    out += ev.kind == TraceEventKind::kSpan ? "span" : "instant";
-    out += "\", \"cat\": \"";
-    out += ev.cat;
-    out += "\", \"name\": \"";
-    out += ev.name;
-    out += "\", \"tid\": " + std::to_string(ev.tid);
-    out += ", \"t0_ns\": " + std::to_string(ev.t0_ns);
-    out += ", \"t1_ns\": " + std::to_string(ev.t1_ns);
-    if (ev.window_id != kNoCorrelation)
-      out += ", \"window\": " + std::to_string(ev.window_id);
-    if (ev.victim_id != kNoCorrelation)
-      out += ", \"victim\": " + std::to_string(ev.victim_id);
-    if (ev.items != 0) out += ", \"items\": " + std::to_string(ev.items);
-    out += "}\n";
-  }
-  return out;
-}
-
 }  // namespace microscope::obs
 
 #endif  // MICROSCOPE_NO_METRICS

@@ -6,10 +6,10 @@
 // every online-window lifecycle step (open / watermark / close) records a
 // timestamped span or instant event into a process-wide recorder, tagged
 // with the window id and victim id it was working for, so the events of one
-// window stitch into one timeline across stages and threads. Exports:
-//  * Chrome trace-event JSON — open in Perfetto / chrome://tracing;
-//  * structured JSONL — one event per line for ad-hoc tooling.
-// Both carry the obs/build_info block so an artifact names its binary.
+// window stitch into one timeline across stages and threads. The export is
+// Chrome trace-event JSON — open in Perfetto / chrome://tracing — carrying
+// ns-precision timestamps, every tag, the obs/build_info block (so an
+// artifact names its binary) and the dropped-event count.
 //
 // Design rules (mirror DESIGN.md §8 for metrics; see §10 for this layer):
 //  * Recording is opt-in at runtime (TraceRecorder::global().enable()) and
@@ -24,7 +24,7 @@
 //    silently truncating the timeline.
 //  * Compiling with MICROSCOPE_NO_METRICS replaces the entire API with
 //    inline no-ops (this header is then self-contained: no tracing.cpp
-//    symbols are referenced) and both exporters return zero bytes, so the
+//    symbols are referenced) and the exporter returns zero bytes, so the
 //    off-switch is verifiable by a test that never links the library.
 #pragma once
 
@@ -207,11 +207,6 @@ class CorrelationScope {
 std::string export_chrome_trace(const std::vector<TraceEvent>& events,
                                 std::uint64_t dropped = 0);
 
-/// Structured JSONL: a {"type": "header", "build": {...}} line followed by
-/// one {"type": "event", ...} object per line.
-std::string export_trace_jsonl(const std::vector<TraceEvent>& events,
-                               std::uint64_t dropped = 0);
-
 #else  // MICROSCOPE_NO_METRICS ------------------------------------------
 
 // Compiled-out tracing: the whole API collapses to inline no-ops that
@@ -260,13 +255,9 @@ class CorrelationScope {
   CorrelationScope() noexcept {}
 };
 
-/// Zero-byte exports: the no-op contract the compile-out test pins.
+/// Zero-byte export: the no-op contract the compile-out test pins.
 inline std::string export_chrome_trace(const std::vector<TraceEvent>&,
                                        std::uint64_t = 0) {
-  return "";
-}
-inline std::string export_trace_jsonl(const std::vector<TraceEvent>&,
-                                      std::uint64_t = 0) {
   return "";
 }
 

@@ -2,17 +2,30 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "obs/metrics.hpp"
 #include "sketch/sketch_aggregator.hpp"
 
 namespace microscope::online {
 
-StreamingAggregator::StreamingAggregator(StreamingAggregatorOptions opts)
-    : opts_(opts) {}
+namespace {
 
-void StreamingAggregator::ingest(std::span<const core::Diagnosis> diagnoses) {
+/// agg.board_evicted: culprits a board's cap evicted, resolved once per
+/// process; building an aggregator registers it.
+obs::Counter& board_evicted_metric() {
+  static obs::Counter& c = obs::Registry::global().counter("agg.board_evicted");
+  return c;
+}
+
+}  // namespace
+
+CulpritAggregator::CulpritAggregator(const StreamingAggregatorOptions& opts,
+                                     std::size_t board_capacity)
+    : opts_(opts), board_capacity_(board_capacity) {
+  board_evicted_metric();
+}
+
+void CulpritAggregator::ingest(std::span<const core::Diagnosis> diagnoses) {
   // Decay first so the newest window always enters at full weight.
   for (auto it = board_.begin(); it != board_.end();) {
     it->second.score *= opts_.decay;
@@ -27,23 +40,19 @@ void StreamingAggregator::ingest(std::span<const core::Diagnosis> diagnoses) {
       Entry& e = board_[rel.culprit];
       e.score += rel.score;
       e.last_seen = std::max(e.last_seen, rel.culprit_t1);
+      // windows_seen counts windows, not relations.
+      if (e.seen_in != windows_ + 1) {
+        e.seen_in = windows_ + 1;
+        ++e.windows_seen;
+      }
     }
   }
-  // windows_seen counts windows, not relations: one pass over the distinct
-  // culprits of this window.
-  std::set<core::Culprit> seen;
-  for (const core::Diagnosis& d : diagnoses)
-    for (const core::CausalRelation& rel : d.relations)
-      seen.insert(rel.culprit);
-  for (const core::Culprit& culprit : seen)
-    board_[culprit].windows_seen += 1;
 
   // Hard cap: with min_score == 0 (or decay == 1.0) the decay pass above
   // never erases anything, so the board would otherwise grow with the
   // culprit population forever. Evict lowest score first, smallest key on
   // ties — deterministic, and established mass always survives a trickle.
-  if (opts_.max_board_entries > 0 &&
-      board_.size() > opts_.max_board_entries) {
+  if (board_capacity_ > 0 && board_.size() > board_capacity_) {
     std::vector<std::pair<double, core::Culprit>> order;
     order.reserve(board_.size());
     for (const auto& [culprit, e] : board_)
@@ -53,19 +62,18 @@ void StreamingAggregator::ingest(std::span<const core::Diagnosis> diagnoses) {
                 if (a.first != b.first) return a.first < b.first;
                 return a.second < b.second;
               });
-    const std::size_t excess = board_.size() - opts_.max_board_entries;
+    const std::size_t excess = board_.size() - board_capacity_;
     for (std::size_t i = 0; i < excess; ++i)
       board_.erase(order[i].second);
     board_evicted_ += excess;
     board_evicted_metric().add(excess);
   }
 
-  recent_.push_back(autofocus::flatten_diagnoses(diagnoses));
-  while (recent_.size() > opts_.max_windows) recent_.pop_front();
+  ingest_patterns(diagnoses);
   ++windows_;
 }
 
-std::vector<TopCulprit> StreamingAggregator::top() const {
+std::vector<TopCulprit> CulpritAggregator::top() const {
   std::vector<TopCulprit> out;
   out.reserve(board_.size());
   for (const auto& [culprit, e] : board_)
@@ -77,6 +85,15 @@ std::vector<TopCulprit> StreamingAggregator::top() const {
             });
   if (out.size() > opts_.top_k) out.resize(opts_.top_k);
   return out;
+}
+
+StreamingAggregator::StreamingAggregator(StreamingAggregatorOptions opts)
+    : CulpritAggregator(opts, opts.max_board_entries) {}
+
+void StreamingAggregator::ingest_patterns(
+    std::span<const core::Diagnosis> diagnoses) {
+  recent_.push_back(autofocus::flatten_diagnoses(diagnoses));
+  while (recent_.size() > options().max_windows) recent_.pop_front();
 }
 
 std::vector<autofocus::Pattern> StreamingAggregator::patterns(
@@ -92,7 +109,7 @@ std::vector<autofocus::Pattern> StreamingAggregator::patterns(
   const std::size_t n = recent_.size();
   for (std::size_t i = 0; i < n; ++i) {
     const double age = static_cast<double>(n - 1 - i);  // newest: age 0
-    const double scale = std::pow(opts_.decay, age);
+    const double scale = std::pow(options().decay, age);
     for (autofocus::RelationRecord r : recent_[i]) {
       r.score *= scale;
       all.push_back(r);
@@ -103,8 +120,7 @@ std::vector<autofocus::Pattern> StreamingAggregator::patterns(
 
 std::size_t StreamingAggregator::memory_bytes() const {
   // Estimated: board map nodes plus retained relation records.
-  constexpr std::size_t kBoardEntryBytes = 96;
-  return board_.size() * kBoardEntryBytes +
+  return board_size() * kBoardBytesPerCulprit +
          retained_records() * sizeof(autofocus::RelationRecord);
 }
 
@@ -119,8 +135,8 @@ std::unique_ptr<CulpritAggregator> make_aggregator(
     const autofocus::NfCatalog& catalog) {
   if (memory_budget == 0)
     return std::make_unique<StreamingAggregator>(opts);
-  return std::make_unique<sketch::SketchAggregator>(
-      sketch::SketchOptions::from_streaming(opts, memory_budget), catalog);
+  return std::make_unique<sketch::SketchAggregator>(opts, memory_budget,
+                                                    catalog);
 }
 
 }  // namespace microscope::online

@@ -5,18 +5,18 @@
 // right now" top-k — and (2) a live view the existing AutoFocus two-phase
 // pattern aggregation (§4.4) can be computed from at any time.
 //
-// Two implementations share the CulpritAggregator surface:
-//   * StreamingAggregator (here): exact. The board holds one entry per
-//     culprit (hard-capped at max_board_entries with lowest-score
-//     eviction) and a bounded deque of per-window flattened relation
-//     records feeds aggregate_patterns(). Memory is bounded by
-//     max_windows * records-per-window — fine for testbeds, not for
-//     millions of distinct flows.
+// The board is CulpritAggregator's own: one entry per culprit, decayed,
+// floored at min_score and capped with lowest-score eviction. Two
+// implementations add the pattern state:
+//   * StreamingAggregator (here): exact. A bounded deque of per-window
+//     flattened relation records feeds aggregate_patterns(). Memory is
+//     bounded by max_windows * records-per-window — fine for testbeds, not
+//     for millions of distinct flows.
 //   * sketch::SketchAggregator (sketch/sketch_aggregator.hpp): bounded
 //     memory. Count-min estimates plus a hierarchical heavy-hitter
-//     pattern board sized from a byte budget; see DESIGN.md §14.
+//     pattern table sized from a byte budget; see DESIGN.md §14.
 // Engines pick via make_aggregator(): a nonzero memory budget selects the
-// sketch.
+// sketch. Both are built into the microscope_online library.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,6 @@
 
 #include "autofocus/aggregate.hpp"
 #include "core/relation.hpp"
-#include "obs/metrics.hpp"
 
 namespace microscope::online {
 
@@ -44,42 +43,6 @@ struct TopCulprit {
   TimeNs last_seen{0};
 };
 
-/// The aggregation surface the online engine drives at window close.
-class CulpritAggregator {
- public:
-  virtual ~CulpritAggregator() = default;
-
-  /// Fold one closed window's diagnoses in (decays everything first).
-  virtual void ingest(std::span<const core::Diagnosis> diagnoses) = 0;
-
-  /// The live board: top culprits by decayed score, ties broken by
-  /// (node, kind) so the order is deterministic.
-  virtual std::vector<TopCulprit> top() const = 0;
-
-  /// §4.4 pattern aggregation over the retained (or sketched) state.
-  virtual std::vector<autofocus::Pattern> patterns(
-      const autofocus::NfCatalog& catalog,
-      const autofocus::AggregateOptions& opts = {}) const = 0;
-
-  virtual std::uint64_t windows_ingested() const = 0;
-
-  /// Approximate heap footprint of the aggregation state (estimated
-  /// per-entry costs; exact for fixed-size sketch tables).
-  virtual std::size_t memory_bytes() const = 0;
-
- protected:
-  CulpritAggregator() { board_evicted_metric(); }
-
-  /// agg.board_evicted: culprits either implementation evicted from its
-  /// capped board, resolved once per process; building an aggregator
-  /// registers it.
-  static obs::Counter& board_evicted_metric() {
-    static obs::Counter& c =
-        obs::Registry::global().counter("agg.board_evicted");
-    return c;
-  }
-};
-
 struct StreamingAggregatorOptions {
   /// Multiplier applied to every accumulated score at each window close;
   /// 1.0 = never forget, 0.0 = only the latest window.
@@ -90,21 +53,88 @@ struct StreamingAggregatorOptions {
   std::size_t max_windows = 32;
   /// Culprits decayed below this score are dropped from the board.
   double min_score = 1e-6;
-  /// Hard cap on board entries, enforced even when min_score == 0 or
-  /// decay == 1.0 would otherwise never erase anything: the lowest-score
-  /// entries are evicted (counted by board_evicted() and the
-  /// agg.board_evicted metric). 0 = unlimited (tests only).
+  /// Hard cap on the exact aggregator's board entries, enforced even when
+  /// min_score == 0 or decay == 1.0 would otherwise never erase anything
+  /// (the sketch sizes its cap from its byte budget instead). 0 =
+  /// unlimited (tests only).
   std::size_t max_board_entries = 65536;
 };
 
+/// Estimated heap cost of one board entry (key + value + red-black node
+/// overhead); used for the sketch's budget split and for memory_bytes().
+inline constexpr std::size_t kBoardBytesPerCulprit = 96;
+
+/// The aggregation surface the online engine drives at window close. The
+/// decayed per-culprit board behind top() is written once, here; each
+/// implementation adds only the state its patterns() reads.
+class CulpritAggregator {
+ public:
+  virtual ~CulpritAggregator() = default;
+
+  /// Fold one closed window in. The board first decays every score and
+  /// drops culprits below min_score, so the newest window enters at full
+  /// weight; then it adds each relation's score, counts windows_seen once
+  /// per distinct culprit of the window, and evicts the lowest (score,
+  /// culprit) first while it holds more than its cap (counted by
+  /// board_evicted() and the agg.board_evicted metric). The
+  /// implementation's pattern state follows.
+  void ingest(std::span<const core::Diagnosis> diagnoses);
+
+  /// The live board: top culprits by decayed score, ties broken by
+  /// (node, kind) so the order is deterministic.
+  std::vector<TopCulprit> top() const;
+
+  /// §4.4 pattern aggregation over the retained (or sketched) state.
+  virtual std::vector<autofocus::Pattern> patterns(
+      const autofocus::NfCatalog& catalog,
+      const autofocus::AggregateOptions& opts = {}) const = 0;
+
+  std::uint64_t windows_ingested() const { return windows_; }
+
+  /// Approximate heap footprint of the aggregation state (estimated
+  /// per-entry costs; exact for fixed-size sketch tables).
+  virtual std::size_t memory_bytes() const = 0;
+
+  /// Culprits on the board, its cap (0 = unlimited), and the culprits the
+  /// cap evicted (not counting those decay dropped).
+  std::size_t board_size() const { return board_.size(); }
+  std::size_t board_capacity() const { return board_capacity_; }
+  std::uint64_t board_evicted() const { return board_evicted_; }
+
+ protected:
+  /// Board settings: decay, top_k and min_score from `opts`, capped at
+  /// `board_capacity` culprits (0 = unlimited).
+  CulpritAggregator(const StreamingAggregatorOptions& opts,
+                    std::size_t board_capacity);
+
+  /// Fold the window into the implementation's pattern state; ingest()
+  /// calls it after updating the board.
+  virtual void ingest_patterns(std::span<const core::Diagnosis> diagnoses) = 0;
+
+  const StreamingAggregatorOptions& options() const { return opts_; }
+
+ private:
+  struct Entry {
+    double score{0.0};
+    std::uint64_t windows_seen{0};
+    TimeNs last_seen{0};
+    /// windows_ + 1 of the last window that counted in windows_seen.
+    std::uint64_t seen_in{0};
+  };
+
+  StreamingAggregatorOptions opts_;
+  std::size_t board_capacity_;
+  std::map<core::Culprit, Entry> board_;  // ordered: deterministic output
+  std::uint64_t windows_{0};
+  std::uint64_t board_evicted_{0};
+};
+
+/// The exact aggregator: the board capped at max_board_entries, plus a
+/// bounded deque of per-window flattened relation records that feeds
+/// aggregate_patterns().
 class StreamingAggregator : public CulpritAggregator {
  public:
-  using TopCulprit = online::TopCulprit;
-
   explicit StreamingAggregator(StreamingAggregatorOptions opts = {});
-
-  void ingest(std::span<const core::Diagnosis> diagnoses) override;
-  std::vector<online::TopCulprit> top() const override;
 
   /// Run §4.4 pattern aggregation over the retained window records, each
   /// window's scores scaled by decay^age (age 0 = the newest window,
@@ -113,31 +143,20 @@ class StreamingAggregator : public CulpritAggregator {
       const autofocus::NfCatalog& catalog,
       const autofocus::AggregateOptions& opts = {}) const override;
 
-  std::uint64_t windows_ingested() const override { return windows_; }
   std::size_t memory_bytes() const override;
   std::size_t retained_records() const;
-  /// Board entries dropped by the max_board_entries cap (not by decay).
-  std::uint64_t board_evicted() const { return board_evicted_; }
 
  private:
-  struct Entry {
-    double score{0.0};
-    std::uint64_t windows_seen{0};
-    TimeNs last_seen{0};
-  };
+  void ingest_patterns(std::span<const core::Diagnosis> diagnoses) override;
 
-  StreamingAggregatorOptions opts_;
-  std::map<core::Culprit, Entry> board_;  // ordered: deterministic output
   std::deque<std::vector<autofocus::RelationRecord>> recent_;  // per window
-  std::uint64_t windows_{0};
-  std::uint64_t board_evicted_{0};
 };
 
 /// Engine factory: the exact StreamingAggregator when `memory_budget` is
-/// 0, otherwise a sketch::SketchAggregator sized to the budget (decay,
-/// top_k and min_score carry over; see SketchOptions::from_streaming).
-/// `catalog` feeds the sketch's NF generalization ladder (instance ->
-/// type); it is copied and only consulted in sketch mode.
+/// 0, otherwise a sketch::SketchAggregator sized to the budget (its board
+/// takes decay, top_k and min_score from `opts`). `catalog` feeds the
+/// sketch's NF generalization ladder (instance -> type); it is copied and
+/// only consulted in sketch mode.
 std::unique_ptr<CulpritAggregator> make_aggregator(
     const StreamingAggregatorOptions& opts, std::size_t memory_budget,
     const autofocus::NfCatalog& catalog = {});

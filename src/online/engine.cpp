@@ -77,14 +77,6 @@ double diagnosis_score(const core::Diagnosis& d) {
 /// attribution score (/explain?top=k serves a prefix of these).
 constexpr std::size_t kExplainTopMax = 8;
 
-/// One pool for both analysis stages, sized for the larger request.
-std::unique_ptr<ThreadPool> make_pool(const OnlineOptions& o) {
-  ParallelOptions par;
-  par.num_threads = std::max(o.reconstruct.parallel.num_threads,
-                             o.diagnoser.parallel.num_threads);
-  return ThreadPool::make(par);
-}
-
 std::string victim_summary(const core::Diagnosis& d, double score,
                            const std::vector<std::string>& names) {
   const core::Victim& v = d.victim;
@@ -109,7 +101,8 @@ OnlineEngine::OnlineEngine(trace::GraphView graph,
       peak_rates_(std::move(peak_rates)),
       history_(derive_history(opts)),
       recon_(graph_, opts.reconstruct),
-      pool_(make_pool(opts)),
+      pool_(opts.threads > 1 ? std::make_unique<ThreadPool>(opts.threads)
+                             : nullptr),
       wm_(opts.window_ns, opts.slack_ns, opts.idle_timeout_ns),
       agg_(make_aggregator(opts.aggregator, opts.agg_memory_budget,
                            opts.agg_catalog)),

@@ -11,7 +11,7 @@
 // change form a speculative tail that every window recomputes and then
 // discards (DESIGN.md §7). One StreamStore, one WindowManager, one thread;
 // multi-core speed comes from the analysis pool, built once per engine and
-// shared by both stages (see OnlineOptions::diagnoser).
+// shared by both stages (see OnlineOptions::threads).
 //
 // Equivalence guarantee: for every closed window, the emitted diagnoses are
 // byte-identical to running the offline Diagnoser over the full trace with
@@ -96,13 +96,11 @@ struct OnlineOptions {
   /// WindowResult::provenances (for invariant auditing — e.g. the chaos
   /// suite's conservation check). The diagnoses themselves are unchanged.
   bool capture_provenance = false;
-  /// Both analysis stages run on one pool, built with the engine when the
-  /// larger of reconstruct.parallel.num_threads and
-  /// diagnoser.parallel.num_threads is N > 1: it starts N workers, and the
-  /// thread closing a window runs chunks beside them, so N + 1 threads
-  /// work. Otherwise both stages run on the calling thread. So
-  /// reconstruct.parallel = 0 with diagnoser.parallel = 8 reconstructs on
-  /// 8 workers too.
+  /// Analysis pool workers. N > 1 builds one ThreadPool(N) with the
+  /// engine, which both stages (reconstruction and diagnosis) share: the
+  /// thread closing a window runs chunks beside the N workers, so N + 1
+  /// threads work. 0 or 1 runs both stages on the calling thread.
+  unsigned threads = 0;
   core::DiagnoserOptions diagnoser = streaming_diagnoser_defaults();
   trace::ReconstructOptions reconstruct{};
   StreamingAggregatorOptions aggregator{};

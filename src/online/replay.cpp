@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "collector/file.hpp"
-#include "collector/records.hpp"
 #include "obs/tracing.hpp"
 
 namespace microscope::online {
@@ -15,86 +14,30 @@ std::vector<WindowResult> replay_collector(const collector::Collector& col,
                                            std::size_t poll_every,
                                            bool finish,
                                            const WindowCallback& on_window) {
-  using collector::BatchRecord;
-  using collector::Direction;
-  using collector::NodeTrace;
-
   for (NodeId id = 0; id < col.node_count(); ++id)
     if (col.has_node(id)) engine.register_node(id, col.node(id).full_flow);
 
-  struct Cursor {
-    NodeId node;
-    Direction dir;
-    std::size_t next{0};
-  };
-  std::vector<Cursor> cursors;
-  for (NodeId id = 0; id < col.node_count(); ++id) {
-    if (!col.has_node(id)) continue;
-    if (!col.node(id).rx_batches.empty())
-      cursors.push_back({id, Direction::kRx, 0});
-    if (!col.node(id).tx_batches.empty())
-      cursors.push_back({id, Direction::kTx, 0});
-  }
-
   std::vector<WindowResult> windows;
-  std::vector<Packet> pkts;
-  std::size_t since_poll = 0;
-  while (true) {
-    Cursor* best = nullptr;
-    TimeNs best_ts = kTimeNever;
-    for (Cursor& c : cursors) {
-      const NodeTrace& t = col.node(c.node);
-      const auto& batches =
-          c.dir == Direction::kRx ? t.rx_batches : t.tx_batches;
-      if (c.next >= batches.size()) continue;
-      const TimeNs ts = batches[c.next].ts;
-      if (!best || ts < best_ts ||
-          (ts == best_ts && (c.node < best->node ||
-                             (c.node == best->node &&
-                              c.dir == Direction::kRx &&
-                              best->dir == Direction::kTx)))) {
-        best = &c;
-        best_ts = ts;
-      }
-    }
-    if (!best) break;
-
-    const NodeTrace& t = col.node(best->node);
-    const auto& batches =
-        best->dir == Direction::kRx ? t.rx_batches : t.tx_batches;
-    const BatchRecord& rec = batches[best->next++];
-    pkts.assign(rec.count, Packet{});
-    for (std::uint16_t i = 0; i < rec.count; ++i) {
-      if (best->dir == Direction::kRx) {
-        pkts[i].ipid = t.rx_ipids[rec.begin + i];
-      } else {
-        pkts[i].ipid = t.tx_ipids[rec.begin + i];
-        if (t.full_flow) pkts[i].flow = t.tx_flows[rec.begin + i];
-      }
-    }
-    if (best->dir == Direction::kRx) {
-      engine.on_rx(best->node, rec.ts, pkts);
-    } else {
-      engine.on_tx(best->node, rec.peer, rec.ts, pkts);
-    }
-
-    if (poll_every > 0 && ++since_poll >= poll_every) {
-      since_poll = 0;
-      for (WindowResult& w : engine.poll()) {
-        if (on_window) on_window(w);
-        windows.push_back(std::move(w));
-      }
-    }
-  }
-  for (WindowResult& w : engine.poll()) {
-    if (on_window) on_window(w);
-    windows.push_back(std::move(w));
-  }
-  if (finish)
-    for (WindowResult& w : engine.finish()) {
+  auto take = [&](std::vector<WindowResult> closed) {
+    for (WindowResult& w : closed) {
       if (on_window) on_window(w);
       windows.push_back(std::move(w));
     }
+  };
+  std::size_t since_poll = 0;
+  collector::for_each_batch_by_time(col, [&](const collector::TimedBatch& b) {
+    if (b.dir == collector::Direction::kRx) {
+      engine.on_rx(b.node, b.ts, b.pkts);
+    } else {
+      engine.on_tx(b.node, b.peer, b.ts, b.pkts);
+    }
+    if (poll_every > 0 && ++since_poll >= poll_every) {
+      since_poll = 0;
+      take(engine.poll());
+    }
+  });
+  take(engine.poll());
+  if (finish) take(engine.finish());
   return windows;
 }
 

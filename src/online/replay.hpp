@@ -26,10 +26,10 @@ namespace microscope::online {
 using WindowCallback = std::function<void(const WindowResult&)>;
 
 /// Replay every record of `col` into `engine` in global timestamp order
-/// (per-node record order preserved; ties broken by node id, rx first —
-/// the same merge save_trace_stream uses), registering the nodes first and
-/// calling engine.poll() every `poll_every` batches. Closed windows are
-/// returned in order; when `finish` is set the stream is finalized too.
+/// (collector::for_each_batch_by_time, the order save_trace_stream
+/// writes), registering the nodes first and calling engine.poll() every
+/// `poll_every` batches. Closed windows are returned in order; when
+/// `finish` is set the stream is finalized too.
 std::vector<WindowResult> replay_collector(const collector::Collector& col,
                                            StreamTarget& engine,
                                            std::size_t poll_every = 64,

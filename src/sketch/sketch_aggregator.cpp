@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -12,11 +11,10 @@ namespace microscope::sketch {
 
 namespace {
 
-/// Estimated heap cost of one tracked pattern entry / one board entry
-/// (key + value + red-black node overhead); used for budget sizing and
-/// memory_bytes() accounting.
+/// Estimated heap cost of one tracked pattern entry (key + value +
+/// red-black node overhead); used for budget sizing and memory_bytes()
+/// accounting.
 constexpr std::size_t kTrackedEntryBytes = 160;
-constexpr std::size_t kBoardEntryBytes = 96;
 
 /// Registry handles, resolved once per process (same pattern as the
 /// engines' OnlineMetrics); building a SketchAggregator registers them.
@@ -35,43 +33,19 @@ struct SketchMetrics {
   }
 };
 
-Ipv4Prefix clamp_prefix(Ipv4Prefix p, std::uint8_t len) {
-  if (p.len <= len) return p;
-  return {p.addr & prefix_mask(len), len};
-}
-
-autofocus::PortRange clamp_band(autofocus::PortRange r) {
-  return r.is_exact() ? autofocus::PortRange::band(r.lo) : r;
-}
-
-void clamp_side(autofocus::SideKey& s, int level) {
-  using autofocus::NfSet;
-  using autofocus::PortRange;
-  if (level >= 1) {
-    s.sport = clamp_band(s.sport);
-    s.dport = clamp_band(s.dport);
-  }
-  if (level >= 2) {
-    s.src = clamp_prefix(s.src, 24);
-    s.dst = clamp_prefix(s.dst, 24);
-  }
-  if (level >= 3) {
-    s.sport = PortRange::any();
-    s.dport = PortRange::any();
-  }
-  if (level >= 4) {
-    s.src = clamp_prefix(s.src, 16);
-    s.dst = clamp_prefix(s.dst, 16);
-  }
-  if (level >= 5 && s.nf.level == NfSet::Level::kInstance)
-    s.nf = s.nf.generalize();
-  if (level >= 6) {
-    s.src = clamp_prefix(s.src, 8);
-    s.dst = clamp_prefix(s.dst, 8);
-    s.proto.reset();
-  }
-  if (level >= 7) s = autofocus::SideKey{};
-}
+/// The per-dimension AutoFocus level (autofocus::dim_level) each chain
+/// level generalizes both sides to. Dimensions: src IP, dst IP, src port,
+/// dst port, proto, NF.
+constexpr int kChainDimLevel[kChainLevels][autofocus::kSideDims] = {
+    {0, 0, 0, 0, 0, 0},  // 0: exact leaf
+    {0, 0, 1, 1, 0, 0},  // 1: ports -> band
+    {1, 1, 1, 1, 0, 0},  // 2: IPs -> /24
+    {1, 1, 2, 2, 0, 0},  // 3: ports -> any
+    {2, 2, 2, 2, 0, 0},  // 4: IPs -> /16
+    {2, 2, 2, 2, 0, 1},  // 5: NF instance -> type
+    {3, 3, 2, 2, 1, 1},  // 6: IPs -> /8, proto -> any
+    {4, 4, 2, 2, 1, 2},  // 7: root
+};
 
 /// SideKey::leaf that tolerates nodes missing from the catalog (a replay
 /// against a partial catalog): falls back to type 0 instead of throwing
@@ -106,88 +80,91 @@ std::uint64_t pattern_key_hash(const PatternKey& k) noexcept {
 }
 
 PatternKey clamp_to_level(PatternKey k, int level) {
-  clamp_side(k.culprit, level);
-  clamp_side(k.victim, level);
+  const int(&want)[autofocus::kSideDims] = kChainDimLevel[level];
+  for (autofocus::SideKey* side : {&k.culprit, &k.victim}) {
+    for (int d = 0; d < autofocus::kSideDims; ++d) {
+      const int have = autofocus::dim_level(*side, d);
+      if (have >= want[d]) continue;
+      std::uint64_t ladder[autofocus::kMaxDimLevels];
+      autofocus::dim_ladder(*side, d, ladder);
+      autofocus::set_dim_code(*side, d, ladder[want[d] - have]);
+    }
+  }
   return k;
 }
 
-std::vector<PatternKey> generalization_chain(
+std::array<PatternKey, kChainLevels> generalization_chain(
     const autofocus::RelationRecord& rec,
     const autofocus::NfCatalog& catalog) {
-  PatternKey leaf;
-  leaf.culprit = leaf_side(rec.culprit_flow, rec.culprit_nf, catalog);
-  leaf.kind = rec.kind;
-  leaf.victim = leaf_side(rec.victim_flow, rec.victim_nf, catalog);
-  std::vector<PatternKey> chain;
-  chain.reserve(kChainLevels);
-  chain.push_back(leaf);
-  // clamp is monotone, so each level clamps the previous one incrementally.
-  for (int l = 1; l < kChainLevels; ++l)
-    chain.push_back(clamp_to_level(chain.back(), l));
+  using autofocus::kSideDims;
+  PatternKey k;
+  k.culprit = leaf_side(rec.culprit_flow, rec.culprit_nf, catalog);
+  k.kind = rec.kind;
+  k.victim = leaf_side(rec.victim_flow, rec.victim_nf, catalog);
+  // A leaf is at level 0 of every ladder, so rung i of its ladder is level
+  // i: read each ladder once and give every chain level the rungs its
+  // table row names (the same keys clamp_to_level computes).
+  std::uint64_t cul[kSideDims][autofocus::kMaxDimLevels];
+  std::uint64_t vic[kSideDims][autofocus::kMaxDimLevels];
+  for (int d = 0; d < kSideDims; ++d) {
+    autofocus::dim_ladder(k.culprit, d, cul[d]);
+    autofocus::dim_ladder(k.victim, d, vic[d]);
+  }
+  std::array<PatternKey, kChainLevels> chain;
+  chain[0] = k;
+  for (int l = 1; l < kChainLevels; ++l) {
+    for (int d = 0; d < kSideDims; ++d) {
+      const int want = kChainDimLevel[l][d];
+      if (want == kChainDimLevel[l - 1][d]) continue;
+      autofocus::set_dim_code(k.culprit, d, cul[d][want]);
+      autofocus::set_dim_code(k.victim, d, vic[d][want]);
+    }
+    chain[l] = k;
+  }
   return chain;
 }
 
-SketchSizing SketchSizing::from_budget(std::size_t budget_bytes,
-                                       double delta) {
-  if (!(delta > 0.0) || delta >= 1.0) delta = 0.01;
+SketchSizing SketchSizing::from_budget(std::size_t budget_bytes) {
+  budget_bytes = std::max<std::size_t>(budget_bytes, 1024);
   SketchSizing s;
-  s.depth = static_cast<std::size_t>(std::clamp(
-      std::ceil(std::log(1.0 / delta)), 2.0, 8.0));
+  s.depth = static_cast<std::size_t>(std::ceil(std::log(1.0 / kDelta)));
   // ~50% counters / ~40% tracked entries (2x churn headroom, entries may
   // transiently reach twice the steady capacity) / ~10% culprit board.
   s.width = std::max<std::size_t>(
       64, (budget_bytes / 2) / (s.depth * sizeof(double)));
   s.tracked_capacity = std::max<std::size_t>(
       16, (budget_bytes * 2 / 5) / (2 * kTrackedEntryBytes));
-  s.board_capacity =
-      std::max<std::size_t>(16, (budget_bytes / 10) / kBoardEntryBytes);
+  s.board_capacity = std::max<std::size_t>(
+      16, (budget_bytes / 10) / online::kBoardBytesPerCulprit);
   return s;
 }
 
-SketchAggregator::SketchAggregator(SketchOptions opts,
-                                   autofocus::NfCatalog catalog)
-    : opts_(opts),
+SketchAggregator::SketchAggregator(
+    const online::StreamingAggregatorOptions& opts, std::size_t memory_budget,
+    autofocus::NfCatalog catalog)
+    : CulpritAggregator(opts,
+                        SketchSizing::from_budget(memory_budget).board_capacity),
+      budget_(memory_budget),
       catalog_(std::move(catalog)),
-      sizing_(SketchSizing::from_budget(
-          std::max<std::size_t>(opts.memory_budget, 1024), opts.delta)),
+      sizing_(SketchSizing::from_budget(memory_budget)),
       cm_(sizing_.width, sizing_.depth) {
   SketchMetrics::get();
 }
 
-void SketchAggregator::ingest(std::span<const core::Diagnosis> diagnoses) {
+void SketchAggregator::ingest_patterns(
+    std::span<const core::Diagnosis> diagnoses) {
   // Decay first so the newest window always enters at full weight. This is
   // the sketch-halving step: every counter and score scales by decay.
-  cm_.scale(opts_.decay);
-  total_mass_ *= opts_.decay;
+  const double decay = options().decay;
+  cm_.scale(decay);
+  total_mass_ *= decay;
   for (auto it = tracked_.begin(); it != tracked_.end();) {
-    it->second.score *= opts_.decay;
-    if (!it->second.is_root && it->second.score < opts_.min_score) {
+    it->second.score *= decay;
+    if (!it->second.is_root && it->second.score < options().min_score) {
       it = tracked_.erase(it);
     } else {
       ++it;
     }
-  }
-  for (auto it = board_.begin(); it != board_.end();) {
-    it->second.score *= opts_.decay;
-    if (it->second.score < opts_.min_score) {
-      it = board_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  for (const core::Diagnosis& d : diagnoses)
-    for (const core::CausalRelation& rel : d.relations)
-      board_add(rel.culprit, rel.score, rel.culprit_t1);
-  // windows_seen counts windows, not relations (mirrors the exact board;
-  // entries evicted by the cap forget their history).
-  std::set<core::Culprit> seen;
-  for (const core::Diagnosis& d : diagnoses)
-    for (const core::CausalRelation& rel : d.relations)
-      seen.insert(rel.culprit);
-  for (const core::Culprit& c : seen) {
-    auto it = board_.find(c);
-    if (it != board_.end()) it->second.windows_seen += 1;
   }
 
   for (const autofocus::RelationRecord& rec :
@@ -195,35 +172,19 @@ void SketchAggregator::ingest(std::span<const core::Diagnosis> diagnoses) {
     add_record(rec);
   evict_tracked_down_to(sizing_.tracked_capacity);
   admission_threshold_ = recompute_admission_threshold();
-  ++windows_;
 
   SketchMetrics& m = SketchMetrics::get();
-  m.budget_bytes.set(static_cast<double>(opts_.memory_budget));
+  m.budget_bytes.set(static_cast<double>(budget_));
   m.fill_frac.set(static_cast<double>(tracked_.size()) /
                   static_cast<double>(sizing_.tracked_capacity));
   m.est_error_bound.set(cm_.epsilon() * total_mass_ * kChainLevels);
 }
 
-void SketchAggregator::board_add(const core::Culprit& culprit, double score,
-                                 TimeNs t1) {
-  BoardEntry& e = board_[culprit];
-  e.score += score;
-  e.last_seen = std::max(e.last_seen, t1);
-  if (board_.size() <= sizing_.board_capacity) return;
-  // Lowest score leaves; ties evict the smallest key. The entry just
-  // touched is eligible — a trickle never displaces established mass.
-  auto victim = board_.begin();
-  for (auto it = std::next(board_.begin()); it != board_.end(); ++it)
-    if (it->second.score < victim->second.score) victim = it;
-  board_.erase(victim);
-  ++board_evicted_;
-  board_evicted_metric().add();
-}
-
 void SketchAggregator::add_record(const autofocus::RelationRecord& rec) {
   if (rec.score <= 0.0) return;
   total_mass_ += rec.score;
-  const std::vector<PatternKey> chain = generalization_chain(rec, catalog_);
+  const std::array<PatternKey, kChainLevels> chain =
+      generalization_chain(rec, catalog_);
   double est[kChainLevels];
   for (int l = 0; l < kChainLevels; ++l)
     est[l] = cm_.add(pattern_key_hash(chain[l]), rec.score);
@@ -301,14 +262,8 @@ void SketchAggregator::fold_into_ancestor(const PatternKey& key, int level,
   }
   // Unreachable while the per-kind root invariant holds; recreate it
   // rather than drop mass.
-  tracked_[root_key(key.kind)] =
+  tracked_[PatternKey{{}, key.kind, {}}] =
       Tracked{mass, kChainLevels - 1, /*is_root=*/true};
-}
-
-PatternKey SketchAggregator::root_key(core::CauseKind kind) const {
-  PatternKey k;
-  k.kind = kind;
-  return k;
 }
 
 double SketchAggregator::recompute_admission_threshold() const {
@@ -321,20 +276,6 @@ double SketchAggregator::recompute_admission_threshold() const {
     mn = std::min(mn, t.score);
   }
   return any ? mn : 0.0;
-}
-
-std::vector<online::TopCulprit> SketchAggregator::top() const {
-  std::vector<online::TopCulprit> out;
-  out.reserve(board_.size());
-  for (const auto& [culprit, e] : board_)
-    out.push_back({culprit, e.score, e.windows_seen, e.last_seen});
-  std::sort(out.begin(), out.end(),
-            [](const online::TopCulprit& a, const online::TopCulprit& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.culprit < b.culprit;
-            });
-  if (out.size() > opts_.top_k) out.resize(opts_.top_k);
-  return out;
 }
 
 std::vector<autofocus::Pattern> SketchAggregator::patterns(
@@ -360,22 +301,18 @@ std::vector<autofocus::Pattern> SketchAggregator::patterns(
 
 std::size_t SketchAggregator::memory_bytes() const {
   return cm_.memory_bytes() + tracked_.size() * kTrackedEntryBytes +
-         board_.size() * kBoardEntryBytes;
+         board_size() * online::kBoardBytesPerCulprit;
 }
 
 SketchStats SketchAggregator::stats() const {
   SketchStats s;
-  s.budget_bytes = opts_.memory_budget;
+  s.budget_bytes = budget_;
   s.width = cm_.width();
   s.depth = cm_.depth();
   s.tracked_capacity = sizing_.tracked_capacity;
   s.tracked_size = tracked_.size();
-  s.board_capacity = sizing_.board_capacity;
-  s.board_size = board_.size();
   s.hh_evicted = hh_evicted_;
-  s.board_evicted = board_evicted_;
   s.total_mass = total_mass_;
-  s.epsilon = cm_.epsilon();
   s.est_error_bound = cm_.epsilon() * total_mass_ * kChainLevels;
   return s;
 }

@@ -19,22 +19,25 @@
 //     ancestor; per-kind root entries are always resident, so folding
 //     terminates and total mass is conserved — the root's own score is the
 //     live "unexplained by any specific pattern" residual.
-//   * An exact but capped per-culprit score board for top(): the culprit
-//     domain (NF node x cause kind) is topology-bounded, so exactness here
-//     costs little and keeps the operator board trustworthy.
+//   * The exact per-culprit board for top() is CulpritAggregator's own,
+//     the same one the exact aggregator holds, capped at the budget's
+//     board share: the culprit domain (NF node x cause kind) is
+//     topology-bounded, so exactness here costs little and keeps the
+//     operator board trustworthy.
 //
 // Decay is the lean-algorithm periodic scaling: every window close
 // multiplies the sketch counters and all scores by `decay` (a literal
 // halving at decay = 0.5). Scaling commutes with the sketch's min/update
 // structure, so the error bound holds over decayed mass at any time.
 //
-// The generalization chain reuses the AutoFocus ladders from
+// The generalization chain moves along the AutoFocus ladders of
 // autofocus/hierarchy.hpp but walks both pattern sides *together* (a
 // diagonal through the 12-D lattice), keeping the per-record work at
 // kChainLevels sketch updates instead of a lattice explosion. See
-// generalization_chain().
+// clamp_to_level().
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -65,9 +68,10 @@ std::uint64_t pattern_key_hash(const PatternKey& k) noexcept;
 inline constexpr int kChainLevels = 8;
 
 /// Generalize `k` so no dimension is more specific than chain level
-/// `level` allows. Idempotent and monotone: clamp(clamp(k, a), b) ==
-/// clamp(k, max(a, b)); the ancestor of a level-l key at level m >= l is
-/// clamp_to_level(k, m).
+/// `level` allows: each dimension of both sides moves up its AutoFocus
+/// ladder (autofocus::dim_ladder) to the level one table row names.
+/// Idempotent and monotone: clamp(clamp(k, a), b) == clamp(k, max(a, b));
+/// the ancestor of a level-l key at level m >= l is clamp_to_level(k, m).
 ///
 ///   level 0: exact leaf            level 4: IPs -> /16
 ///   level 1: ports -> band         level 5: NF instance -> type
@@ -79,43 +83,24 @@ PatternKey clamp_to_level(PatternKey k, int level);
 /// chain[l] == clamp_to_level(leaf, l), chain.back() the per-kind root.
 /// Adjacent duplicate keys are NOT removed (fixed length keeps sketch
 /// totals comparable across records); callers dedupe when it matters.
-std::vector<PatternKey> generalization_chain(
+std::array<PatternKey, kChainLevels> generalization_chain(
     const autofocus::RelationRecord& rec, const autofocus::NfCatalog& catalog);
 
-struct SketchOptions {
-  /// Total byte budget across sketch counters, tracked pattern entries,
-  /// and the culprit board. Must be > 0 (0 means "use the exact
-  /// aggregator" at the factory level, never here).
-  std::size_t memory_budget = 1 << 20;
-  /// Target failure probability of the count-min error bound; depth =
-  /// ceil(ln(1/delta)) clamped to [2, 8].
-  double delta = 0.01;
-  /// Same semantics as StreamingAggregatorOptions.
-  double decay = 0.8;
-  std::size_t top_k = 10;
-  double min_score = 1e-6;
+/// Target failure probability of the count-min error bound: the sketch
+/// has depth = ceil(ln(1/kDelta)) = 5 rows.
+inline constexpr double kDelta = 0.01;
 
-  static SketchOptions from_streaming(
-      const online::StreamingAggregatorOptions& s, std::size_t budget) {
-    SketchOptions o;
-    o.memory_budget = budget;
-    o.decay = s.decay;
-    o.top_k = s.top_k;
-    o.min_score = s.min_score;
-    return o;
-  }
-};
-
-/// Budget -> table shape. Split: ~50% count-min counters, ~40% tracked
-/// pattern entries (with 2x churn headroom, see DESIGN.md §14), ~10%
-/// culprit board.
+/// Budget -> table shape, for a budget of at least 1 KiB (smaller ones are
+/// raised to it). Split: ~50% count-min counters, ~40% tracked pattern
+/// entries (with 2x churn headroom, see DESIGN.md §14), ~10% culprit
+/// board.
 struct SketchSizing {
   std::size_t width{0};
   std::size_t depth{0};
   std::size_t tracked_capacity{0};
   std::size_t board_capacity{0};
 
-  static SketchSizing from_budget(std::size_t budget_bytes, double delta);
+  static SketchSizing from_budget(std::size_t budget_bytes);
 };
 
 /// Point-in-time internals snapshot (CLI summary + obs export).
@@ -125,25 +110,25 @@ struct SketchStats {
   std::size_t depth{0};
   std::size_t tracked_capacity{0};
   std::size_t tracked_size{0};
-  std::size_t board_capacity{0};
-  std::size_t board_size{0};
   std::uint64_t hh_evicted{0};
-  std::uint64_t board_evicted{0};
   /// Decayed relation mass ingested so far (before chain multiplication).
   double total_mass{0.0};
-  /// The e/w bound factor of one sketch row.
-  double epsilon{0.0};
-  /// Absolute estimate-error bound right now: epsilon * total sketch mass
-  /// (= total_mass * kChainLevels, each record updates every chain level).
+  /// Absolute estimate-error bound right now: the count-min's e/width
+  /// times the total sketch mass (= total_mass * kChainLevels, each record
+  /// updates every chain level).
   double est_error_bound{0.0};
 };
 
 class SketchAggregator : public online::CulpritAggregator {
  public:
-  SketchAggregator(SketchOptions opts, autofocus::NfCatalog catalog);
-
-  void ingest(std::span<const core::Diagnosis> diagnoses) override;
-  std::vector<online::TopCulprit> top() const override;
+  /// The board takes decay, top_k and min_score from `opts` (decay also
+  /// scales the sketch and the tracked table, min_score also drops tracked
+  /// entries) and its cap from the budget. `memory_budget` is the total
+  /// byte budget across sketch counters, tracked pattern entries and the
+  /// board; it must be > 0 (0 means "use the exact aggregator" at the
+  /// factory level, never here).
+  SketchAggregator(const online::StreamingAggregatorOptions& opts,
+                   std::size_t memory_budget, autofocus::NfCatalog catalog);
 
   /// Emit the tracked heavy-hitter patterns. Residual compression is
   /// structural (tracked scores already exclude tracked-descendant mass),
@@ -153,12 +138,11 @@ class SketchAggregator : public online::CulpritAggregator {
       const autofocus::NfCatalog& catalog,
       const autofocus::AggregateOptions& opts = {}) const override;
 
-  std::uint64_t windows_ingested() const override { return windows_; }
   std::size_t memory_bytes() const override;
 
+  /// The sketch's own tables; the board's numbers are the base class's
+  /// board_size(), board_capacity() and board_evicted().
   SketchStats stats() const;
-  const CountMinSketch& cm() const { return cm_; }
-  const SketchOptions& options() const { return opts_; }
 
  private:
   struct Tracked {
@@ -166,35 +150,26 @@ class SketchAggregator : public online::CulpritAggregator {
     int level{0};       // chain level the key was admitted at
     bool is_root{false};
   };
-  struct BoardEntry {
-    double score{0.0};
-    std::uint64_t windows_seen{0};
-    TimeNs last_seen{0};
-  };
 
+  void ingest_patterns(std::span<const core::Diagnosis> diagnoses) override;
   void add_record(const autofocus::RelationRecord& rec);
-  void board_add(const core::Culprit& culprit, double score, TimeNs t1);
   /// Evict lowest-score non-root tracked entries until size <= capacity,
   /// folding each victim's mass into its nearest tracked ancestor.
   void evict_tracked_down_to(std::size_t capacity);
   void fold_into_ancestor(const PatternKey& key, int level, double mass);
-  PatternKey root_key(core::CauseKind kind) const;
   double recompute_admission_threshold() const;
 
-  SketchOptions opts_;
+  std::size_t budget_;
   autofocus::NfCatalog catalog_;
   SketchSizing sizing_;
   CountMinSketch cm_;
   // std::map: deterministic iteration -> byte-stable patterns()/JSON.
   std::map<PatternKey, Tracked> tracked_;
-  std::map<core::Culprit, BoardEntry> board_;
   /// Admission bar for new tracked keys; refreshed at every window close
   /// (and after mid-window evictions) to the minimum tracked non-root
   /// score once the table has been full.
   double admission_threshold_{0.0};
-  std::uint64_t windows_{0};
   std::uint64_t hh_evicted_{0};
-  std::uint64_t board_evicted_{0};
   double total_mass_{0.0};
 };
 

@@ -80,8 +80,9 @@ bool arrival_before(const Arrival& a, const Arrival& b) {
 }
 
 /// Registry handles of the reconstruction stage, resolved once per
-/// process; building a Reconstruction registers them. total_ns covers
-/// advance, discard_speculative and evict_before.
+/// process; building a Reconstruction registers them. total_ns times one
+/// advance (one sample per run); discard_ns and evict_ns time
+/// discard_speculative and evict_before.
 struct ReconstructMetrics {
   obs::Counter& runs;
   obs::Counter& journeys;
@@ -89,6 +90,8 @@ struct ReconstructMetrics {
   obs::Histogram& total_ns;
   obs::Histogram& walk_ns;
   obs::Histogram& timeline_ns;
+  obs::Histogram& discard_ns;
+  obs::Histogram& evict_ns;
 
   static ReconstructMetrics& get() {
     obs::Registry& r = obs::Registry::global();
@@ -98,7 +101,9 @@ struct ReconstructMetrics {
         r.counter("trace.reconstruct.truncated_journeys"),
         r.histogram("trace.reconstruct.total_ns"),
         r.histogram("trace.reconstruct.walk_ns"),
-        r.histogram("trace.reconstruct.timeline_ns")};
+        r.histogram("trace.reconstruct.timeline_ns"),
+        r.histogram("trace.reconstruct.discard_ns"),
+        r.histogram("trace.reconstruct.evict_ns")};
     return m;
   }
 };
@@ -556,7 +561,7 @@ void Reconstruction::unlink(const Journey& j) {
 }
 
 void Reconstruction::discard_speculative(ThreadPool* pool) {
-  obs::ScopedTimer total_timer(ReconstructMetrics::get().total_ns);
+  obs::ScopedTimer timer(ReconstructMetrics::get().discard_ns);
   for (NodeState& ns : nodes_) {
     for (int k = 0; k < kKinds; ++k) {
       for (const std::uint32_t id : ns.spec[k]) {
@@ -583,7 +588,7 @@ void Reconstruction::discard_speculative(ThreadPool* pool) {
 }
 
 void Reconstruction::evict_before(TimeNs horizon) {
-  obs::ScopedTimer total_timer(ReconstructMetrics::get().total_ns);
+  obs::ScopedTimer timer(ReconstructMetrics::get().evict_ns);
   aligner_.evict_before(horizon, rt_.alignments_);
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     NodeState& ns = nodes_[id];
@@ -776,10 +781,10 @@ std::size_t Reconstruction::retained_bytes() const {
 
 ReconstructedTrace reconstruct(const collector::Collector& col,
                                const GraphView& graph,
-                               const ReconstructOptions& opts) {
+                               const ReconstructOptions& opts,
+                               ThreadPool* pool) {
   Reconstruction r(graph, opts);
-  const auto pool = ThreadPool::make(opts.parallel);
-  r.advance(lanes_of(col), Frontier{}, pool.get());
+  r.advance(lanes_of(col), Frontier{}, pool);
   return r.take();
 }
 

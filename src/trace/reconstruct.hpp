@@ -130,10 +130,6 @@ struct ReconstructOptions {
   DurationNs prop_delay = 1_us;
   /// Batch size above which a read cannot prove the queue emptied.
   std::uint16_t max_batch = 32;
-  /// Shard alignment, journey walks, and timeline construction across a
-  /// thread pool. Defaults to sequential; parallel output is
-  /// byte-identical to sequential (see DESIGN.md "Parallel analysis").
-  ParallelOptions parallel{};
 };
 
 class Reconstruction;
@@ -321,9 +317,12 @@ class Reconstruction {
 };
 
 /// Run alignment and assemble journeys + timelines: one final advance over
-/// the whole collector.
+/// the whole collector, sharded across `pool` when it is non-null (the
+/// output is byte-identical either way; see DESIGN.md "Parallel
+/// analysis").
 ReconstructedTrace reconstruct(const collector::Collector& col,
                                const GraphView& graph,
-                               const ReconstructOptions& opts = {});
+                               const ReconstructOptions& opts = {},
+                               ThreadPool* pool = nullptr);
 
 }  // namespace microscope::trace

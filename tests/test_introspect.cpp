@@ -495,8 +495,7 @@ TEST(EndToEnd, HubPublishingMatchesCaptureProvenancePath) {
   with_hub.introspection = std::make_shared<IntrospectionHub>();
   online::OnlineOptions par_hub = base;
   par_hub.introspection = std::make_shared<IntrospectionHub>();
-  par_hub.reconstruct.parallel.num_threads = 4;
-  par_hub.diagnoser.parallel.num_threads = 4;
+  par_hub.threads = 4;
   online::OnlineEngine plain(graph, rates, base);
   online::OnlineEngine hubbed(graph, rates, with_hub);
   online::OnlineEngine par_hubbed(graph, rates, par_hub);

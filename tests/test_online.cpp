@@ -121,10 +121,7 @@ OnlineOptions base_options(const Scenario& s, DurationNs window,
   oopt.diagnoser.max_depth = 5;
   oopt.diagnoser.period.max_lookback = 3_ms;
   oopt.reconstruct.prop_delay = s.prop_delay;
-  if (threads > 1) {
-    oopt.diagnoser.parallel.num_threads = threads;
-    oopt.reconstruct.parallel.num_threads = threads;
-  }
+  oopt.threads = threads;
   return oopt;
 }
 
@@ -978,12 +975,15 @@ TEST(Online, BackpressureDropsAndCounts) {
   EXPECT_FALSE(windows.empty());
 }
 
+/// Budgets the board tests run under: 0 builds the exact aggregator, 1 MiB
+/// a sketch whose board cap (1,092 culprits) no test here reaches.
+constexpr std::size_t kBoardTestBudgets[] = {0, std::size_t{1} << 20};
+
 TEST(Online, AggregatorDecaysAndRanks) {
   StreamingAggregatorOptions aopt;
   aopt.decay = 0.5;
   aopt.top_k = 2;
   aopt.max_windows = 2;
-  StreamingAggregator agg(aopt);
 
   const auto mk = [](NodeId node, double score) {
     Diagnosis d;
@@ -995,30 +995,36 @@ TEST(Online, AggregatorDecaysAndRanks) {
     return d;
   };
 
-  const std::vector<Diagnosis> w1{mk(1, 10.0)};
-  agg.ingest(w1);
-  auto top = agg.top();
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_DOUBLE_EQ(top[0].score, 10.0);
-  EXPECT_EQ(top[0].windows_seen, 1u);
+  // Both aggregators hold the same board.
+  for (const std::size_t budget : kBoardTestBudgets) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    const auto agg = make_aggregator(aopt, budget);
 
-  const std::vector<Diagnosis> w2{mk(2, 100.0)};
-  agg.ingest(w2);
-  top = agg.top();
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].culprit.node, 2u);
-  EXPECT_DOUBLE_EQ(top[0].score, 100.0);
-  EXPECT_EQ(top[1].culprit.node, 1u);
-  EXPECT_DOUBLE_EQ(top[1].score, 5.0);  // 10 * 0.5
+    const std::vector<Diagnosis> w1{mk(1, 10.0)};
+    agg->ingest(w1);
+    auto top = agg->top();
+    ASSERT_EQ(top.size(), 1u);
+    EXPECT_DOUBLE_EQ(top[0].score, 10.0);
+    EXPECT_EQ(top[0].windows_seen, 1u);
 
-  const std::vector<Diagnosis> w3{mk(3, 1.0), mk(3, 1.0)};
-  agg.ingest(w3);
-  top = agg.top();  // top_k caps the board view at 2
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].culprit.node, 2u);
-  EXPECT_DOUBLE_EQ(top[0].score, 50.0);
-  EXPECT_EQ(top[1].culprit.node, 1u);  // 2.5 > 2.0
-  EXPECT_EQ(agg.windows_ingested(), 3u);
+    const std::vector<Diagnosis> w2{mk(2, 100.0)};
+    agg->ingest(w2);
+    top = agg->top();
+    ASSERT_EQ(top.size(), 2u);
+    EXPECT_EQ(top[0].culprit.node, 2u);
+    EXPECT_DOUBLE_EQ(top[0].score, 100.0);
+    EXPECT_EQ(top[1].culprit.node, 1u);
+    EXPECT_DOUBLE_EQ(top[1].score, 5.0);  // 10 * 0.5
+
+    const std::vector<Diagnosis> w3{mk(3, 1.0), mk(3, 1.0)};
+    agg->ingest(w3);
+    top = agg->top();  // top_k caps the board view at 2
+    ASSERT_EQ(top.size(), 2u);
+    EXPECT_EQ(top[0].culprit.node, 2u);
+    EXPECT_DOUBLE_EQ(top[0].score, 50.0);
+    EXPECT_EQ(top[1].culprit.node, 1u);  // 2.5 > 2.0
+    EXPECT_EQ(agg->windows_ingested(), 3u);
+  }
 
   // The relation-record buffer is bounded at max_windows windows.
   StreamingAggregator small(aopt);
@@ -1041,16 +1047,26 @@ TEST(Online, AggregatorBoardCapEvictsLowestScore) {
   aopt.max_board_entries = 4;
   StreamingAggregator agg(aopt);
 
-  std::vector<Diagnosis> window;
-  for (NodeId node = 0; node < 10; ++node) {
-    Diagnosis d;
-    core::CausalRelation rel;
-    rel.culprit = {node, core::CauseKind::kLocalProcessing};
-    rel.score = static_cast<double>(node + 1);  // node 9 heaviest
-    d.relations.push_back(rel);
-    window.push_back(d);
-  }
-  agg.ingest(window);
+  /// One window of `count` one-relation culprits from node `first` up.
+  const auto culprits = [](NodeId first, NodeId count, core::CauseKind kind,
+                           const auto& score_of) {
+    std::vector<Diagnosis> window;
+    for (NodeId node = first; node < first + count; ++node) {
+      Diagnosis d;
+      core::CausalRelation rel;
+      rel.culprit = {node, kind};
+      rel.score = score_of(node);
+      d.relations.push_back(rel);
+      window.push_back(d);
+    }
+    return window;
+  };
+  const auto by_node = [](NodeId node) {
+    return static_cast<double>(node + 1);  // the last node heaviest
+  };
+  const auto trickle_score = [](NodeId) { return 0.5; };
+
+  agg.ingest(culprits(0, 10, core::CauseKind::kLocalProcessing, by_node));
   const auto top = agg.top();
   ASSERT_EQ(top.size(), 4u);  // cap, not 10
   EXPECT_EQ(agg.board_evicted(), 6u);
@@ -1061,29 +1077,43 @@ TEST(Online, AggregatorBoardCapEvictsLowestScore) {
   }
   // An established culprit outlives a later trickle of one-off culprits.
   for (int w = 0; w < 3; ++w) {
-    std::vector<Diagnosis> trickle;
     const NodeId base = 100 + 10 * static_cast<NodeId>(w);
-    for (NodeId node = base; node < base + 5; ++node) {
-      Diagnosis d;
-      core::CausalRelation rel;
-      rel.culprit = {node, core::CauseKind::kSourceTraffic};
-      rel.score = 0.5;
-      d.relations.push_back(rel);
-      trickle.push_back(d);
-    }
-    agg.ingest(trickle);
+    agg.ingest(
+        culprits(base, 5, core::CauseKind::kSourceTraffic, trickle_score));
   }
   const auto after = agg.top();
   ASSERT_EQ(after.size(), 4u);
   EXPECT_EQ(after[0].culprit.node, 9u);
   EXPECT_DOUBLE_EQ(after[0].score, 10.0);
+
+  // The sketch's board evicts by the same rule under the cap its budget
+  // sets: never below 16 culprits, which is what 1 KiB leaves.
+  const auto sketch = make_aggregator(aopt, 1024);
+  ASSERT_EQ(sketch->board_capacity(), 16u);
+  sketch->ingest(culprits(0, 40, core::CauseKind::kLocalProcessing, by_node));
+  const auto stop = sketch->top();
+  ASSERT_EQ(stop.size(), 16u);  // cap, not 40
+  EXPECT_EQ(sketch->board_evicted(), 24u);
+  for (std::size_t i = 0; i < stop.size(); ++i) {
+    EXPECT_EQ(stop[i].culprit.node, 39u - i);
+    EXPECT_DOUBLE_EQ(stop[i].score, static_cast<double>(40 - i));
+  }
+  for (int w = 0; w < 3; ++w) {
+    const NodeId base = 100 + 10 * static_cast<NodeId>(w);
+    sketch->ingest(
+        culprits(base, 5, core::CauseKind::kSourceTraffic, trickle_score));
+  }
+  const auto safter = sketch->top();
+  ASSERT_EQ(safter.size(), 16u);
+  EXPECT_EQ(safter[0].culprit.node, 39u);
+  EXPECT_DOUBLE_EQ(safter[0].score, 40.0);
+  EXPECT_EQ(sketch->board_evicted(), 24u + 15u);
 }
 
 TEST(Online, AggregatorWindowsSeenCountsWindowsNotRelations) {
   StreamingAggregatorOptions aopt;
   aopt.decay = 1.0;
   aopt.min_score = 0.0;
-  StreamingAggregator agg(aopt);
   const auto mk = [](NodeId node, double score) {
     Diagnosis d;
     core::CausalRelation rel;
@@ -1092,19 +1122,23 @@ TEST(Online, AggregatorWindowsSeenCountsWindowsNotRelations) {
     d.relations.push_back(rel);
     return d;
   };
-  // Three relations against the same culprit within one window: one
-  // windows_seen tick, summed score.
-  const std::vector<Diagnosis> w1{mk(1, 1.0), mk(1, 2.0), mk(1, 3.0)};
-  agg.ingest(w1);
-  auto top = agg.top();
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0].windows_seen, 1u);
-  EXPECT_DOUBLE_EQ(top[0].score, 6.0);
-  const std::vector<Diagnosis> w2{mk(1, 1.0)};
-  agg.ingest(w2);
-  agg.ingest(w2);
-  top = agg.top();
-  EXPECT_EQ(top[0].windows_seen, 3u);
+  for (const std::size_t budget : kBoardTestBudgets) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    const auto agg = make_aggregator(aopt, budget);
+    // Three relations against the same culprit within one window: one
+    // windows_seen tick, summed score.
+    const std::vector<Diagnosis> w1{mk(1, 1.0), mk(1, 2.0), mk(1, 3.0)};
+    agg->ingest(w1);
+    auto top = agg->top();
+    ASSERT_EQ(top.size(), 1u);
+    EXPECT_EQ(top[0].windows_seen, 1u);
+    EXPECT_DOUBLE_EQ(top[0].score, 6.0);
+    const std::vector<Diagnosis> w2{mk(1, 1.0)};
+    agg->ingest(w2);
+    agg->ingest(w2);
+    top = agg->top();
+    EXPECT_EQ(top[0].windows_seen, 3u);
+  }
 }
 
 TEST(Online, AggregatorPatternsNewestWindowScaleIsExactlyOne) {
@@ -1367,6 +1401,37 @@ TEST(Online, EngineLeavesCollectorCountersAlone) {
   EXPECT_GT(reg.counter("online.batches_ingested").value(), ingested);
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_EQ(reg.counter(names[i]).value(), before[i]) << names[i];
+}
+
+TEST(Online, ReconstructTimersTimeOneOperationEach) {
+  if constexpr (!obs::kMetricsEnabled) {
+    GTEST_SKIP() << "metrics compiled out (MICROSCOPE_NO_METRICS)";
+  }
+  // trace.reconstruct.total_ns takes one sample per advance (a run); the
+  // speculative-tail discard and the eviction each window close does
+  // record into histograms of their own.
+  const Scenario s = make_fig10_scenario();
+  obs::Registry& reg = obs::Registry::global();
+  const auto count = [&](const char* name) {
+    return reg.histogram(name).snapshot().count;
+  };
+  const std::uint64_t runs = reg.counter("trace.reconstruct.runs").value();
+  const std::uint64_t total = count("trace.reconstruct.total_ns");
+  const std::uint64_t discard = count("trace.reconstruct.discard_ns");
+  const std::uint64_t evict = count("trace.reconstruct.evict_ns");
+
+  OnlineEngine eng(s.graph, s.rates, base_options(s, 5_ms, 1, 100_us));
+  const auto windows = replay_collector(s.col, eng, 64);
+  const std::uint64_t closed = eng.stats().windows_closed;
+  ASSERT_FALSE(windows.empty());
+  ASSERT_EQ(closed, windows.size());
+
+  const std::uint64_t new_runs =
+      reg.counter("trace.reconstruct.runs").value() - runs;
+  EXPECT_EQ(new_runs, closed);
+  EXPECT_EQ(count("trace.reconstruct.total_ns") - total, new_runs);
+  EXPECT_EQ(count("trace.reconstruct.discard_ns") - discard, closed);
+  EXPECT_EQ(count("trace.reconstruct.evict_ns") - evict, closed);
 }
 
 TEST(Online, EngineFeedsAggregatorAcrossWindows) {

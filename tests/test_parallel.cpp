@@ -28,7 +28,6 @@ namespace microscope::trace {
 namespace {
 
 using core::Diagnoser;
-using core::DiagnoserOptions;
 using core::Diagnosis;
 using core::Victim;
 
@@ -63,23 +62,20 @@ void check_scenario(
   const Diagnoser seq_diag(seq, rates);
   const std::vector<Victim> victims = victims_of(seq_diag);
   ASSERT_FALSE(victims.empty()) << "scenario produced no victims";
-  // diagnose_all with default (sequential) options == per-victim diagnose.
+  // diagnose_all without a pool (sequential) == per-victim diagnose.
   std::vector<Diagnosis> golden;
   golden.reserve(victims.size());
   for (const Victim& v : victims) golden.push_back(seq_diag.diagnose(v));
   EXPECT_TRUE(seq_diag.diagnose_all(victims) == golden);
 
   for (const unsigned threads : {2u, 4u, 8u}) {
-    ReconstructOptions p = ropt;
-    p.parallel.num_threads = threads;
-    const ReconstructedTrace par = reconstruct(col, graph, p);
+    ThreadPool pool(threads);
+    const ReconstructedTrace par = reconstruct(col, graph, ropt, &pool);
     expect_trace_identical(seq, par);
 
-    DiagnoserOptions dopt;
-    dopt.parallel.num_threads = threads;
-    const Diagnoser par_diag(par, rates, dopt);
+    const Diagnoser par_diag(par, rates);
     EXPECT_TRUE(victims_of(par_diag) == victims) << threads << " threads";
-    const std::vector<Diagnosis> got = par_diag.diagnose_all(victims);
+    const std::vector<Diagnosis> got = par_diag.diagnose_all(victims, &pool);
     ASSERT_EQ(got.size(), golden.size());
     for (std::size_t i = 0; i < got.size(); ++i)
       EXPECT_EQ(got[i] == golden[i], true)
@@ -178,18 +174,15 @@ TEST(Parallel, RandomizedSeedsPropertyEquivalence) {
     ReconstructOptions ropt;
     ropt.prop_delay = net.topo->options().prop_delay;
     const auto seq = reconstruct(col, graph_view(*net.topo), ropt);
-    ReconstructOptions p = ropt;
-    p.parallel.num_threads = 3;
-    const auto par = reconstruct(col, graph_view(*net.topo), p);
+    ThreadPool pool(3);
+    const auto par = reconstruct(col, graph_view(*net.topo), ropt, &pool);
     expect_trace_identical(seq, par);
 
     const Diagnoser ds(seq, net.topo->peak_rates());
-    DiagnoserOptions dopt;
-    dopt.parallel.num_threads = 3;
-    const Diagnoser dp(par, net.topo->peak_rates(), dopt);
+    const Diagnoser dp(par, net.topo->peak_rates());
     const auto victims = ds.latency_victims_by_threshold(50_us);
     EXPECT_FALSE(victims.empty()) << "seed " << seed;
-    EXPECT_TRUE(dp.diagnose_all(victims) == ds.diagnose_all(victims))
+    EXPECT_TRUE(dp.diagnose_all(victims, &pool) == ds.diagnose_all(victims))
         << "seed " << seed;
   }
 }

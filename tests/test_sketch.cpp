@@ -180,6 +180,46 @@ TEST(Chain, LevelsCoverAndTerminateAtRoot) {
   EXPECT_EQ(chain.back().victim, autofocus::SideKey{});
 }
 
+TEST(Chain, LevelsFollowTheAutoFocusLadders) {
+  // Each chain level puts every dimension of both sides at a fixed rung of
+  // its AutoFocus ladder (autofocus::dim_level): IPs /32 /24 /16 /8 /0 are
+  // 0..4, ports exact/band/any 0..2, proto set/any 0..1, NF
+  // instance/type/any 0..2.
+  constexpr int kWant[kChainLevels][autofocus::kSideDims] = {
+      // src IP, dst IP, sport, dport, proto, NF
+      {0, 0, 0, 0, 0, 0},  // 0: exact leaf
+      {0, 0, 1, 1, 0, 0},  // 1: ports band
+      {1, 1, 1, 1, 0, 0},  // 2: IPs /24
+      {1, 1, 2, 2, 0, 0},  // 3: ports any
+      {2, 2, 2, 2, 0, 0},  // 4: IPs /16
+      {2, 2, 2, 2, 0, 1},  // 5: NF type
+      {3, 3, 2, 2, 1, 1},  // 6: IPs /8, proto any
+      {4, 4, 2, 2, 1, 2},  // 7: root
+  };
+  const auto cat = small_catalog();
+  autofocus::RelationRecord rec;
+  rec.culprit_flow = {make_ipv4(10, 1, 2, 3), make_ipv4(172, 16, 9, 8), 3333,
+                      443, 6};
+  rec.culprit_nf = 2;
+  rec.kind = CauseKind::kSourceTraffic;
+  rec.victim_flow = {make_ipv4(192, 168, 5, 6), make_ipv4(8, 8, 4, 4), 80,
+                     50000, 17};
+  rec.victim_nf = 3;
+  rec.score = 1.0;
+  const auto chain = generalization_chain(rec, cat);
+  ASSERT_EQ(chain.size(), static_cast<std::size_t>(kChainLevels));
+  for (int l = 0; l < kChainLevels; ++l) {
+    for (int d = 0; d < autofocus::kSideDims; ++d) {
+      EXPECT_EQ(autofocus::dim_level(chain[l].culprit, d), kWant[l][d])
+          << "culprit level " << l << " dim " << d;
+      EXPECT_EQ(autofocus::dim_level(chain[l].victim, d), kWant[l][d])
+          << "victim level " << l << " dim " << d;
+    }
+    // clamp_to_level reaches the same key from the leaf in one step.
+    EXPECT_EQ(clamp_to_level(chain[0], l), chain[l]) << l;
+  }
+}
+
 // ---- sketch aggregator --------------------------------------------------
 
 TEST(SketchAggregator, BoardMatchesExactUnderHalvingDecay) {
@@ -187,8 +227,7 @@ TEST(SketchAggregator, BoardMatchesExactUnderHalvingDecay) {
   sopt.decay = 0.5;
   sopt.top_k = 8;
   online::StreamingAggregator exact(sopt);
-  SketchAggregator sk(SketchOptions::from_streaming(sopt, 1 << 20),
-                      small_catalog());
+  SketchAggregator sk(sopt, 1 << 20, small_catalog());
 
   std::mt19937_64 rng(5);
   for (int w = 0; w < 12; ++w) {
@@ -218,11 +257,10 @@ TEST(SketchAggregator, MassConservedUnderEviction) {
   // A tiny budget forces constant heavy-hitter eviction; fold-to-ancestor
   // must conserve the decayed relation mass exactly (all additions, no
   // subtractions: sum(tracked) == decayed total ingested mass).
-  SketchOptions opts;
-  opts.memory_budget = 8 << 10;
+  online::StreamingAggregatorOptions opts;
   opts.decay = 0.9;
   opts.min_score = 0.0;  // nothing silently dropped by the floor
-  SketchAggregator sk(opts, small_catalog());
+  SketchAggregator sk(opts, 8 << 10, small_catalog());
 
   std::mt19937_64 rng(17);
   double expected_mass = 0.0;
@@ -248,9 +286,8 @@ TEST(SketchAggregator, MassConservedUnderEviction) {
 
 TEST(SketchAggregator, PatternsAreDeterministicAndJsonByteStable) {
   const auto run = [](std::uint64_t seed) {
-    SketchOptions opts;
-    opts.memory_budget = 64 << 10;
-    SketchAggregator sk(opts, small_catalog());
+    SketchAggregator sk(online::StreamingAggregatorOptions{}, 64 << 10,
+                        small_catalog());
     std::mt19937_64 rng(seed);
     std::vector<Diagnosis> all;
     for (int w = 0; w < 8; ++w) {
@@ -325,23 +362,22 @@ TEST(SketchAggregator, ExactVsSketchTopKOverlapOnFig10) {
 }
 
 TEST(SketchSizing, BudgetDrivesShapeAndFootprint) {
-  const auto small = SketchSizing::from_budget(64 << 10, 0.01);
-  const auto large = SketchSizing::from_budget(4 << 20, 0.01);
+  const auto small = SketchSizing::from_budget(64 << 10);
+  const auto large = SketchSizing::from_budget(4 << 20);
   EXPECT_GE(small.depth, 2u);
   EXPECT_LE(small.depth, 8u);
   EXPECT_GE(small.width, 64u);
   EXPECT_GT(large.width, small.width);
   EXPECT_GT(large.tracked_capacity, small.tracked_capacity);
   EXPECT_GT(large.board_capacity, small.board_capacity);
-  // Tighter delta -> more rows.
-  EXPECT_GE(SketchSizing::from_budget(1 << 20, 1e-4).depth,
-            SketchSizing::from_budget(1 << 20, 0.1).depth);
+  // Every budget gets the rows of the fixed failure probability.
+  EXPECT_EQ(small.depth, large.depth);
 
   // The realized footprint respects the budget (+ the documented 2x
   // tracked-entry churn headroom already inside the split).
-  SketchOptions opts;
-  opts.memory_budget = 256 << 10;
-  SketchAggregator sk(opts, small_catalog());
+  constexpr std::size_t kBudget = 256 << 10;
+  SketchAggregator sk(online::StreamingAggregatorOptions{}, kBudget,
+                      small_catalog());
   std::mt19937_64 rng(29);
   for (int w = 0; w < 10; ++w) {
     std::vector<Diagnosis> window;
@@ -350,7 +386,7 @@ TEST(SketchSizing, BudgetDrivesShapeAndFootprint) {
                                   random_flow(rng), 1.0));
     sk.ingest(window);
   }
-  EXPECT_LE(sk.memory_bytes(), opts.memory_budget * 11 / 10);
+  EXPECT_LE(sk.memory_bytes(), kBudget * 11 / 10);
 }
 
 /// The process memory the soak holds flat, in kB; 0 when unavailable.
@@ -384,9 +420,8 @@ TEST(SketchAggregator, SoakHoldsMemoryFlat) {
   std::size_t windows = 300;
   if (const char* env = std::getenv("MICROSCOPE_SKETCH_SOAK_WINDOWS"))
     windows = static_cast<std::size_t>(std::atoll(env));
-  SketchOptions opts;
-  opts.memory_budget = 512 << 10;
-  SketchAggregator sk(opts, small_catalog());
+  SketchAggregator sk(online::StreamingAggregatorOptions{}, 512 << 10,
+                      small_catalog());
   std::mt19937_64 rng(31);
   const std::size_t warmup = windows / 4;
   std::size_t warm_bytes = 0;

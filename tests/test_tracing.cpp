@@ -188,28 +188,13 @@ TEST_F(Tracing, ChromeExportBalancedAndStamped) {
   EXPECT_NE(json.find("\"git_hash\""), std::string::npos);
   EXPECT_NE(json.find("\"droppedEvents\": 5"), std::string::npos);
   EXPECT_NE(json.find("\"window\": 3"), std::string::npos);
+  EXPECT_NE(json.find("\"items\": 9"), std::string::npos);
   // The inner span's B must come after the outer's B and before its E.
   const auto outer_b = json.find("\"name\": \"outer\"");
   const auto inner_b = json.find("\"name\": \"inner\"");
   ASSERT_NE(outer_b, std::string::npos);
   ASSERT_NE(inner_b, std::string::npos);
   EXPECT_LT(outer_b, inner_b);
-}
-
-TEST_F(Tracing, JsonlExportHeaderAndOneLinePerEvent) {
-  SKIP_IF_METRICS_DISABLED();
-  TraceRecorder::global().enable();
-  { TraceSpan span("t", "a"); }
-  trace_instant("t", "b");
-  const auto events = TraceRecorder::global().drain();
-  ASSERT_EQ(events.size(), 2u);
-  const std::string jsonl = export_trace_jsonl(events, 1);
-  EXPECT_EQ(count_of(jsonl, "\n"), 3u);  // header + 2 events
-  EXPECT_EQ(jsonl.rfind("{\"type\": \"header\"", 0), 0u);
-  EXPECT_NE(jsonl.find("\"dropped\": 1"), std::string::npos);
-  EXPECT_EQ(count_of(jsonl, "{\"type\": \"event\""), 2u);
-  EXPECT_NE(jsonl.find("\"kind\": \"span\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"kind\": \"instant\""), std::string::npos);
 }
 
 TEST_F(Tracing, OnlineEngineEmitsWindowLifecycleEvents) {

@@ -1,6 +1,6 @@
 // The MICROSCOPE_NO_METRICS off-switch for the flight recorder. This
 // binary deliberately does NOT link the microscope library: the compiled-out
-// header must be self-contained (pure inline no-ops), and both exporters
+// header must be self-contained (pure inline no-ops), and the exporter
 // must return zero bytes. The build defines MICROSCOPE_NO_METRICS on this
 // target only — see tests/CMakeLists.txt.
 #ifndef MICROSCOPE_NO_METRICS
@@ -36,7 +36,6 @@ TEST(TracingNoop, EnableIsInertAndNothingRecords) {
 TEST(TracingNoop, ExportersReturnZeroBytes) {
   std::vector<TraceEvent> events(3);
   EXPECT_EQ(export_chrome_trace(events, 7).size(), 0u);
-  EXPECT_EQ(export_trace_jsonl(events, 7).size(), 0u);
 }
 
 }  // namespace
