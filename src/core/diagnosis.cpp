@@ -77,7 +77,10 @@ std::vector<Diagnosis> Diagnoser::diagnose_all(
     std::vector<Provenance>* provs) const {
   std::vector<Diagnosis> out(victims.size());
   if (provs) provs->resize(victims.size());
+  // Pool threads reopen this thread's correlation window in every chunk.
+  const std::int64_t window = obs::CorrelationScope::current_window();
   parallel_for_over(pool, victims.size(), [&](std::size_t b, std::size_t e) {
+    const auto wscope = obs::CorrelationScope::for_window(window);
     for (std::size_t i = b; i < e; ++i)
       out[i] = diagnose(victims[i], provs ? &(*provs)[i] : nullptr);
   });
@@ -87,7 +90,6 @@ std::vector<Diagnosis> Diagnoser::diagnose_all(
 Diagnosis Diagnoser::diagnose(const Victim& v, Provenance* prov) const {
   DiagnoseMetrics& m = DiagnoseMetrics::get();
   obs::ScopedTimer timer(m.ns);
-  const auto wscope = obs::CorrelationScope::for_window(opts_.trace_window);
   const auto vscope =
       obs::CorrelationScope::for_victim(static_cast<std::int64_t>(v.journey));
   obs::TraceSpan span("core", "diagnose");

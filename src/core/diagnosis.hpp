@@ -24,11 +24,6 @@ struct DiagnoserOptions {
   std::size_t max_flows_per_relation = 64;
   /// k in the "beyond k standard deviations" hop-abnormality test.
   double abnormal_stddev_k = 1.0;
-  /// Online window index to stamp on trace spans recorded inside
-  /// diagnose() (obs/tracing correlation tag). Carried through options
-  /// because diagnose_all() fans out to pool threads, where the caller's
-  /// thread-local CorrelationScope does not reach. -1 = no window.
-  std::int64_t trace_window = -1;
 };
 
 class Diagnoser {
@@ -110,8 +105,6 @@ class Diagnoser {
   std::vector<FlowWeight> period_flows(NodeId node,
                                        const QueuingPeriod& period,
                                        double score) const;
-
-  Victim make_latency_victim(std::uint32_t jid) const;
 
   const trace::ReconstructedTrace* rt_;
   std::vector<RatePerNs> peak_rates_;

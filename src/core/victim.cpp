@@ -90,7 +90,6 @@ std::vector<Victim> Diagnoser::latency_victims_by_percentile(double pct) const {
 
 std::vector<Victim> Diagnoser::latency_victims_by_threshold(
     DurationNs threshold) const {
-  const auto wscope = obs::CorrelationScope::for_window(opts_.trace_window);
   obs::TraceSpan span("core", "victims.latency");
   const auto stats = hop_stats(*rt_, opts_.abnormal_stddev_k);
   std::vector<Victim> out;
@@ -107,7 +106,6 @@ std::vector<Victim> Diagnoser::latency_victims_by_threshold(
 }
 
 std::vector<Victim> Diagnoser::drop_victims() const {
-  const auto wscope = obs::CorrelationScope::for_window(opts_.trace_window);
   obs::TraceSpan span("core", "victims.drops");
   std::vector<Victim> out;
   for (const std::uint32_t jid : rt_->journey_order()) {
@@ -129,7 +127,6 @@ std::vector<Victim> Diagnoser::drop_victims() const {
 
 std::vector<Victim> Diagnoser::connection_stall_victims(
     DurationNs stall_gap, std::size_t min_packets) const {
-  const auto wscope = obs::CorrelationScope::for_window(opts_.trace_window);
   obs::TraceSpan span("core", "victims.connection_stall");
   // Delivered TCP packets grouped per connection (pre-NAT five-tuple).
   struct Entry {
@@ -177,7 +174,6 @@ std::vector<Victim> Diagnoser::connection_stall_victims(
 }
 
 std::vector<Victim> Diagnoser::in_nf_delay_victims(DurationNs threshold) const {
-  const auto wscope = obs::CorrelationScope::for_window(opts_.trace_window);
   obs::TraceSpan span("core", "victims.in_nf_delay");
   std::vector<Victim> out;
   for (const std::uint32_t jid : rt_->journey_order()) {
@@ -204,7 +200,6 @@ std::vector<Victim> Diagnoser::in_nf_delay_victims(DurationNs threshold) const {
 std::vector<Victim> Diagnoser::throughput_victims(const FiveTuple& flow,
                                                   DurationNs window,
                                                   double min_rate_pps) const {
-  const auto wscope = obs::CorrelationScope::for_window(opts_.trace_window);
   obs::TraceSpan span("core", "victims.throughput");
   // Bucket the flow's deliveries into fixed windows; packets inside
   // under-rate windows become victims.

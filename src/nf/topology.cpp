@@ -42,7 +42,6 @@ T& Topology::add_nf_impl(NfConfig cfg, Args&&... args) {
                                   std::forward<Args>(args)...);
   inst->set_network(this);
   inst->set_prop_delay(opts_.prop_delay);
-  inst->set_drop_log(&drop_log_);
   T& ref = *inst;
   nfs_[id] = std::move(inst);
   return ref;

@@ -78,7 +78,6 @@ class Topology : public Network {
   const std::vector<NodeId>& downstreams_of(NodeId id) const;
 
   const std::vector<Delivery>& deliveries() const { return deliveries_; }
-  const std::vector<DropEvent>& drop_log() const { return drop_log_; }
   const Options& options() const { return opts_; }
 
   // Network:
@@ -107,7 +106,6 @@ class Topology : public Network {
   std::vector<std::vector<NodeId>> downstreams_;
 
   std::vector<Delivery> deliveries_;
-  std::vector<DropEvent> drop_log_;
 };
 
 /// Flow-level load balancing router: hash(flow, salt) % targets.

@@ -175,6 +175,10 @@ class CorrelationScope {
   static CorrelationScope for_victim(std::int64_t id) noexcept {
     return CorrelationScope(kKeep, id);
   }
+  /// This thread's window tag, for reopening it on a pool thread.
+  static std::int64_t current_window() noexcept {
+    return tracing_detail::current_correlation().window;
+  }
   CorrelationScope(const CorrelationScope&) = delete;
   CorrelationScope& operator=(const CorrelationScope&) = delete;
   CorrelationScope(CorrelationScope&& other) noexcept
@@ -246,6 +250,7 @@ class CorrelationScope {
  public:
   static CorrelationScope for_window(std::int64_t) noexcept { return {}; }
   static CorrelationScope for_victim(std::int64_t) noexcept { return {}; }
+  static std::int64_t current_window() noexcept { return kNoCorrelation; }
   CorrelationScope(const CorrelationScope&) = delete;
   CorrelationScope& operator=(const CorrelationScope&) = delete;
   CorrelationScope(CorrelationScope&&) noexcept {}

@@ -290,11 +290,7 @@ WindowResult OnlineEngine::diagnose(const WindowBounds& b) {
     return res;
   }
 
-  // The window id rides through options because diagnose_all fans out to
-  // pool threads, out of reach of this thread's correlation scope.
-  core::DiagnoserOptions dopts = opts_.diagnoser;
-  dopts.trace_window = b.index;
-  core::Diagnoser diag(recon_.trace(), peak_rates_, dopts);
+  core::Diagnoser diag(recon_.trace(), peak_rates_, opts_.diagnoser);
   std::vector<core::Victim> victims;
   auto keep = [&](const core::Victim& v) {
     return v.time >= b.start && v.time < b.end;

@@ -31,11 +31,12 @@
 // Memory is bounded: records and reconstruction state are evicted as soon
 // as the last window that may need them closes, so the retained span never
 // exceeds history + window + 2*slack (plus the not-yet-closed tail of the
-// stream), and evicted lane prefixes are compacted away (see
-// stream_store.hpp). Records that arrive out of order within their lane, or
-// below the last closed window's end + slack (after an idle-forced close),
-// are dropped and counted: the committed reconstruction has already decided
-// everything they could have changed.
+// stream): at every close, store and reconstruction erase the evicted
+// prefix of each lane at one horizon (DESIGN.md §7). Records that arrive
+// out of order within their lane, or below the last closed window's
+// end + slack (after an idle-forced close), are dropped and counted: the
+// committed reconstruction has already decided everything they could have
+// changed.
 #pragma once
 
 #include <cstddef>

@@ -55,8 +55,6 @@ class TraceFileTailer {
   std::vector<WindowResult> drain_to_end(std::size_t chunk = 1 << 12,
                                          const WindowCallback& on_window = {});
 
-  bool header_parsed() const { return header_done_; }
-
  private:
   void try_parse_header();
 

@@ -32,38 +32,27 @@ bool has_flows(const NodeTrace& t, Direction dir) {
   return dir == Direction::kTx && t.full_flow;
 }
 
-/// Index of the first live entry of a lane whose live batches start at
-/// `head` (the entry count when no batch is live).
-std::size_t first_live_entry(const std::vector<BatchRecord>& batches,
-                             std::size_t head, std::size_t entries) {
-  return head < batches.size() ? batches[head].begin : entries;
-}
-
-/// Pop the lane's front batches older than `horizon`, then compact it once
-/// the dead prefix is at least as long as the live tail: every compaction
-/// moves no more entries than were popped since the last one. Erased
-/// batches and entries are added to the bases. Returns the number of
-/// batches popped.
-std::size_t evict_lane(NodeTrace& t, Direction dir, std::size_t& head,
-                       std::uint64_t& batch_base, std::uint32_t& entry_base,
-                       TimeNs horizon) {
+/// Erase the lane's front batches older than `horizon`, with their
+/// entries, and add them to the bases. A regressed batch waits behind its
+/// positional predecessor. Returns the number of batches erased.
+std::size_t evict_lane(NodeTrace& t, Direction dir, std::uint64_t& batch_base,
+                       std::uint32_t& entry_base, TimeNs horizon) {
   std::vector<BatchRecord>& batches = batches_of(t, dir);
-  const std::size_t first = head;
-  while (head < batches.size() && batches[head].ts < horizon) ++head;
-  const std::size_t popped = head - first;
-  if (head == 0 || head < batches.size() - head) return popped;
+  std::size_t gone = 0;
+  while (gone < batches.size() && batches[gone].ts < horizon) ++gone;
+  if (gone == 0) return 0;
 
   std::vector<std::uint16_t>& ipids = ipids_of(t, dir);
-  const std::size_t base = first_live_entry(batches, head, ipids.size());
-  batches.erase(batches.begin(), batches.begin() + head);
-  for (BatchRecord& b : batches) b.begin -= static_cast<std::uint32_t>(base);
-  ipids.erase(ipids.begin(), ipids.begin() + base);
+  const std::size_t entries =
+      gone < batches.size() ? batches[gone].begin : ipids.size();
+  batches.erase(batches.begin(), batches.begin() + gone);
+  for (BatchRecord& b : batches) b.begin -= static_cast<std::uint32_t>(entries);
+  ipids.erase(ipids.begin(), ipids.begin() + entries);
   if (has_flows(t, dir))
-    t.tx_flows.erase(t.tx_flows.begin(), t.tx_flows.begin() + base);
-  batch_base += head;
-  entry_base += static_cast<std::uint32_t>(base);
-  head = 0;
-  return popped;
+    t.tx_flows.erase(t.tx_flows.begin(), t.tx_flows.begin() + entries);
+  batch_base += gone;
+  entry_base += static_cast<std::uint32_t>(entries);
+  return gone;
 }
 
 }  // namespace
@@ -102,9 +91,8 @@ void StreamStore::add(Direction dir, NodeId node, NodeId peer, TimeNs ts,
 void StreamStore::evict_before(TimeNs horizon) {
   for (Lanes& l : lanes_)
     for (const Direction dir : kDirections)
-      retained_batches_ -=
-          evict_lane(l.trace, dir, l.head[lane(dir)], l.batch_base[lane(dir)],
-                     l.entry_base[lane(dir)], horizon);
+      retained_batches_ -= evict_lane(l.trace, dir, l.batch_base[lane(dir)],
+                                      l.entry_base[lane(dir)], horizon);
 }
 
 trace::RecordLanes StreamStore::lanes() const {
@@ -138,14 +126,10 @@ void StreamStore::renumber(const trace::EntryShifts& shifts) {
 }
 
 bool StreamStore::empty_in(TimeNs t_lo, TimeNs t_hi) const {
-  for (const Lanes& l : lanes_) {
-    for (const Direction dir : kDirections) {
-      const std::vector<BatchRecord>& batches = batches_of(l.trace, dir);
-      const std::size_t head = l.head[lane(dir)];
-      for (std::size_t i = head; i < batches.size(); ++i)
-        if (batches[i].ts >= t_lo && batches[i].ts <= t_hi) return false;
-    }
-  }
+  for (const Lanes& l : lanes_)
+    for (const Direction dir : kDirections)
+      for (const BatchRecord& b : batches_of(l.trace, dir))
+        if (b.ts >= t_lo && b.ts <= t_hi) return false;
   return true;
 }
 
@@ -153,12 +137,8 @@ std::size_t StreamStore::retained_bytes() const {
   std::size_t bytes = 0;
   for (const Lanes& l : lanes_) {
     for (const Direction dir : kDirections) {
-      const std::vector<BatchRecord>& batches = batches_of(l.trace, dir);
-      const std::vector<std::uint16_t>& ipids = ipids_of(l.trace, dir);
-      const std::size_t head = l.head[lane(dir)];
-      const std::size_t entries =
-          ipids.size() - first_live_entry(batches, head, ipids.size());
-      bytes += (batches.size() - head) * sizeof(BatchRecord) +
+      const std::size_t entries = ipids_of(l.trace, dir).size();
+      bytes += batches_of(l.trace, dir).size() * sizeof(BatchRecord) +
                entries * sizeof(std::uint16_t);
       if (has_flows(l.trace, dir)) bytes += entries * sizeof(FiveTuple);
     }
@@ -172,11 +152,9 @@ DurationNs StreamStore::retained_span() const {
   bool any = false;
   for (const Lanes& l : lanes_) {
     for (const Direction dir : kDirections) {
-      const std::vector<BatchRecord>& batches = batches_of(l.trace, dir);
-      const std::size_t head = l.head[lane(dir)];
-      for (std::size_t i = head; i < batches.size(); ++i) {
-        lo = std::min(lo, batches[i].ts);
-        hi = std::max(hi, batches[i].ts);
+      for (const BatchRecord& b : batches_of(l.trace, dir)) {
+        lo = std::min(lo, b.ts);
+        hi = std::max(hi, b.ts);
         any = true;
       }
     }

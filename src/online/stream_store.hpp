@@ -10,14 +10,13 @@
 // keeps its absolute number (its index had nothing ever been evicted), which
 // is how the persistent reconstruction reads the lanes (lanes()).
 //
-// Each (node, direction) lane keeps a live-head index. Eviction advances it
-// past the front batches older than the horizon, then compacts the lane in
-// place once the dead prefix is at least as long as the live tail (erase the
-// prefix, rebase `begin`, add the erased counts to the lane's bases), so
-// eviction is amortized O(1) per batch. Entry numbers are 32 bits wide: the
-// engine shifts them down together with the reconstruction's
-// (trace::Reconstruction::renumber) long before they could wrap, and `add`
-// refuses a batch whose numbers would.
+// At every window close, eviction erases each (node, direction) lane's
+// front batches older than the horizon, with their entries, and adds them
+// to the lane's bases (DESIGN.md §7, "Eviction"), so a lane holds only
+// live batches. Entry numbers are 32 bits wide: the engine shifts them down
+// together with the reconstruction's (trace::Reconstruction::renumber)
+// long before they could wrap, and `add` refuses a batch whose numbers
+// would.
 #pragma once
 
 #include <cstddef>
@@ -57,10 +56,11 @@ class StreamStore {
   void add(collector::Direction dir, NodeId node, NodeId peer, TimeNs ts,
            std::span<const Packet> pkts);
 
-  /// Evict every batch with ts < horizon from the front of each
-  /// (node, direction) lane. Lanes are expected to be (approximately)
-  /// time-ordered: a regressed batch waits behind its positional
-  /// predecessor, and is released once that one passes the horizon too.
+  /// Erase every batch with ts < horizon from the front of each
+  /// (node, direction) lane, with its entries. Lanes are expected to be
+  /// (approximately) time-ordered: a regressed batch waits behind its
+  /// positional predecessor, and is erased once that one passes the
+  /// horizon too.
   void evict_before(TimeNs horizon);
 
   /// Every node's lanes with their absolute bases, for the reconstruction
@@ -83,22 +83,19 @@ class StreamStore {
   bool empty_in(TimeNs t_lo, TimeNs t_hi) const;
 
   std::size_t retained_batches() const { return retained_batches_; }
-  /// Bytes of the live lane records: batch records, IPIDs and five-tuples
-  /// (the compacted-away prefix and spare capacity are not counted).
+  /// Bytes of the lane records held: batch records, IPIDs and five-tuples
+  /// (spare capacity is not counted).
   std::size_t retained_bytes() const;
   /// Timestamp span covered by retained batches (0 when empty) — the
   /// quantity the bounded-memory guarantee is stated over.
   DurationNs retained_span() const;
 
  private:
-  /// One node's lanes. `head` holds each direction's first live batch
-  /// (indexed by collector::Direction); the batches before it are evicted
-  /// and wait for compaction. The bases count the batches and entries
-  /// compaction erased.
+  /// One node's lanes. The bases (indexed by collector::Direction) count
+  /// the batches and entries eviction erased.
   struct Lanes {
     collector::NodeTrace trace;
     bool registered{false};
-    std::size_t head[2]{0, 0};
     std::uint64_t batch_base[2]{0, 0};
     std::uint32_t entry_base[2]{0, 0};
     TimeNs newest[2]{std::numeric_limits<TimeNs>::min(),

@@ -93,17 +93,13 @@ PatternKey clamp_to_level(PatternKey k, int level) {
   return k;
 }
 
-std::array<PatternKey, kChainLevels> generalization_chain(
-    const autofocus::RelationRecord& rec,
-    const autofocus::NfCatalog& catalog) {
+std::array<PatternKey, kChainLevels> chain_from(PatternKey k, int level) {
   using autofocus::kSideDims;
-  PatternKey k;
-  k.culprit = leaf_side(rec.culprit_flow, rec.culprit_nf, catalog);
-  k.kind = rec.kind;
-  k.victim = leaf_side(rec.victim_flow, rec.victim_nf, catalog);
-  // A leaf is at level 0 of every ladder, so rung i of its ladder is level
-  // i: read each ladder once and give every chain level the rungs its
-  // table row names (the same keys clamp_to_level computes).
+  // Every dimension of k sits at rung `have` of its ladder, the one its
+  // level's table row names, so rung i of the ladder read from k is rung
+  // have + i: read each ladder once and give every higher level rung
+  // want - have (the keys clamp_to_level computes level by level).
+  const int(&have)[kSideDims] = kChainDimLevel[level];
   std::uint64_t cul[kSideDims][autofocus::kMaxDimLevels];
   std::uint64_t vic[kSideDims][autofocus::kMaxDimLevels];
   for (int d = 0; d < kSideDims; ++d) {
@@ -111,17 +107,27 @@ std::array<PatternKey, kChainLevels> generalization_chain(
     autofocus::dim_ladder(k.victim, d, vic[d]);
   }
   std::array<PatternKey, kChainLevels> chain;
-  chain[0] = k;
-  for (int l = 1; l < kChainLevels; ++l) {
+  chain[level] = k;
+  for (int l = level + 1; l < kChainLevels; ++l) {
     for (int d = 0; d < kSideDims; ++d) {
       const int want = kChainDimLevel[l][d];
       if (want == kChainDimLevel[l - 1][d]) continue;
-      autofocus::set_dim_code(k.culprit, d, cul[d][want]);
-      autofocus::set_dim_code(k.victim, d, vic[d][want]);
+      autofocus::set_dim_code(k.culprit, d, cul[d][want - have[d]]);
+      autofocus::set_dim_code(k.victim, d, vic[d][want - have[d]]);
     }
     chain[l] = k;
   }
   return chain;
+}
+
+std::array<PatternKey, kChainLevels> generalization_chain(
+    const autofocus::RelationRecord& rec,
+    const autofocus::NfCatalog& catalog) {
+  PatternKey k;
+  k.culprit = leaf_side(rec.culprit_flow, rec.culprit_nf, catalog);
+  k.kind = rec.kind;
+  k.victim = leaf_side(rec.victim_flow, rec.victim_nf, catalog);
+  return chain_from(k, 0);
 }
 
 SketchSizing SketchSizing::from_budget(std::size_t budget_bytes) {
@@ -252,9 +258,9 @@ void SketchAggregator::evict_tracked_down_to(std::size_t capacity) {
 
 void SketchAggregator::fold_into_ancestor(const PatternKey& key, int level,
                                           double mass) {
+  const std::array<PatternKey, kChainLevels> chain = chain_from(key, level);
   for (int m = level + 1; m < kChainLevels; ++m) {
-    PatternKey anc = clamp_to_level(key, m);
-    auto it = tracked_.find(anc);
+    auto it = tracked_.find(chain[m]);
     if (it != tracked_.end()) {
       it->second.score += mass;
       return;

@@ -79,10 +79,16 @@ inline constexpr int kChainLevels = 8;
 ///   level 3: ports -> any          level 7: root (all dims any, NF any)
 PatternKey clamp_to_level(PatternKey k, int level);
 
+/// The chain above `k`, a key of chain level `level` (each dimension at
+/// the rung that level's row names, as on every chain): chain[level] == k
+/// and chain[m] == clamp_to_level(k, m) for every m > level (the entries
+/// below `level` are left default). Reads each of k's 12 ladders once.
+std::array<PatternKey, kChainLevels> chain_from(PatternKey k, int level);
+
 /// The full ancestor chain of a relation record, most specific first:
-/// chain[l] == clamp_to_level(leaf, l), chain.back() the per-kind root.
-/// Adjacent duplicate keys are NOT removed (fixed length keeps sketch
-/// totals comparable across records); callers dedupe when it matters.
+/// chain_from(leaf, 0), chain.back() the per-kind root. Adjacent duplicate
+/// keys are NOT removed (fixed length keeps sketch totals comparable across
+/// records); callers dedupe when it matters.
 std::array<PatternKey, kChainLevels> generalization_chain(
     const autofocus::RelationRecord& rec, const autofocus::NfCatalog& catalog);
 

@@ -687,41 +687,37 @@ void Aligner::rollback(std::vector<NodeAlignment>& out, ThreadPool* pool) {
 }
 
 void Aligner::evict_before(TimeNs horizon, std::vector<NodeAlignment>& out) {
+  // How many of a lane's front elements are older than `horizon`.
+  const auto older = [&](const std::vector<TimeNs>& ts) {
+    std::size_t k = 0;
+    while (k < ts.size() && ts[k] < horizon) ++k;
+    return k;
+  };
   for (NodeId id = 0; id < nodes_.size() && id < out.size(); ++id) {
     Node& nd = nodes_[id];
     NodeAlignment& a = out[id];
-    while (nd.rx_live < a.rx_end() &&
-           a.rx_entry_ts[nd.rx_live - a.rx_base] < horizon)
-      ++nd.rx_live;
-    nd.link_done = std::max(nd.link_done, nd.rx_live);
-    nd.int_done = std::max(nd.int_done, nd.rx_live);
-    if (const std::size_t k = nd.rx_live - a.rx_base; k > 0) {
-      drop_front(a.rx_origin, k);
-      drop_front(a.rx_to_tx, k);
-      drop_front(a.rx_entry_ts, k);
-      a.rx_base = nd.rx_live;
-    }
-    while (nd.tx_live < a.tx_end() &&
-           a.tx_entry_ts[nd.tx_live - a.tx_base] < horizon)
-      ++nd.tx_live;
-    if (const std::size_t k = nd.tx_live - a.tx_base; k > 0) {
-      drop_front(a.tx_to_rx, k);
-      drop_front(a.tx_dropped_downstream, k);
-      drop_front(a.tx_peer, k);
-      drop_front(a.tx_entry_ts, k);
-      drop_front(nd.consumed, k);
-      a.tx_base = nd.tx_live;
-    }
+    const std::size_t rx_gone = older(a.rx_entry_ts);
+    drop_front(a.rx_origin, rx_gone);
+    drop_front(a.rx_to_tx, rx_gone);
+    drop_front(a.rx_entry_ts, rx_gone);
+    a.rx_base += static_cast<std::uint32_t>(rx_gone);
+    nd.link_done = std::max(nd.link_done, a.rx_base);
+    nd.int_done = std::max(nd.int_done, a.rx_base);
+    const std::size_t tx_gone = older(a.tx_entry_ts);
+    drop_front(a.tx_to_rx, tx_gone);
+    drop_front(a.tx_dropped_downstream, tx_gone);
+    drop_front(a.tx_peer, tx_gone);
+    drop_front(a.tx_entry_ts, tx_gone);
+    drop_front(nd.consumed, tx_gone);
+    a.tx_base += static_cast<std::uint32_t>(tx_gone);
     for (Stream& s : nd.out) {
-      while (s.live < s.end() && s.ts[s.live - s.base] < horizon) ++s.live;
-      s.link_head = std::max(s.link_head, s.live);
-      s.int_head = std::max(s.int_head, s.live);
-      if (const std::size_t k = s.live - s.base; k > 0) {
-        drop_front(s.entry, k);
-        drop_front(s.ts, k);
-        drop_front(s.ipid, k);
-        s.base = s.live;
-      }
+      const std::size_t gone = older(s.ts);
+      drop_front(s.entry, gone);
+      drop_front(s.ts, gone);
+      drop_front(s.ipid, gone);
+      s.base += static_cast<std::uint32_t>(gone);
+      s.link_head = std::max(s.link_head, s.base);
+      s.int_head = std::max(s.int_head, s.base);
     }
   }
 }
@@ -741,10 +737,8 @@ void Aligner::visit_numbers(std::vector<NodeAlignment>& out,
       if (e != kNoEntry) visit(tx, e);
     for (std::uint32_t& e : a.tx_to_rx)
       if (e != kNoEntry) visit(rx, e);
-    visit(rx, nd.rx_live);
     visit(rx, nd.link_done);
     visit(rx, nd.int_done);
-    visit(tx, nd.tx_live);
     for (std::size_t k = 0; k < nd.consumed.size(); ++k)
       if (nd.consumed[k] != kNoEntry)
         visit({Numbering::kRx, a.tx_peer[k]}, nd.consumed[k]);
@@ -752,7 +746,6 @@ void Aligner::visit_numbers(std::vector<NodeAlignment>& out,
       Stream& s = nd.out[i];
       const NumberSpace pos{Numbering::kPosition, id, i};
       visit(pos, s.base);
-      visit(pos, s.live);
       visit(pos, s.link_head);
       visit(pos, s.int_head);
       for (std::uint32_t& e : s.entry) visit(tx, e);

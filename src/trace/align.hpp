@@ -155,7 +155,8 @@ struct AlignMetrics {
 /// One node's record lanes as the reconstruction reads them: batch b of a
 /// direction is absolute batch batch_base + b, entry k absolute entry
 /// entry_base + k (both indexed by collector::Direction). Offline the bases
-/// are 0; the online store raises them when it compacts its lanes.
+/// are 0; the online store raises them as it erases evicted prefixes, in
+/// step with the NodeAlignment bases of every NF and source.
 struct NodeLanes {
   const collector::NodeTrace* trace{nullptr};  // nullptr: not registered
   std::uint64_t batch_base[2]{0, 0};
@@ -214,7 +215,7 @@ class Aligner {
  public:
   /// One packet stream between a (tx node, peer) pair as contiguous SoA
   /// lanes in FIFO order. Positions are absolute (element k is position
-  /// base + k; positions below `live` are evicted) and so are the cursors.
+  /// base + k; positions below `base` are evicted) and so are the cursors.
   struct Stream {
     NodeId up{kInvalidNode};
     NodeId peer{kInvalidNode};
@@ -223,7 +224,6 @@ class Aligner {
     bool linked{false};
     bool sorted{true};  // ts nondecreasing
     std::uint32_t base{0};
-    std::uint32_t live{0};
     std::vector<std::uint32_t> entry;  // tx entry index at `up`
     std::vector<TimeNs> ts;
     std::vector<std::uint16_t> ipid;
@@ -246,9 +246,6 @@ class Aligner {
     std::uint64_t next_batch[2]{0, 0};
     /// Timestamp of the newest rx batch pulled (0 before the first).
     TimeNs last_read{0};
-    /// First live rx / tx entry: older ones are evicted.
-    std::uint32_t rx_live{0};
-    std::uint32_t tx_live{0};
     /// Committed rx entries of the link and internal passes (absolute).
     std::uint32_t link_done{0};
     std::uint32_t int_done{0};
@@ -290,25 +287,19 @@ class Aligner {
   void rollback(std::vector<NodeAlignment>& out, ThreadPool* pool);
 
   /// Evict every entry older than `horizon` (and the stream positions that
-  /// carry them); committed cursors below it move up to it. The lanes are
-  /// compacted right away, so they hold only live entries: each call moves
-  /// every live entry once (DESIGN.md §7 weighs this against amortized
-  /// compaction).
+  /// carry them): erase the evicted prefix of every lane and raise its base
+  /// past it, the one way every lane evicts (DESIGN.md §7). Committed
+  /// cursors below a base move up to it. An entry is live while it is at
+  /// or above its lane's base.
   void evict_before(TimeNs horizon, std::vector<NodeAlignment>& out);
 
   /// Every absolute number held here and in `out` — lane bases, cursors,
-  /// live marks, alignment decisions, consumers, stream entries and
-  /// positions — handed to `visit` with its space.
+  /// alignment decisions, consumers, stream entries and positions — handed
+  /// to `visit` with its space, each lane base once.
   void visit_numbers(std::vector<NodeAlignment>& out,
                      const NumberVisitor& visit);
 
   // --- decision state (absolute entry numbers) --------------------------
-  bool rx_live(NodeId d, std::uint32_t rx) const {
-    return rx >= nodes_[d].rx_live;
-  }
-  bool tx_live(NodeId u, std::uint32_t tx) const {
-    return tx >= nodes_[u].tx_live;
-  }
   /// Link alignment of rx entry `rx` at `d` is committed.
   bool link_committed(NodeId d, std::uint32_t rx) const {
     return rx < nodes_[d].link_done;

@@ -49,15 +49,6 @@ const std::vector<Journey>& ReconstructedTrace::journeys() const {
   return journeys_;
 }
 
-std::uint32_t ReconstructedTrace::journey_of_rx(NodeId node,
-                                                std::uint32_t rx_idx) const {
-  if (node >= jid_of_rx_.size()) return kNoJourney;
-  const std::uint32_t base = alignments_[node].rx_base;
-  if (rx_idx < base || rx_idx - base >= jid_of_rx_[node].size())
-    return kNoJourney;
-  return jid_of_rx_[node][rx_idx - base];
-}
-
 namespace {
 
 constexpr std::size_t kRxDir = 0;  // collector::Direction::kRx
@@ -116,7 +107,6 @@ Reconstruction::Reconstruction(const GraphView& graph, ReconstructOptions opts)
       nodes_(graph.node_count()) {
   ReconstructMetrics::get();  // the stage's names exist once this does
   rt_.timelines_.resize(graph.node_count());
-  rt_.jid_of_rx_.resize(graph.node_count());
 }
 
 std::uint32_t Reconstruction::alloc_journey() {
@@ -138,7 +128,7 @@ void Reconstruction::free_journey(std::uint32_t id) {
 void Reconstruction::set_jid_of_tx(NodeId u, std::uint32_t tx,
                                    std::uint32_t id) {
   NodeState& ns = nodes_[u];
-  const std::uint32_t k = tx - ns.tx_base;
+  const std::uint32_t k = tx - rt_.alignments_[u].tx_base;
   ns.jid_of_tx[k] = id;
   // Keep the arrival this entry became (if any) in step.
   const std::uint32_t pos = ns.arr_pos[k];
@@ -162,7 +152,6 @@ void Reconstruction::advance(const RecordLanes& lanes, const Frontier& f,
       NodeState& ns = nodes_[id];
       ns.jid_of_tx.resize(a.tx_to_rx.size(), kNoJourney);
       ns.arr_pos.resize(a.tx_to_rx.size(), kNoEntry);
-      rt_.jid_of_rx_[id].resize(a.rx_origin.size(), kNoJourney);
       const std::size_t outs = aligner_.node(id).out.size();
       ns.arrived.resize(outs, 0);
       ns.synced.resize(outs, 0);
@@ -307,11 +296,9 @@ bool Reconstruction::walk(const RecordLanes& lanes, Kind kind, NodeId node,
   bool flow_fallback = false;
   if (kind == kPolicyDrop) {
     j.fate = Fate::kDroppedPolicy;
-    j.ipid = t.rx_ipids[entry - lanes[node].entry_base[kRxDir]];
     cur_rx = entry;
   } else {
     const std::size_t local = entry - lanes[node].entry_base[kTxDir];
-    j.ipid = t.tx_ipids[local];
     cur_tx = entry;
     if (kind == kDelivered) {
       j.fate = Fate::kDelivered;
@@ -334,14 +321,13 @@ bool Reconstruction::walk(const RecordLanes& lanes, Kind kind, NodeId node,
   bool complete = false;
   while (true) {
     if (g.is_source(cur)) {
-      if (!aligner_.tx_live(cur, cur_tx)) break;
+      if (cur_tx < al[cur].tx_base) break;
       const NodeLanes& sl = lanes[cur];
       const std::size_t local = cur_tx - sl.entry_base[kTxDir];
       j.source = cur;
       j.source_idx = cur_tx;
       j.source_time = tx_ts(cur, cur_tx);
       if (local < sl.trace->tx_flows.size()) j.flow = sl.trace->tx_flows[local];
-      j.ipid = sl.trace->tx_ipids[local];
       set_jid_of_tx(cur, cur_tx, id);
       complete = true;
       break;
@@ -349,11 +335,11 @@ bool Reconstruction::walk(const RecordLanes& lanes, Kind kind, NodeId node,
     const NodeAlignment& a = al[cur];
     std::uint32_t rx = cur_rx;
     if (rx == kNoEntry && cur_tx != kNoEntry) {
-      if (!aligner_.tx_live(cur, cur_tx)) break;
+      if (cur_tx < a.tx_base) break;
       committed = committed && aligner_.claim_committed(cur, cur_tx, a);
       rx = a.tx_to_rx[cur_tx - a.tx_base];
     }
-    if (rx == kNoEntry || !aligner_.rx_live(cur, rx)) break;  // truncate
+    if (rx == kNoEntry || rx < a.rx_base) break;  // truncate
 
     Hop hop;
     hop.node = cur;
@@ -362,11 +348,11 @@ bool Reconstruction::walk(const RecordLanes& lanes, Kind kind, NodeId node,
     hop.read = a.rx_entry_ts[rx - a.rx_base];
     hop.depart = cur_tx != kNoEntry ? tx_ts(cur, cur_tx) : kTimeNever;
     if (cur_tx != kNoEntry) set_jid_of_tx(cur, cur_tx, id);
-    rt_.jid_of_rx_[cur][rx - a.rx_base] = id;
     committed = committed && aligner_.link_committed(cur, rx);
 
     const TxRef origin = a.rx_origin[rx - a.rx_base];
-    const bool follow = origin.valid() && aligner_.tx_live(origin.node, origin.idx);
+    const bool follow =
+        origin.valid() && origin.idx >= al[origin.node].tx_base;
     hop.arrival = follow ? tx_ts(origin.node, origin.idx) + prop : hop.read;
     path.push_back(hop);
 
@@ -403,10 +389,11 @@ void Reconstruction::refresh_consumers(NodeId d, bool after_rollback) {
     NodeState& us = nodes_[in.up];
     const Aligner::Node& un = aligner_.node(in.up);
     std::uint32_t& synced = us.synced[in.idx];
+    const std::uint32_t tx_base = rt_.alignments_[in.up].tx_base;
     const std::uint32_t from = std::max(
-        after_rollback ? s.link_head : synced, s.live);
+        after_rollback ? s.link_head : synced, s.base);
     for (std::uint32_t p = from; p < us.arrived[in.idx]; ++p) {
-      const std::uint32_t k = s.entry[p - s.base] - us.tx_base;
+      const std::uint32_t k = s.entry[p - s.base] - tx_base;
       const std::uint32_t pos = us.arr_pos[k];
       if (pos != kNoEntry) tl.arrivals[pos - arr_base].rx_idx = un.consumed[k];
     }
@@ -458,7 +445,7 @@ void Reconstruction::build_timelines(const RecordLanes& lanes,
     for (const Aligner::InStream& in : aligner_.node(d).in) {
       const Aligner::Stream& s = aligner_.stream(in);
       NodeState& us = nodes_[in.up];
-      Run r{&s, &us, std::max(us.arrived[in.idx], s.live), s.end()};
+      Run r{&s, &us, std::max(us.arrived[in.idx], s.base), s.end()};
       if (!f.final()) {
         r.cut = r.p;
         while (r.cut < s.end() && s.ts[r.cut - s.base] < f.ceiling) ++r.cut;
@@ -470,7 +457,7 @@ void Reconstruction::build_timelines(const RecordLanes& lanes,
     auto emit = [&](const Run& r, std::uint32_t p) {
       const Aligner::Stream& s = *r.s;
       const std::uint32_t e = s.entry[p - s.base];
-      const std::uint32_t k = e - r.us->tx_base;
+      const std::uint32_t k = e - rt_.alignments_[s.up].tx_base;
       const Aligner::Node& un = aligner_.node(s.up);
       Arrival ar;
       ar.t = s.ts[p - s.base] + prop;
@@ -501,7 +488,8 @@ void Reconstruction::build_timelines(const RecordLanes& lanes,
                   tl.arrivals.end(), arrival_before);
         for (std::size_t i = at; i < tl.arrivals.size(); ++i) {
           const Arrival& ar = tl.arrivals[i];
-          nodes_[ar.from].arr_pos[ar.up_tx_idx - nodes_[ar.from].tx_base] =
+          nodes_[ar.from].arr_pos[ar.up_tx_idx -
+                                  rt_.alignments_[ar.from].tx_base] =
               ns.arr_base + static_cast<std::uint32_t>(i);
         }
         return;
@@ -543,21 +531,16 @@ void Reconstruction::rebuild_order() {
   order.clear();
   for (int k = 0; k < kKinds; ++k) {
     for (NodeState& ns : nodes_) {
-      for (std::size_t i = ns.held_head[k]; i < ns.held[k].size(); ++i)
-        order.push_back(ns.held[k][i].id);
+      for (const Held& h : ns.held[k]) order.push_back(h.id);
       order.insert(order.end(), ns.spec[k].begin(), ns.spec[k].end());
     }
   }
 }
 
 void Reconstruction::unlink(const Journey& j) {
-  const std::vector<NodeAlignment>& al = rt_.alignments_;
   if (j.source != kInvalidNode) set_jid_of_tx(j.source, j.source_idx, kNoJourney);
-  for (const Hop& h : j.hops) {
+  for (const Hop& h : j.hops)
     if (h.tx_idx != kNoEntry) set_jid_of_tx(h.node, h.tx_idx, kNoJourney);
-    if (h.rx_idx != kNoEntry)
-      rt_.jid_of_rx_[h.node][h.rx_idx - al[h.node].rx_base] = kNoJourney;
-  }
 }
 
 void Reconstruction::discard_speculative(ThreadPool* pool) {
@@ -576,8 +559,8 @@ void Reconstruction::discard_speculative(ThreadPool* pool) {
     NodeState& ns = nodes_[d];
     for (std::size_t i = ns.arr_committed; i < tl.arrivals.size(); ++i) {
       const Arrival& ar = tl.arrivals[i];
-      NodeState& us = nodes_[ar.from];
-      us.arr_pos[ar.up_tx_idx - us.tx_base] = kNoEntry;
+      nodes_[ar.from].arr_pos[ar.up_tx_idx -
+                              rt_.alignments_[ar.from].tx_base] = kNoEntry;
     }
     tl.arrivals.resize(ns.arr_committed);
   }
@@ -593,32 +576,24 @@ void Reconstruction::evict_before(TimeNs horizon) {
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     NodeState& ns = nodes_[id];
     const NodeAlignment& a = rt_.alignments_[id];
-    const Aligner::Node& an = aligner_.node(id);
-    if (a.tx_base > ns.tx_base) {
-      drop_front(ns.jid_of_tx, a.tx_base - ns.tx_base);
-      drop_front(ns.arr_pos, a.tx_base - ns.tx_base);
-      ns.tx_base = a.tx_base;
+    // jid_of_tx and arr_pos run parallel to the alignment's tx lanes: drop
+    // as many entries as those just dropped.
+    const std::size_t tx_gone = ns.jid_of_tx.size() - a.tx_to_rx.size();
+    drop_front(ns.jid_of_tx, tx_gone);
+    drop_front(ns.arr_pos, tx_gone);
+    ns.term_next[kDelivered] = std::max(ns.term_next[kDelivered], a.tx_base);
+    ns.term_next[kQueueDrop] = std::max(ns.term_next[kQueueDrop], a.tx_base);
+    ns.term_next[kPolicyDrop] = std::max(ns.term_next[kPolicyDrop], a.rx_base);
+    const std::vector<Aligner::Stream>& out = aligner_.node(id).out;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ns.arrived[i] = std::max(ns.arrived[i], out[i].base);
+      ns.synced[i] = std::max(ns.synced[i], out[i].base);
     }
-    if (a.rx_base > ns.rx_base) {
-      drop_front(rt_.jid_of_rx_[id], a.rx_base - ns.rx_base);
-      ns.rx_base = a.rx_base;
-    }
-    ns.term_next[kDelivered] = std::max(ns.term_next[kDelivered], an.tx_live);
-    ns.term_next[kQueueDrop] = std::max(ns.term_next[kQueueDrop], an.tx_live);
-    ns.term_next[kPolicyDrop] = std::max(ns.term_next[kPolicyDrop], an.rx_live);
-    for (std::size_t i = 0; i < an.out.size(); ++i) {
-      ns.arrived[i] = std::max(ns.arrived[i], an.out[i].live);
-      ns.synced[i] = std::max(ns.synced[i], an.out[i].live);
-    }
-    for (int k = 0; k < kKinds; ++k) {
-      std::vector<Held>& held = ns.held[k];
-      std::size_t& head = ns.held_head[k];
-      while (head < held.size() && held[head].end < horizon)
-        free_journey(held[head++].id);
-      if (head >= held.size() - head && head > 0) {
-        drop_front(held, head);
-        head = 0;
-      }
+    for (std::vector<Held>& held : ns.held) {
+      std::size_t gone = 0;
+      while (gone < held.size() && held[gone].end < horizon)
+        free_journey(held[gone++].id);
+      drop_front(held, gone);
     }
     NodeTimeline& tl = rt_.timelines_[id];
     const auto arr_cut = std::find_if(
@@ -653,8 +628,6 @@ void Reconstruction::visit_numbers(const NumberVisitor& visit) {
     const NodeAlignment& a = rt_.alignments_[id];
     const NumberSpace rx{Numbering::kRx, id};
     const NumberSpace tx{Numbering::kTx, id};
-    visit(rx, ns.rx_base);
-    visit(tx, ns.tx_base);
     // arr_pos runs parallel to the alignment's tx lanes (same base).
     for (std::size_t k = 0; k < ns.arr_pos.size(); ++k)
       if (ns.arr_pos[k] != kNoEntry)
@@ -663,8 +636,7 @@ void Reconstruction::visit_numbers(const NumberVisitor& visit) {
     visit(tx, ns.term_next[kQueueDrop]);
     visit(rx, ns.term_next[kPolicyDrop]);
     for (int k = 0; k < kKinds; ++k) {
-      for (std::size_t i = ns.held_head[k]; i < ns.held[k].size(); ++i) {
-        Held& h = ns.held[k][i];
+      for (Held& h : ns.held[k]) {
         visit(k == kPolicyDrop ? rx : tx, h.entry);
         visit_journey(rt_.journeys_[h.id]);
       }
@@ -742,9 +714,8 @@ std::vector<Reconstruction::Terminal> Reconstruction::committed_terminals()
   std::vector<Terminal> out;
   for (int k = 0; k < kKinds; ++k)
     for (NodeId id = 0; id < nodes_.size(); ++id) {
-      const NodeState& ns = nodes_[id];
-      for (std::size_t i = ns.held_head[k]; i < ns.held[k].size(); ++i)
-        out.push_back({k, id, ns.held[k][i].entry, ns.held[k][i].id});
+      for (const Held& h : nodes_[id].held[k])
+        out.push_back({k, id, h.entry, h.id});
     }
   return out;
 }
@@ -753,7 +724,7 @@ std::size_t Reconstruction::live_journeys() const {
   std::size_t live = 0;
   for (const NodeState& ns : nodes_)
     for (int k = 0; k < kKinds; ++k)
-      live += ns.held[k].size() - ns.held_head[k] + ns.spec[k].size();
+      live += ns.held[k].size() + ns.spec[k].size();
   return live;
 }
 
@@ -767,8 +738,7 @@ std::size_t Reconstruction::retained_bytes() const {
   }
   for (std::size_t id = 0; id < nodes_.size(); ++id) {
     const NodeState& ns = nodes_[id];
-    bytes += bytes_of(ns.jid_of_tx) + bytes_of(ns.arr_pos) +
-             bytes_of(rt_.jid_of_rx_[id]);
+    bytes += bytes_of(ns.jid_of_tx) + bytes_of(ns.arr_pos);
     const NodeTimeline& tl = rt_.timelines_[id];
     bytes += bytes_of(tl.arrivals) + bytes_of(tl.reads) +
              bytes_of(tl.reads_cum);

@@ -63,7 +63,6 @@ struct Journey {
   /// Flow as recorded at the graph edge (post-NAT); only for delivered
   /// packets.
   FiveTuple edge_flow{};
-  std::uint16_t ipid{0};
   NodeId source{kInvalidNode};
   std::uint32_t source_idx{kNoEntry};  // tx entry index at the source
   TimeNs source_time{0};
@@ -162,9 +161,6 @@ class ReconstructedTrace {
   const AlignStats& align_stats() const { return align_stats_; }
   const std::vector<NodeAlignment>& alignments() const { return alignments_; }
 
-  /// Journey id of a node's rx entry (kNoJourney if unresolved).
-  std::uint32_t journey_of_rx(NodeId node, std::uint32_t rx_idx) const;
-
  private:
   friend class Reconstruction;
 
@@ -173,8 +169,6 @@ class ReconstructedTrace {
   std::vector<Journey> journeys_;
   std::vector<std::uint32_t> order_;
   std::vector<NodeTimeline> timelines_;  // by node id
-  /// [node][rx entry - alignments_[node].rx_base]
-  std::vector<std::vector<std::uint32_t>> jid_of_rx_;
   std::vector<NodeAlignment> alignments_;
   AlignStats align_stats_{};
   /// Some journey id was freed for reuse.
@@ -203,9 +197,9 @@ class Reconstruction {
   /// Undo everything the last advance left uncommitted.
   void discard_speculative(ThreadPool* pool);
 
-  /// Evict every entry, journey, arrival and read older than `horizon`.
-  /// Per-entry lanes and timelines are compacted right away (the journeys
-  /// held per terminal kind behind an amortized head).
+  /// Evict every entry, journey, arrival and read older than `horizon`:
+  /// erase the evicted prefix of every per-entry lane, held journey list
+  /// and timeline, the one way every lane evicts (DESIGN.md §7).
   void evict_before(TimeNs horizon);
 
   /// One past the highest absolute number held, over every space.
@@ -260,10 +254,9 @@ class Reconstruction {
     TimeNs end;           // no hop of the journey is later (eviction key)
   };
   struct NodeState {
-    std::uint32_t tx_base{0};
-    std::uint32_t rx_base{0};
-    /// Per tx entry: the journey through it, and its arrival's index at the
-    /// peer's timeline.
+    /// Per tx entry (absolute - NodeAlignment::tx_base; parallel to the
+    /// alignment's tx lanes): the journey through it, and its arrival's
+    /// index at the peer's timeline.
     std::vector<std::uint32_t> jid_of_tx;
     std::vector<std::uint32_t> arr_pos;
     /// Next entry each terminal kind examines: everything before it is
@@ -271,7 +264,6 @@ class Reconstruction {
     std::uint32_t term_next[kKinds]{0, 0, 0};
     /// Committed journeys per kind in journey order, oldest first.
     std::vector<Held> held[kKinds];
-    std::size_t held_head[kKinds]{0, 0, 0};
     /// Speculative journeys per kind in journey order.
     std::vector<std::uint32_t> spec[kKinds];
     /// Absolute index of timeline.arrivals[0]; arrivals past `arr_committed`

@@ -472,8 +472,7 @@ void expect_committed_matches_offline(
   for (NodeId d = 0; d < rt.graph().node_count(); ++d) {
     const NodeAlignment& a = rt.alignments()[d];
     const NodeAlignment& o = ot.alignments()[d];
-    const trace::Aligner::Node& nd = al.node(d);
-    for (std::uint32_t j = nd.rx_live; j < a.rx_end(); ++j, ++n.rx) {
+    for (std::uint32_t j = a.rx_base; j < a.rx_end(); ++j, ++n.rx) {
       const std::uint32_t oj = rx_of(d, j);
       ASSERT_LT(oj, o.rx_end()) << label;
       EXPECT_EQ(a.rx_entry_ts[j - a.rx_base], o.rx_entry_ts[oj]) << label;
@@ -486,7 +485,7 @@ void expect_committed_matches_offline(
             << label << " node " << d << " rx " << oj;
       }
     }
-    for (std::uint32_t e = nd.tx_live; e < a.tx_end(); ++e, ++n.tx) {
+    for (std::uint32_t e = a.tx_base; e < a.tx_end(); ++e, ++n.tx) {
       const std::uint32_t oe = tx_of(d, e);
       ASSERT_LT(oe, o.tx_end()) << label;
       EXPECT_EQ(a.tx_peer[e - a.tx_base], o.tx_peer[oe]) << label;
@@ -535,7 +534,7 @@ void expect_committed_matches_offline(
       ASSERT_TRUE(it != want.end() && it->t == ar.t && it->from == ar.from &&
                   it->up_tx_idx == up)
           << label << " node " << d << " arrival from " << ar.from;
-      if (al.tx_live(ar.from, ar.up_tx_idx) &&
+      if (ar.up_tx_idx >= rt.alignments()[ar.from].tx_base &&
           al.fate_committed(ar.from, ar.up_tx_idx,
                             rt.alignments()[ar.from])) {
         EXPECT_EQ(rx_of(d, ar.rx_idx), it->rx_idx) << label << " node " << d;
@@ -601,10 +600,20 @@ LaneCheck check_lanes_against_offline(const Scenario& s, OnlineOptions oopt,
       n.first_renumbered = windows;
     n.highest = std::max(n.highest, eng.store().entries_end());
     const trace::Reconstruction& on = eng.reconstruction();
-    expect_committed_matches_offline(on, off, offset,
-                                     label + " window " +
-                                         std::to_string(windows),
-                                     n);
+    const std::string at = label + " window " + std::to_string(windows);
+    expect_committed_matches_offline(on, off, offset, at, n);
+    // The store and the reconstruction erase what they evict at the same
+    // horizon: every NF and source lane starts at the same entry in both.
+    const trace::RecordLanes lanes = eng.store().lanes();
+    for (NodeId d = 0; d < s.graph.node_count(); ++d) {
+      if (!s.graph.is_nf(d) && !s.graph.is_source(d)) continue;
+      ASSERT_LT(d, lanes.size()) << at;
+      const trace::NodeAlignment& a = on.trace().alignments()[d];
+      EXPECT_EQ(lanes[d].entry_base[1], a.tx_base) << at << " node " << d;
+      if (s.graph.is_nf(d)) {
+        EXPECT_EQ(lanes[d].entry_base[0], a.rx_base) << at << " node " << d;
+      }
+    }
     for (NodeId d = 0; d < s.graph.node_count(); ++d) {
       const trace::NodeAlignment& a = on.trace().alignments()[d];
       const std::uint32_t open = on.aligner().node(d).int_done;
@@ -667,7 +676,7 @@ TEST(Online, CommittedLanesMatchOfflineAtEveryWindow) {
 
 TEST(Online, EntryNumbersAreRenumberedBeforeTheyWrap) {
   // Entry numbers are 32 bits wide and grow with the stream. Twenty
-  // windows in — after eviction has compacted the oldest lanes — the
+  // windows in — after eviction has erased the oldest entries — the
   // engine's numbering is moved up next to a limit; the rest of the stream
   // would carry the busy lanes past it. The engine must renumber in time,
   // by the smallest number still held, and every later window must still
@@ -1256,7 +1265,7 @@ void expect_lane_matches(const trace::NodeLanes& got,
 
 TEST(Online, StreamStoreLanesKeepAbsoluteNumbers) {
   // Differential check of the columnar store: after any mix of appends and
-  // evictions (with in-place lane compaction), every batch a lane still
+  // evictions (each erasing the evicted prefix), every batch a lane still
   // holds must equal, at its absolute number, the batch of that number in a
   // plain Collector fed every batch ever added — the numbering the
   // persistent reconstruction reads the lanes by. Lanes: a full-flow source
@@ -1267,7 +1276,7 @@ TEST(Online, StreamStoreLanesKeepAbsoluteNumbers) {
   constexpr NodeId kSource = 0, kNfA = 1, kNfB = 2, kSink = 3;
   constexpr DurationNs kStep = 100_us;
   constexpr int kRounds = 400;
-  // ~12 live batches per lane, so every lane compacts about every 8 rounds.
+  // ~12 live batches per lane.
   constexpr DurationNs kHistory = 8 * kStep;
 
   struct Lane {
@@ -1315,6 +1324,17 @@ TEST(Online, StreamStoreLanesKeepAbsoluteNumbers) {
   };
   auto evict = [&](TimeNs h) {
     store.evict_before(h);
+    // Eviction erases what it evicts: no lane starts with a batch older
+    // than the horizon.
+    const trace::RecordLanes held = store.lanes();
+    for (const Lane& l : lanes) {
+      const auto& batches = l.dir == Direction::kRx
+                                ? held[l.node].trace->rx_batches
+                                : held[l.node].trace->tx_batches;
+      if (!batches.empty()) {
+        EXPECT_GE(batches.front().ts, h) << "horizon " << h;
+      }
+    }
     std::size_t retained = 0;
     std::size_t bytes = 0;
     for (Lane& l : lanes) {

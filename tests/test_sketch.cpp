@@ -220,6 +220,40 @@ TEST(Chain, LevelsFollowTheAutoFocusLadders) {
   }
 }
 
+TEST(Chain, WalkFromEveryLevelContinuesTheLeafChain) {
+  // An evicted tracked entry folds into its nearest tracked ancestor,
+  // found by walking the chain up from the entry's level: from every level
+  // L of a leaf's chain that walk gives the chain's levels L+1..7. Both
+  // records put one side on a node outside the catalog (the fallback
+  // leaf).
+  const auto cat = small_catalog();
+  std::vector<autofocus::RelationRecord> recs(2);
+  recs[0].culprit_flow = {make_ipv4(10, 1, 2, 3), make_ipv4(172, 16, 9, 8),
+                          3333, 443, 6};
+  recs[0].culprit_nf = 1;
+  recs[0].kind = CauseKind::kLocalProcessing;
+  recs[0].victim_flow = {make_ipv4(10, 4, 5, 6), make_ipv4(172, 16, 7, 7),
+                         5555, 53, 17};
+  recs[0].victim_nf = 9;
+  recs[1].culprit_flow = {make_ipv4(192, 168, 5, 6), make_ipv4(8, 8, 4, 4), 80,
+                          50000, 17};
+  recs[1].culprit_nf = 7;
+  recs[1].kind = CauseKind::kSourceTraffic;
+  recs[1].victim_flow = {make_ipv4(1, 2, 3, 4), make_ipv4(5, 6, 7, 8), 1, 2,
+                         6};
+  recs[1].victim_nf = 3;
+  for (const autofocus::RelationRecord& rec : recs) {
+    const auto chain = generalization_chain(rec, cat);
+    for (int l = 0; l < kChainLevels; ++l) {
+      const auto up = chain_from(chain[l], l);
+      EXPECT_EQ(up[l], chain[l]) << l;
+      for (int m = l + 1; m < kChainLevels; ++m) {
+        EXPECT_EQ(up[m], chain[m]) << "from " << l << " to " << m;
+      }
+    }
+  }
+}
+
 // ---- sketch aggregator --------------------------------------------------
 
 TEST(SketchAggregator, BoardMatchesExactUnderHalvingDecay) {

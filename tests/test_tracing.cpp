@@ -89,10 +89,13 @@ TEST_F(Tracing, CorrelationScopesNestAndRestore) {
     {
       // A nested window overrides, then restores on scope exit.
       const auto inner = CorrelationScope::for_window(2);
+      EXPECT_EQ(CorrelationScope::current_window(), 2);
       trace_instant("t", "override");
     }
+    EXPECT_EQ(CorrelationScope::current_window(), 1);
     trace_instant("t", "restored");
   }
+  EXPECT_EQ(CorrelationScope::current_window(), kNoCorrelation);
   trace_instant("t", "outside");
   const auto events = TraceRecorder::global().drain();
   ASSERT_EQ(events.size(), 4u);
@@ -219,9 +222,11 @@ TEST_F(Tracing, OnlineEngineEmitsWindowLifecycleEvents) {
   oopt.diagnoser.max_depth = 5;
   oopt.diagnoser.period.max_lookback = 3_ms;
   oopt.reconstruct.prop_delay = net.topo->options().prop_delay;
-  online::OnlineEngine eng(trace::graph_view(*net.topo),
-                           net.topo->peak_rates(), oopt);
-  online::replay_collector(col, eng, 64, true);
+  {
+    online::OnlineEngine eng(trace::graph_view(*net.topo),
+                             net.topo->peak_rates(), oopt);
+    online::replay_collector(col, eng, 64, true);
+  }
   const auto events = TraceRecorder::global().drain();
 
   std::size_t opens = 0, closes = 0;
@@ -247,6 +252,23 @@ TEST_F(Tracing, OnlineEngineEmitsWindowLifecycleEvents) {
         e.victim_id != kNoCorrelation)
       tagged_diagnose = true;
   EXPECT_TRUE(tagged_diagnose);
+
+  // With a pool, diagnose spans run on its threads too: every one of them
+  // must still carry its window and its victim.
+  oopt.threads = 4;
+  {
+    online::OnlineEngine eng(trace::graph_view(*net.topo),
+                             net.topo->peak_rates(), oopt);
+    online::replay_collector(col, eng, 64, true);
+  }
+  std::size_t diagnoses = 0;
+  for (const TraceEvent& e : TraceRecorder::global().drain()) {
+    if (std::string(e.name) != "diagnose") continue;
+    ++diagnoses;
+    EXPECT_NE(e.window_id, kNoCorrelation);
+    EXPECT_NE(e.victim_id, kNoCorrelation);
+  }
+  EXPECT_GT(diagnoses, 0u);
 }
 
 }  // namespace

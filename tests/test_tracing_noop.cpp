@@ -25,6 +25,7 @@ TEST(TracingNoop, EnableIsInertAndNothingRecords) {
   {
     const auto w = CorrelationScope::for_window(1);
     const auto v = CorrelationScope::for_victim(2);
+    EXPECT_EQ(CorrelationScope::current_window(), kNoCorrelation);
     TraceSpan span("t", "work", 3);
     span.set_items(4);
     trace_instant("t", "tick", 5);
