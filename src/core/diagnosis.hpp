@@ -31,15 +31,21 @@ class Diagnoser {
   Diagnoser(const trace::ReconstructedTrace& rt,
             std::vector<RatePerNs> peak_rates, DiagnoserOptions opts = {});
 
-  /// Diagnose one victim: full recursive causal analysis. When `prov` is
-  /// non-null it is overwritten with the full provenance of the run (the
-  /// diagnosis itself is unaffected — capture is observation only).
+  /// Diagnose one victim: diagnose_all({victim}), the one implementation.
+  /// When `prov` is non-null it is overwritten with the full provenance of
+  /// the run (the diagnosis itself is unaffected — capture is observation
+  /// only). `victim.journey` must be a journey of the trace.
   Diagnosis diagnose(const Victim& victim, Provenance* prov = nullptr) const;
 
-  /// Diagnose every victim, sharded across `pool` when it is non-null and
-  /// in turn on the calling thread otherwise; out[i] is
-  /// diagnose(victims[i], &(*provs)[i]) regardless of scheduling (each
-  /// diagnosis is a pure function of the immutable reconstructed trace). A
+  /// Diagnose every victim: full recursive causal analysis (§4.1-§4.3).
+  /// The victims of one queuing period share one PreSet index per (NF,
+  /// first arrival of a period) that their diagnoses meet (DESIGN.md §5
+  /// "PreSet index"), so the victims are taken in (node, arrival time)
+  /// order, which keeps each period's victims adjacent. That order is cut
+  /// into chunks sharded across `pool` when it is non-null (one chunk on the
+  /// calling thread otherwise), and each chunk keeps its own indices. out[i]
+  /// is the diagnosis of victims[i] regardless of order and scheduling:
+  /// each is a pure function of the immutable reconstructed trace. A
   /// non-null `provs` is resized to victims.size() and receives each
   /// victim's provenance.
   std::vector<Diagnosis> diagnose_all(
@@ -84,27 +90,25 @@ class Diagnoser {
   const DiagnoserOptions& options() const { return opts_; }
 
  private:
+  /// One chunk's PreSet indices and interned paths and flows.
+  struct Workspace;
+
+  /// One victim's diagnosis; `prov` as in diagnose().
+  Diagnosis diagnose_one(Workspace& ws, const Victim& victim,
+                         Provenance* prov) const;
+
   /// Distribute `base_score` of input-driven queue buildup at `node` over
   /// the given period among upstream culprits; recurse (§4.2-§4.3).
   /// `prov`/`prov_parent` (nullable / -1) capture a PropagationStep per
   /// invocation, linked into the provenance tree.
-  void propagate(NodeId node, const QueuingPeriod& period, double base_score,
-                 int depth, std::uint32_t victim_journey, Diagnosis& out,
-                 Provenance* prov, int prov_parent) const;
+  void propagate(Workspace& ws, NodeId node, const QueuingPeriod& period,
+                 double base_score, int depth, std::uint32_t victim_journey,
+                 Diagnosis& out, Provenance* prov, int prov_parent) const;
 
-  /// Emit a local-processing relation at `node` for `period`.
-  void emit_local(NodeId node, const QueuingPeriod& period, double score,
-                  int depth, Diagnosis& out) const;
-
-  /// Emit a source-traffic relation.
-  void emit_source(NodeId source, double score, int depth, TimeNs t0,
-                   TimeNs t1, const std::vector<std::uint32_t>& journeys,
-                   Diagnosis& out) const;
-
-  /// Culprit flows of the packets arriving at `node` during `period`.
-  std::vector<FlowWeight> period_flows(NodeId node,
-                                       const QueuingPeriod& period,
-                                       double score) const;
+  /// Emit a local-processing relation at `node` for `period`, with the
+  /// flows of every packet arriving at `node` during it.
+  void emit_local(Workspace& ws, NodeId node, const QueuingPeriod& period,
+                  double score, int depth, Diagnosis& out) const;
 
   const trace::ReconstructedTrace* rt_;
   std::vector<RatePerNs> peak_rates_;
