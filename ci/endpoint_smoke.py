@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end smoke of the live introspection plane (DESIGN.md §15).
 
+Phase 0 — a health threshold that is not a finite number >= 0 (inf, nan,
+negative, junk) is a usage error: the CLI exits 2 before running anything.
+
 Phase 1 — replay the Fig. 10 scenario with the HTTP plane on and assert
 every endpoint answers with a schema-valid body while windows close:
 /metrics (validated by check_prom_format, carrying the collector, online
@@ -86,6 +89,21 @@ def get_status(port, path):
         return None
 
 
+def phase0():
+    for flag, value in (("--health-lag-ms", "inf,inf"),
+                        ("--health-lag-ms", "100,nan"),
+                        ("--health-drops", "-1,50"),
+                        ("--health-drops", "1,5x")):
+        try:
+            done = subprocess.run([CLI, flag, value], capture_output=True,
+                                  text=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            fail(f"{flag} {value} was accepted (the run did not stop)")
+        if done.returncode != 2:
+            fail(f"{flag} {value}: wanted exit 2, got {done.returncode}")
+    print("endpoint_smoke: phase 0 OK (non-finite thresholds rejected)")
+
+
 def phase1():
     proc, port = start_cli(["--interrupt", "nf=nat1,t=60,len=800",
                             "--pace", "5", "--sample-every", "50"])
@@ -106,7 +124,7 @@ def phase1():
                 fail(f"/metrics missing the {stage}* stage")
 
         version = json.loads(get(port, "/version"))
-        for key in ("git_hash", "build_type", "metrics"):
+        for key in ("git_hash", "build_type"):
             if key not in version:
                 fail(f"/version missing {key!r}")
 
@@ -172,6 +190,7 @@ def phase2():
 
 
 if __name__ == "__main__":
+    phase0()
     phase1()
     phase2()
     print("endpoint_smoke: all phases OK")

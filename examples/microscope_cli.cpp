@@ -85,6 +85,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -94,6 +95,7 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "microscope/microscope.hpp"
 
@@ -151,6 +153,27 @@ std::size_t parse_bytes_or_die(const std::string& s) {
   else if (*end == 'g' || *end == 'G') mult = 1024.0 * 1024.0 * 1024.0;
   else if (*end != '\0') usage_error("bad byte count " + s);
   return static_cast<std::size_t>(v * mult);
+}
+
+/// Parse a "<degraded>,<unhealthy>" health threshold pair and scale both
+/// by `scale`; exits with a usage error unless each is a finite number >= 0.
+std::pair<double, double> parse_thresholds_or_die(const std::string& flag,
+                                                  const std::string& s,
+                                                  double scale) {
+  const std::string msg =
+      flag + " wants <degraded>,<unhealthy>, finite numbers >= 0";
+  const auto comma = s.find(',');
+  if (comma == std::string::npos) usage_error(msg);
+  const std::string parts[2] = {s.substr(0, comma), s.substr(comma + 1)};
+  double out[2];
+  for (int i = 0; i < 2; ++i) {
+    char* end = nullptr;
+    out[i] = std::strtod(parts[i].c_str(), &end) * scale;
+    if (parts[i].empty() || *end != '\0' || !std::isfinite(out[i]) ||
+        out[i] < 0)
+      usage_error(msg);
+  }
+  return {out[0], out[1]};
 }
 
 const char* culprit_name(const autofocus::NfCatalog& catalog, NodeId node) {
@@ -387,20 +410,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-retained") {
       max_retained = static_cast<std::size_t>(std::atoll(next().c_str()));
     } else if (arg == "--health-lag-ms") {
-      const std::string v = next();
-      const auto comma = v.find(',');
-      if (comma == std::string::npos)
-        usage_error("--health-lag-ms wants <degraded>,<unhealthy> in ms");
-      health_opts.lag_p95_degraded_ns = std::atof(v.c_str()) * 1e6;
-      health_opts.lag_p95_unhealthy_ns =
-          std::atof(v.c_str() + comma + 1) * 1e6;
+      std::tie(health_opts.lag_p95_degraded_ns,
+               health_opts.lag_p95_unhealthy_ns) =
+          parse_thresholds_or_die(arg, next(), 1e6);
     } else if (arg == "--health-drops") {
-      const std::string v = next();
-      const auto comma = v.find(',');
-      if (comma == std::string::npos)
-        usage_error("--health-drops wants <degraded>,<unhealthy> per second");
-      health_opts.drop_rate_degraded = std::atof(v.c_str());
-      health_opts.drop_rate_unhealthy = std::atof(v.c_str() + comma + 1);
+      std::tie(health_opts.drop_rate_degraded,
+               health_opts.drop_rate_unhealthy) =
+          parse_thresholds_or_die(arg, next(), 1.0);
     } else if (arg == "--health-recover-ticks") {
       health_opts.recover_ticks = std::atoi(next().c_str());
       if (health_opts.recover_ticks < 1)

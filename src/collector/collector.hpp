@@ -67,8 +67,7 @@ class Collector {
   std::vector<bool> registered_;
   std::uint64_t noise_state_;
   // Registry-backed hook counters, resolved once at construction so the
-  // critical path is a single relaxed add per batch (a no-op under
-  // MICROSCOPE_NO_METRICS).
+  // critical path is a single relaxed add per batch.
   obs::Counter* rx_batches_;
   obs::Counter* rx_packets_;
   obs::Counter* tx_batches_;

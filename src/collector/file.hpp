@@ -11,13 +11,17 @@
 //       corruption is detected and contained at record granularity and a
 //       truncated file still yields its complete prefix.
 //
-// New files are written as v2 by default; v1 files remain loadable (and
-// writable, for compatibility testing). Ground-truth sidecar data is
-// intentionally not persisted — a real deployment doesn't have it.
+// New files are written as v2; v1 files remain loadable. Ground-truth
+// sidecar data is intentionally not persisted — a real deployment doesn't
+// have it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "collector/collector.hpp"
 #include "collector/wire.hpp"
@@ -28,12 +32,32 @@ namespace microscope::collector {
 inline constexpr std::uint32_t kTraceFileMagic = 0x4D535450;  // "MSTP"
 inline constexpr std::uint16_t kTraceFileV1 = 1;  // raw records
 inline constexpr std::uint16_t kTraceFileV2 = 2;  // framed records
-inline constexpr std::uint16_t kTraceFileVersionLatest = kTraceFileV2;
 
-/// Serialize the store to `path`. Throws std::runtime_error on I/O failure
-/// and std::invalid_argument on an unknown version.
-void save_trace(const Collector& col, const std::string& path,
-                std::uint16_t version = kTraceFileVersionLatest);
+/// A trace file's header: the node table and how the records after it are
+/// framed.
+struct TraceFileHeader {
+  struct Node {
+    NodeId id{0};
+    bool full_flow{false};
+  };
+  std::uint16_t version{0};
+  WireFraming framing{WireFraming::kFramed};
+  std::vector<Node> nodes;
+  /// Header length in bytes: the first record starts at this offset.
+  std::size_t length{0};
+};
+
+/// Parse the header at the start of `bytes`, the first bytes of the file
+/// at `path`. Returns std::nullopt while `bytes` ends before the header
+/// does; throws std::runtime_error naming `path` on a bad magic or an
+/// unknown version. The one header parser behind load_trace_ex and
+/// online::TraceFileTailer.
+std::optional<TraceFileHeader> parse_trace_header(
+    std::span<const std::byte> bytes, const std::string& path);
+
+/// Serialize the store to `path` as a v2 file. Throws std::runtime_error
+/// on I/O failure.
+void save_trace(const Collector& col, const std::string& path);
 
 /// Like save_trace, but batch records are interleaved across nodes in
 /// global timestamp order (for_each_batch_by_time; per-node record order
@@ -41,8 +65,7 @@ void save_trace(const Collector& col, const std::string& path,
 /// load_trace and, unlike the node-major layout, can be *tailed* by the
 /// online engine: watermarks advance and windows close while the file is
 /// still being read.
-void save_trace_stream(const Collector& col, const std::string& path,
-                       std::uint16_t version = kTraceFileVersionLatest);
+void save_trace_stream(const Collector& col, const std::string& path);
 
 /// Outcome of a policy-aware load: the store plus the decode fault
 /// accounting (all zero for a pristine file).

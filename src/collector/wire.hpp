@@ -256,8 +256,7 @@ class WireCallbackDecoder {
   std::vector<std::array<TimeNs, 2>> last_ts_;
   DecodedBatch scratch_;
   std::atomic<std::uint64_t> decoded_{0};
-  // Registry mirrors, resolved once at construction (no-ops under
-  // MICROSCOPE_NO_METRICS).
+  // Registry mirrors, resolved once at construction.
   obs::Counter* obs_fault_[8];
   obs::Counter* obs_records_;
   obs::Counter* obs_resync_bytes_;

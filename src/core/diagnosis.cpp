@@ -48,13 +48,8 @@ struct DiagnoseMetrics {
 };
 
 /// Propagation depth and culprit-score distribution of one finished
-/// diagnosis (skipped entirely under MICROSCOPE_NO_METRICS).
+/// diagnosis.
 void record_diagnosis(const Diagnosis& d, DiagnoseMetrics& m) {
-  if constexpr (!obs::kMetricsEnabled) {
-    (void)d;
-    (void)m;
-    return;
-  }
   m.relations.add(d.relations.size());
   if (d.relations.empty()) return;
   int max_depth = 0;
@@ -718,8 +713,7 @@ void Diagnoser::propagate(Workspace& ws, NodeId f, const QueuingPeriod& period,
   // the S_i that flowed in, modulo deliberately-uncharged smooth paths.
   const double rounding = base_score - attributed - uncharged;
   assert(std::abs(rounding) <= 1e-6 * std::max(1.0, base_score));
-  if constexpr (obs::kMetricsEnabled)
-    DiagnoseMetrics::get().residual.add(std::abs(rounding));
+  DiagnoseMetrics::get().residual.add(std::abs(rounding));
   if (prov) {
     prov->steps[step_idx].attributed = attributed;
     prov->steps[step_idx].uncharged = uncharged;

@@ -1,7 +1,5 @@
 #include "obs/build_info.hpp"
 
-#include "obs/metrics.hpp"
-
 #ifndef MICROSCOPE_GIT_HASH
 #define MICROSCOPE_GIT_HASH "unknown"
 #endif
@@ -20,7 +18,6 @@ const BuildInfo& build_info() {
     b.git_hash = MICROSCOPE_GIT_HASH;
     b.build_type = MICROSCOPE_BUILD_TYPE;
     b.compiler = __VERSION__;
-    b.metrics_enabled = kMetricsEnabled;
     b.sanitizers = MICROSCOPE_SANITIZE_STR;
     if (b.sanitizers.empty()) b.sanitizers = "none";
     return b;
@@ -33,8 +30,7 @@ std::string build_info_json() {
   std::string out = "{\"git_hash\": \"" + b.git_hash + "\", ";
   out += "\"build_type\": \"" + b.build_type + "\", ";
   out += "\"compiler\": \"" + b.compiler + "\", ";
-  out += std::string("\"metrics\": ") + (b.metrics_enabled ? "true" : "false");
-  out += ", \"sanitizers\": \"" + b.sanitizers + "\"}";
+  out += "\"sanitizers\": \"" + b.sanitizers + "\"}";
   return out;
 }
 
@@ -44,8 +40,6 @@ std::string build_info_text() {
   out += "  git:        " + b.git_hash + "\n";
   out += "  build:      " + b.build_type + "\n";
   out += "  compiler:   " + b.compiler + "\n";
-  out += std::string("  metrics:    ") + (b.metrics_enabled ? "on" : "off") +
-         "\n";
   out += "  sanitizers: " + b.sanitizers + "\n";
   return out;
 }

@@ -19,9 +19,6 @@ struct BuildInfo {
   std::string build_type;
   /// Compiler identification string (__VERSION__).
   std::string compiler;
-  /// Whether obs/ metrics + tracing were compiled in (MICROSCOPE_NO_METRICS
-  /// flips this off tree-wide).
-  bool metrics_enabled{true};
   /// MICROSCOPE_SANITIZE configuration ("none" when not sanitized).
   std::string sanitizers;
 };
@@ -30,8 +27,8 @@ struct BuildInfo {
 const BuildInfo& build_info();
 
 /// One-line JSON object: {"git_hash": ..., "build_type": ..., "compiler":
-/// ..., "metrics": ..., "sanitizers": ...}. Stamped verbatim into trace
-/// exports and provenance headers.
+/// ..., "sanitizers": ...}. Stamped verbatim into trace exports and
+/// provenance headers.
 std::string build_info_json();
 
 /// Aligned human-readable block for --version output.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
@@ -48,19 +47,6 @@ double rate_since(const Snapshot& snap, const char* name, double& prev,
   const double before = std::exchange(prev, m->value);
   if (std::isnan(before) || dt_s <= 0) return 0.0;
   return (m->value - before) / dt_s;
-}
-
-void append_double(std::string& out, double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 9e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    out += buf;
-  } else {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    out += buf;
-  }
 }
 
 }  // namespace
@@ -213,9 +199,9 @@ std::string HealthWatchdog::report_json() const {
   std::string out = "{\"state\": \"";
   out += health_state_name(overall_);
   out += "\", \"state_code\": ";
-  append_double(out, static_cast<double>(overall_));
+  append_num(out, static_cast<double>(overall_));
   out += ", \"ticks\": ";
-  append_double(out, static_cast<double>(ticks_));
+  append_num(out, static_cast<double>(ticks_));
   out += ", \"signals\": [";
   for (std::size_t i = 0; i < trackers_.size(); ++i) {
     const SignalReport& s = trackers_[i].report;
@@ -223,15 +209,15 @@ std::string HealthWatchdog::report_json() const {
     out += "{\"name\": \"";
     out += s.name;
     out += "\", \"value\": ";
-    append_double(out, s.value);
+    append_num(out, s.value);
     out += ", \"degraded_at\": ";
-    append_double(out, s.degraded_at);
+    append_num(out, s.degraded_at);
     out += ", \"unhealthy_at\": ";
-    append_double(out, s.unhealthy_at);
+    append_num(out, s.unhealthy_at);
     out += ", \"state\": \"";
     out += health_state_name(s.state);
     out += "\", \"flips\": ";
-    append_double(out, static_cast<double>(s.flips));
+    append_num(out, static_cast<double>(s.flips));
     out += "}";
   }
   out += "]}";

@@ -180,10 +180,6 @@ Registry& Registry::global() {
   return reg;
 }
 
-namespace {
-
-/// Integers print without a decimal point; everything else as shortest
-/// round-trippable-ish %.9g. Keeps the JSON golden test byte-stable.
 void append_num(std::string& out, double v) {
   if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 9e15) {
     char buf[32];
@@ -196,6 +192,8 @@ void append_num(std::string& out, double v) {
     out += buf;
   }
 }
+
+namespace {
 
 std::string format_duration_ns(double ns) {
   char buf[48];
@@ -430,8 +428,6 @@ std::string to_prometheus(const Snapshot& snap, bool include_build_info) {
     prom_escape_label(out, b.build_type);
     out += "\",compiler=\"";
     prom_escape_label(out, b.compiler);
-    out += "\",metrics=\"";
-    out += b.metrics_enabled ? "on" : "off";
     out += "\"} 1\n";
   }
   return out;

@@ -19,11 +19,6 @@
 //    metric. A snapshot is internally consistent per metric (monotone
 //    counters never appear to run backward) but makes no cross-metric
 //    atomicity promise.
-//  * Compiling with MICROSCOPE_NO_METRICS turns every update and every
-//    timer clock read into an empty inline function; the registry still
-//    exists (snapshots report zeros) so tooling never needs an #ifdef.
-//    The macro must be set tree-wide (the CMake option does this) — mixing
-//    instrumented and uninstrumented TUs is an ODR violation.
 #pragma once
 
 #include <atomic>
@@ -38,18 +33,11 @@
 
 namespace microscope::obs {
 
-#ifdef MICROSCOPE_NO_METRICS
-inline constexpr bool kMetricsEnabled = false;
-#else
-inline constexpr bool kMetricsEnabled = true;
-#endif
-
 /// Monotonic event counter.
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-    if constexpr (kMetricsEnabled) v_.fetch_add(n, std::memory_order_relaxed);
-    (void)n;
+    v_.fetch_add(n, std::memory_order_relaxed);
   }
   /// Monotone snapshot read.
   std::uint64_t value() const noexcept {
@@ -63,18 +51,12 @@ class Counter {
 /// Last-write-wins instantaneous value (e.g. retained bytes, watermark lag).
 class Gauge {
  public:
-  void set(double v) noexcept {
-    if constexpr (kMetricsEnabled) v_.store(v, std::memory_order_relaxed);
-    (void)v;
-  }
+  void set(double v) noexcept { v_.store(v, std::memory_order_relaxed); }
   void add(double d) noexcept {
-    if constexpr (kMetricsEnabled) {
-      double cur = v_.load(std::memory_order_relaxed);
-      while (!v_.compare_exchange_weak(cur, cur + d,
-                                       std::memory_order_relaxed)) {
-      }
+    double cur = v_.load(std::memory_order_relaxed);
+    while (!v_.compare_exchange_weak(cur, cur + d,
+                                     std::memory_order_relaxed)) {
     }
-    (void)d;
   }
   double value() const noexcept { return v_.load(std::memory_order_relaxed); }
 
@@ -112,14 +94,11 @@ class Histogram {
   explicit Histogram(std::vector<std::int64_t> bounds);
 
   void record(std::int64_t v) noexcept {
-    if constexpr (kMetricsEnabled) {
-      buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
-      count_.fetch_add(1, std::memory_order_relaxed);
-      sum_.fetch_add(v, std::memory_order_relaxed);
-      update_min(v);
-      update_max(v);
-    }
-    (void)v;
+    buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(v, std::memory_order_relaxed);
+    update_min(v);
+    update_max(v);
   }
 
   HistogramSnapshot snapshot() const;
@@ -161,35 +140,27 @@ class Histogram {
 };
 
 /// RAII stage timer: records elapsed wall nanoseconds into a histogram on
-/// destruction (or an explicit stop()). With MICROSCOPE_NO_METRICS neither
-/// clock is ever read.
+/// destruction (or an explicit stop()).
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Histogram& h) noexcept {
-    if constexpr (kMetricsEnabled) {
-      h_ = &h;
-      t0_ = std::chrono::steady_clock::now();
-    }
-    (void)h;
-  }
+  explicit ScopedTimer(Histogram& h) noexcept
+      : h_(&h), t0_(std::chrono::steady_clock::now()) {}
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
   ~ScopedTimer() { stop(); }
 
   void stop() noexcept {
-    if constexpr (kMetricsEnabled) {
-      if (!h_) return;
-      const auto t1 = std::chrono::steady_clock::now();
-      h_->record(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0_)
-              .count());
-      h_ = nullptr;
-    }
+    if (!h_) return;
+    const auto t1 = std::chrono::steady_clock::now();
+    h_->record(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0_)
+            .count());
+    h_ = nullptr;
   }
 
  private:
-  Histogram* h_{nullptr};
-  std::chrono::steady_clock::time_point t0_{};
+  Histogram* h_;
+  std::chrono::steady_clock::time_point t0_;
 };
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
@@ -246,6 +217,11 @@ class Registry {
   std::map<std::string, Entry, std::less<>> metrics_;
 };
 
+/// Appends `v` as a number for the JSON and Prometheus bodies: integers
+/// without a decimal point, everything else as %.9g. Keeps the JSON golden
+/// test byte-stable.
+void append_num(std::string& out, double v);
+
 /// Aligned human-readable rendering (histograms as count/mean/p50/p95/p99).
 std::string to_text(const Snapshot& snap);
 
@@ -260,8 +236,8 @@ std::string to_json(const Snapshot& snap);
 /// with an explicit +Inf bucket, and *_ns durations converted to base-unit
 /// seconds (name and values) per Prometheus convention. When
 /// `include_build_info` is set, a microscope_build_info gauge labelled
-/// from obs/build_info (git_hash, build_type, compiler, metrics) is
-/// appended. ci/check_prom_format.py validates this output in CI.
+/// from obs/build_info (git_hash, build_type, compiler) is appended.
+/// ci/check_prom_format.py validates this output in CI.
 std::string to_prometheus(const Snapshot& snap, bool include_build_info = true);
 
 /// Shared snapshot-and-render entry points used by --metrics dumps, the

@@ -1,7 +1,5 @@
 #include "obs/tracing.hpp"
 
-#ifndef MICROSCOPE_NO_METRICS
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -259,5 +257,3 @@ std::string export_chrome_trace(const std::vector<TraceEvent>& events,
 }
 
 }  // namespace microscope::obs
-
-#endif  // MICROSCOPE_NO_METRICS

@@ -22,10 +22,6 @@
 //  * A global event cap (set_capacity) drops the newest events past the
 //    limit and counts them; exports surface the dropped count rather than
 //    silently truncating the timeline.
-//  * Compiling with MICROSCOPE_NO_METRICS replaces the entire API with
-//    inline no-ops (this header is then self-contained: no tracing.cpp
-//    symbols are referenced) and the exporter returns zero bytes, so the
-//    off-switch is verifiable by a test that never links the library.
 #pragma once
 
 #include <atomic>
@@ -36,12 +32,6 @@
 #include <vector>
 
 namespace microscope::obs {
-
-#ifdef MICROSCOPE_NO_METRICS
-inline constexpr bool kTracingCompiledIn = false;
-#else
-inline constexpr bool kTracingCompiledIn = true;
-#endif
 
 /// Correlation tag value meaning "not associated".
 inline constexpr std::int64_t kNoCorrelation = -1;
@@ -65,8 +55,6 @@ struct TraceEvent {
   /// Optional payload: items processed, bytes drained, victims found, ...
   std::uint64_t items{0};
 };
-
-#ifndef MICROSCOPE_NO_METRICS
 
 /// Thread-local correlation tags applied to events recorded in scope.
 struct Correlation {
@@ -210,62 +198,5 @@ class CorrelationScope {
 /// are microseconds with nanosecond precision.
 std::string export_chrome_trace(const std::vector<TraceEvent>& events,
                                 std::uint64_t dropped = 0);
-
-#else  // MICROSCOPE_NO_METRICS ------------------------------------------
-
-// Compiled-out tracing: the whole API collapses to inline no-ops that
-// reference no out-of-line symbol, so a TU defining MICROSCOPE_NO_METRICS
-// can use (and a test can verify) the off-switch without linking tracing.o.
-
-class TraceRecorder {
- public:
-  static TraceRecorder& global() noexcept {
-    static TraceRecorder rec;
-    return rec;
-  }
-  void enable() noexcept {}
-  void disable() noexcept {}
-  bool enabled() const noexcept { return false; }
-  void set_capacity(std::size_t) noexcept {}
-  void record(const TraceEvent&) noexcept {}
-  std::vector<TraceEvent> drain() { return {}; }
-  void clear() noexcept {}
-  std::uint64_t dropped() const noexcept { return 0; }
-  std::int64_t now_ns() const noexcept { return 0; }
-};
-
-class TraceSpan {
- public:
-  TraceSpan(const char*, const char*, std::uint64_t = 0) noexcept {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-  ~TraceSpan() {}  // user-provided: silences -Wunused-variable at call sites
-  void set_items(std::uint64_t) noexcept {}
-  void stop() noexcept {}
-};
-
-inline void trace_instant(const char*, const char*, std::uint64_t = 0) {}
-
-class CorrelationScope {
- public:
-  static CorrelationScope for_window(std::int64_t) noexcept { return {}; }
-  static CorrelationScope for_victim(std::int64_t) noexcept { return {}; }
-  static std::int64_t current_window() noexcept { return kNoCorrelation; }
-  CorrelationScope(const CorrelationScope&) = delete;
-  CorrelationScope& operator=(const CorrelationScope&) = delete;
-  CorrelationScope(CorrelationScope&&) noexcept {}
-  ~CorrelationScope() {}
-
- private:
-  CorrelationScope() noexcept {}
-};
-
-/// Zero-byte export: the no-op contract the compile-out test pins.
-inline std::string export_chrome_trace(const std::vector<TraceEvent>&,
-                                       std::uint64_t = 0) {
-  return "";
-}
-
-#endif  // MICROSCOPE_NO_METRICS
 
 }  // namespace microscope::obs

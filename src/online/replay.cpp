@@ -1,6 +1,6 @@
 #include "online/replay.hpp"
 
-#include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -48,40 +48,17 @@ TraceFileTailer::TraceFileTailer(std::string path, StreamTarget& engine)
 }
 
 void TraceFileTailer::try_parse_header() {
-  // magic u32, version u16, count u32, then count x (node u32, full u8).
-  constexpr std::size_t kFixed = 4 + 2 + 4;
-  if (header_buf_.size() < kFixed) return;
-  std::uint32_t magic;
-  std::uint16_t version;
-  std::uint32_t count;
-  std::memcpy(&magic, header_buf_.data(), 4);
-  std::memcpy(&version, header_buf_.data() + 4, 2);
-  std::memcpy(&count, header_buf_.data() + 6, 4);
-  if (magic != collector::kTraceFileMagic)
-    throw std::runtime_error("not a microscope trace file: " + path_);
-  if (version != collector::kTraceFileV1 && version != collector::kTraceFileV2)
-    throw std::runtime_error("unsupported trace file version: " + path_);
-  const std::size_t need = kFixed + std::size_t{count} * (4 + 1);
-  if (header_buf_.size() < need) return;
-
-  std::size_t off = kFixed;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t node;
-    std::uint8_t full;
-    std::memcpy(&node, header_buf_.data() + off, 4);
-    std::memcpy(&full, header_buf_.data() + off + 4, 1);
-    off += 5;
-    engine_->register_node(node, full != 0);
-  }
+  const std::optional<collector::TraceFileHeader> hdr =
+      collector::parse_trace_header(header_buf_, path_);
+  if (!hdr) return;
+  for (const collector::TraceFileHeader::Node& n : hdr->nodes)
+    engine_->register_node(n.id, n.full_flow);
   // Must happen before any record byte reaches the engine: v2 records are
   // framed, and the decoder's framing can only be switched while drained.
-  engine_->set_wire_framing(version == collector::kTraceFileV2
-                                ? collector::WireFraming::kFramed
-                                : collector::WireFraming::kRaw);
+  engine_->set_wire_framing(hdr->framing);
   header_done_ = true;
-  if (header_buf_.size() > need)
-    engine_->feed_bytes(std::span<const std::byte>(header_buf_.data() + need,
-                                                   header_buf_.size() - need));
+  engine_->feed_bytes(
+      std::span<const std::byte>(header_buf_).subspan(hdr->length));
   header_buf_.clear();
   header_buf_.shrink_to_fit();
 }

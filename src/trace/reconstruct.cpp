@@ -266,12 +266,10 @@ void Reconstruction::walk_terminals(const RecordLanes& lanes,
       for (; si < se; ++si) ns.spec[kind].push_back(seeds[si].id);
     }
   }
-  if constexpr (obs::kMetricsEnabled) {
-    std::uint64_t truncated = 0;
-    for (const Seed& s : seeds)
-      if (rt_.journeys_[s.id].fate == Fate::kTruncated) ++truncated;
-    ReconstructMetrics::get().truncated_journeys.add(truncated);
-  }
+  std::uint64_t truncated = 0;
+  for (const Seed& s : seeds)
+    if (rt_.journeys_[s.id].fate == Fate::kTruncated) ++truncated;
+  ReconstructMetrics::get().truncated_journeys.add(truncated);
 }
 
 bool Reconstruction::walk(const RecordLanes& lanes, Kind kind, NodeId node,

@@ -616,9 +616,6 @@ TEST(Diagnosis, PresetExcludesVictimBeforeSameTimestampArrivals) {
 }
 
 TEST(Diagnosis, MetricsCountEveryVictimOnce) {
-  if constexpr (!obs::kMetricsEnabled) {
-    GTEST_SKIP() << "metrics compiled out (MICROSCOPE_NO_METRICS)";
-  }
   // core.diagnose.total_ns keeps one sample per victim however many share
   // an index, and no_period counts the victims with no queuing period.
   const Scenario s = fig10_burst();

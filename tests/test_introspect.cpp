@@ -32,11 +32,6 @@
 namespace microscope::obs {
 namespace {
 
-#define SKIP_IF_METRICS_DISABLED()                                  \
-  if constexpr (!kMetricsEnabled) {                                 \
-    GTEST_SKIP() << "metrics compiled out (MICROSCOPE_NO_METRICS)"; \
-  }
-
 /// Minimal blocking HTTP client for loopback tests: send `request`
 /// verbatim and return the whole response, headers included ("" on
 /// connect or send failure).
@@ -188,7 +183,6 @@ struct HealthRig {
 };
 
 TEST(Health, UpgradeIsImmediateDowngradeNeedsCalmTicks) {
-  SKIP_IF_METRICS_DISABLED();
   HealthRig rig;
   HealthWatchdog w(rig.reg, rig.opts);
   EXPECT_EQ(w.state(), HealthState::kOk);
@@ -222,7 +216,6 @@ TEST(Health, UpgradeIsImmediateDowngradeNeedsCalmTicks) {
 }
 
 TEST(Health, CalmStreakResetsOnRelapse) {
-  SKIP_IF_METRICS_DISABLED();
   HealthRig rig;
   HealthWatchdog w(rig.reg, rig.opts);
   rig.tick(w, 0);
@@ -239,7 +232,6 @@ TEST(Health, CalmStreakResetsOnRelapse) {
 }
 
 TEST(Health, DegradedBandAndReportJson) {
-  SKIP_IF_METRICS_DISABLED();
   HealthRig rig;
   HealthWatchdog w(rig.reg, rig.opts);
   rig.tick(w, 0);
@@ -255,7 +247,6 @@ TEST(Health, DegradedBandAndReportJson) {
 }
 
 TEST(Health, LagSignalIsP95OfRecentTicks) {
-  SKIP_IF_METRICS_DISABLED();
   HealthRig rig;
   rig.opts.history = 20;
   HealthWatchdog w(rig.reg, rig.opts);
@@ -290,6 +281,19 @@ TEST(Health, LagSignalIsP95OfRecentTicks) {
   rig.tick(w, 0);
   EXPECT_EQ(lag_signal().state, HealthState::kOk);
   EXPECT_EQ(w.ticks(), 43u);
+}
+
+TEST(Health, StartTicksAtOnceAndStartStopAreIdempotent) {
+  Registry reg;
+  HealthWatchdog w(reg, HealthOptions{});
+  // A cadence far longer than the test, so any tick is start()'s own.
+  w.start(std::chrono::hours(1));
+  w.start(std::chrono::hours(1));  // idempotent: still one thread
+  for (int i = 0; i < 5000 && w.ticks() < 1; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  w.stop();  // wakes the cadence wait and joins
+  w.stop();  // idempotent
+  EXPECT_EQ(w.ticks(), 1u);
 }
 
 // ---- hub + routes --------------------------------------------------------
@@ -353,6 +357,22 @@ TEST(Routes, DegradeGracefullyWithoutWiring) {
   EXPECT_EQ(http_get(srv.port(), "/explain", &body), 404);
 }
 
+TEST(Routes, ReadyzWaitsForTheFirstWindow) {
+  IntrospectionHub hub;
+  HttpServer srv;
+  IntrospectionWiring wiring;
+  wiring.hub = &hub;
+  install_introspection_routes(srv, wiring);
+  std::string err;
+  ASSERT_TRUE(srv.start(&err)) << err;
+  std::string body;
+  EXPECT_EQ(http_get(srv.port(), "/readyz", &body), 503);
+  hub.publish_window(WindowNote{});
+  EXPECT_EQ(http_get(srv.port(), "/readyz", &body), 200);
+  // A window with no diagnosis publishes no provenance to explain.
+  EXPECT_EQ(http_get(srv.port(), "/explain", &body), 404);
+}
+
 // ---- end to end: engine publishes, HTTP reads concurrently --------------
 
 /// Fig. 10 scenario small enough for CI: interrupt at nat1 so windows carry
@@ -405,7 +425,6 @@ TEST(Registry, OnlineRunRegistersEveryStage) {
 }
 
 TEST(EndToEnd, ConcurrentGetsDuringWindowCloses) {
-  SKIP_IF_METRICS_DISABLED();
   trace::GraphView graph;
   std::vector<RatePerNs> rates;
   DurationNs prop_delay = 0;
@@ -475,7 +494,6 @@ TEST(EndToEnd, ConcurrentGetsDuringWindowCloses) {
 }
 
 TEST(EndToEnd, HubPublishingMatchesCaptureProvenancePath) {
-  SKIP_IF_METRICS_DISABLED();
   trace::GraphView graph;
   std::vector<RatePerNs> rates;
   DurationNs prop_delay = 0;

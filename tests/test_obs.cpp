@@ -14,16 +14,7 @@
 namespace microscope::obs {
 namespace {
 
-// Most assertions are about recorded values, which a MICROSCOPE_NO_METRICS
-// build intentionally discards. Those tests skip themselves there; the
-// API-shape tests still run so the disabled configuration stays compiling.
-#define SKIP_IF_METRICS_DISABLED()                                  \
-  if constexpr (!kMetricsEnabled) {                                 \
-    GTEST_SKIP() << "metrics compiled out (MICROSCOPE_NO_METRICS)"; \
-  }
-
 TEST(Counter, AddAndValue) {
-  SKIP_IF_METRICS_DISABLED();
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.add();
@@ -32,7 +23,6 @@ TEST(Counter, AddAndValue) {
 }
 
 TEST(Gauge, SetAndAdd) {
-  SKIP_IF_METRICS_DISABLED();
   Gauge g;
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
   g.set(2.5);
@@ -44,7 +34,6 @@ TEST(Gauge, SetAndAdd) {
 }
 
 TEST(Histogram, BasicAccounting) {
-  SKIP_IF_METRICS_DISABLED();
   Histogram h({10, 100, 1000});
   h.record(5);
   h.record(50);
@@ -64,7 +53,6 @@ TEST(Histogram, BasicAccounting) {
 }
 
 TEST(Histogram, BucketEdgesAreInclusiveUpper) {
-  SKIP_IF_METRICS_DISABLED();
   Histogram h({10, 100});
   h.record(10);   // == bound: lands in bucket 0 (<= 10)
   h.record(11);   // first value of bucket 1
@@ -92,7 +80,6 @@ TEST(Histogram, EmptySnapshotIsZero) {
 }
 
 TEST(Histogram, QuantilesOnUniformDistribution) {
-  SKIP_IF_METRICS_DISABLED();
   // Fine, evenly spaced buckets so interpolation error is tiny: bounds
   // 10, 20, ..., 1000 with one sample at each of 1..1000.
   std::vector<std::int64_t> bounds;
@@ -109,7 +96,6 @@ TEST(Histogram, QuantilesOnUniformDistribution) {
 }
 
 TEST(Histogram, QuantilesClampToObservedExtremes) {
-  SKIP_IF_METRICS_DISABLED();
   // A single sample: every quantile is that sample, not a bucket edge.
   Histogram h({100, 1000});
   h.record(137);
@@ -120,7 +106,6 @@ TEST(Histogram, QuantilesClampToObservedExtremes) {
 }
 
 TEST(Histogram, OverflowBucketQuantileUsesMax) {
-  SKIP_IF_METRICS_DISABLED();
   Histogram h({10});
   h.record(500);
   h.record(900);
@@ -142,12 +127,8 @@ TEST(ScopedTimer, RecordsElapsed) {
     t.stop();  // idempotent: second stop records nothing
   }
   const HistogramSnapshot s = h.snapshot();
-  if constexpr (kMetricsEnabled) {
-    EXPECT_EQ(s.count, 2u);
-    EXPECT_GE(s.min, 0);
-  } else {
-    EXPECT_EQ(s.count, 0u);
-  }
+  EXPECT_EQ(s.count, 2u);
+  EXPECT_GE(s.min, 0);
 }
 
 TEST(Registry, RegistrationIsIdempotent) {
@@ -168,7 +149,6 @@ TEST(Registry, KindMismatchThrows) {
 }
 
 TEST(Registry, SnapshotSortedByName) {
-  SKIP_IF_METRICS_DISABLED();
   Registry reg;
   reg.counter("zeta").add(1);
   reg.counter("alpha").add(2);
@@ -187,7 +167,6 @@ TEST(Registry, SnapshotSortedByName) {
 // metric: counters read monotonically, histogram bucket sums never trail
 // the reported count. This test is part of the TSan CI filter.
 TEST(Registry, SnapshotIsolationUnderConcurrentWriters) {
-  SKIP_IF_METRICS_DISABLED();
   Registry reg;
   Counter& c = reg.counter("conc.count");
   Histogram& h = reg.histogram("conc.lat_ns", {8, 64, 512});
@@ -232,7 +211,6 @@ TEST(Registry, SnapshotIsolationUnderConcurrentWriters) {
 // The JSON layout is a contract with CI tooling (check_bench_regression.py,
 // --metrics=json consumers): update the expected string deliberately.
 TEST(Export, JsonGolden) {
-  SKIP_IF_METRICS_DISABLED();
   Registry reg;
   reg.counter("a").add(3);
   reg.gauge("g").set(2.5);
@@ -263,7 +241,6 @@ TEST(Export, TextMentionsEveryMetric) {
 // _bucket/_sum/_count with an explicit +Inf, and *_ns durations convert to
 // base-unit seconds (name and values both).
 TEST(Export, PrometheusGolden) {
-  SKIP_IF_METRICS_DISABLED();
   Registry reg;
   reg.counter("a").add(3);
   reg.gauge("g").set(2.5);
@@ -286,7 +263,6 @@ TEST(Export, PrometheusGolden) {
 }
 
 TEST(Export, PrometheusCumulativeBucketsMatchCount) {
-  SKIP_IF_METRICS_DISABLED();
   Registry reg;
   Histogram& h = reg.histogram("d.depth", depth_bounds());
   for (int i = 0; i < 500; ++i) h.record(i % 23);
@@ -315,7 +291,6 @@ TEST(Export, PrometheusBuildInfoLabels) {
 }
 
 TEST(Export, RenderHelpersRecordTheirOwnCost) {
-  SKIP_IF_METRICS_DISABLED();
   Registry reg;
   reg.counter("x").add(1);
   const std::string text = render_text(reg);

@@ -16,10 +16,12 @@
 #include <array>
 #include <cstdio>
 #include <deque>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <tuple>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -176,7 +178,7 @@ void check_equivalence_matrix(const Scenario& s, DurationNs threshold) {
   // Byte-fed leg: the same records as a framed v2 stream file, tailed and
   // wire-decoded in fixed chunks.
   const std::string path = "test_online_matrix.trace";
-  collector::save_trace_stream(s.col, path, collector::kTraceFileV2);
+  collector::save_trace_stream(s.col, path);
   for (const DurationNs window : {2_ms, 5_ms, 10_ms}) {
     for (const unsigned threads : {1u, 4u}) {
       const OnlineOptions oopt = base_options(s, window, threads, threshold);
@@ -1398,9 +1400,6 @@ TEST(Online, StreamStoreLanesKeepAbsoluteNumbers) {
 }
 
 TEST(Online, EngineLeavesCollectorCountersAlone) {
-  if constexpr (!obs::kMetricsEnabled) {
-    GTEST_SKIP() << "metrics compiled out (MICROSCOPE_NO_METRICS)";
-  }
   // collector.* counts dataplane collection. The engine keeps its records
   // in the store's lanes and reconstructs from them; those records were
   // counted once, when the simulation collected them, and must not count
@@ -1424,9 +1423,6 @@ TEST(Online, EngineLeavesCollectorCountersAlone) {
 }
 
 TEST(Online, ReconstructTimersTimeOneOperationEach) {
-  if constexpr (!obs::kMetricsEnabled) {
-    GTEST_SKIP() << "metrics compiled out (MICROSCOPE_NO_METRICS)";
-  }
   // trace.reconstruct.total_ns takes one sample per advance (a run); the
   // speculative-tail discard and the eviction each window close does
   // record into histograms of their own.
@@ -1507,6 +1503,41 @@ TEST(Online, SaveTraceStreamIsLoadCompatible) {
       EXPECT_EQ(ta.tx_batches[i].peer, tb.tx_batches[i].peer);
     }
   }
+}
+
+TEST(Online, TraceReadersRejectBadHeadersAlike) {
+  // load_trace_ex and TraceFileTailer read the header through one parser:
+  // a bad magic and an unknown version fail both with the same message.
+  const Scenario s = make_single_fw_scenario(2_ms, 0.1);
+  const std::string path = "test_online_bad_header.trace";
+  const auto error_of = [](const auto& read) {
+    try {
+      read();
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::tuple<std::uint32_t, std::uint16_t, std::string> cases[] = {
+      {0x12345678, collector::kTraceFileV2, "not a microscope trace file: "},
+      {collector::kTraceFileMagic, 3, "unsupported trace file version: "}};
+  for (const auto& [magic, version, want] : cases) {
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      const std::uint32_t no_nodes = 0;
+      os.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+      os.write(reinterpret_cast<const char*>(&version), sizeof(version));
+      os.write(reinterpret_cast<const char*>(&no_nodes), sizeof(no_nodes));
+    }
+    const std::string loaded =
+        error_of([&] { collector::load_trace_ex(path); });
+    OnlineEngine eng(s.graph, s.rates, base_options(s, 2_ms, 1, 100_us));
+    TraceFileTailer tailer(path, eng);
+    const std::string tailed = error_of([&] { tailer.pump(); });
+    EXPECT_EQ(loaded, want + path);
+    EXPECT_EQ(tailed, loaded);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Online, WindowManagerWatermarkRules) {

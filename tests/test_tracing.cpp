@@ -20,14 +20,6 @@
 namespace microscope::obs {
 namespace {
 
-// A MICROSCOPE_NO_METRICS build compiles the recorder out, so the tests of
-// what it records skip themselves there (test_tracing_noop covers the
-// compiled-out API); the disabled-recorder tests still run.
-#define SKIP_IF_METRICS_DISABLED()                                  \
-  if constexpr (!kMetricsEnabled) {                                 \
-    GTEST_SKIP() << "metrics compiled out (MICROSCOPE_NO_METRICS)"; \
-  }
-
 /// Every test drains the process-global recorder on entry and exit so the
 /// suites stay independent regardless of execution order.
 class Tracing : public ::testing::Test {
@@ -57,7 +49,6 @@ TEST_F(Tracing, DisabledRecorderRecordsNothing) {
 }
 
 TEST_F(Tracing, SpanCapturesTimesItemsAndCorrelation) {
-  SKIP_IF_METRICS_DISABLED();
   TraceRecorder::global().enable();
   {
     const auto w = CorrelationScope::for_window(7);
@@ -77,7 +68,6 @@ TEST_F(Tracing, SpanCapturesTimesItemsAndCorrelation) {
 }
 
 TEST_F(Tracing, CorrelationScopesNestAndRestore) {
-  SKIP_IF_METRICS_DISABLED();
   TraceRecorder::global().enable();
   {
     const auto outer = CorrelationScope::for_window(1);
@@ -121,7 +111,6 @@ TEST_F(Tracing, SpanStartedWhileDisabledStaysUnrecorded) {
 }
 
 TEST_F(Tracing, EpochFlushKeepsEveryEventAndDrainSorts) {
-  SKIP_IF_METRICS_DISABLED();
   TraceRecorder::global().enable();
   constexpr std::size_t kN = 10000;  // > one 4096-event epoch
   for (std::size_t i = 0; i < kN; ++i) trace_instant("t", "tick", i);
@@ -134,7 +123,6 @@ TEST_F(Tracing, EpochFlushKeepsEveryEventAndDrainSorts) {
 }
 
 TEST_F(Tracing, CapacityCapDropsAndCounts) {
-  SKIP_IF_METRICS_DISABLED();
   TraceRecorder::global().set_capacity(100);
   TraceRecorder::global().enable();
   for (std::size_t i = 0; i < 500; ++i) trace_instant("t", "burst");
@@ -146,7 +134,6 @@ TEST_F(Tracing, CapacityCapDropsAndCounts) {
 }
 
 TEST_F(Tracing, ConcurrentRecordingIsSafe) {
-  SKIP_IF_METRICS_DISABLED();
   TraceRecorder::global().enable();
   constexpr int kThreads = 4;
   constexpr int kPerThread = 5000;
@@ -171,7 +158,6 @@ TEST_F(Tracing, ConcurrentRecordingIsSafe) {
 }
 
 TEST_F(Tracing, ChromeExportBalancedAndStamped) {
-  SKIP_IF_METRICS_DISABLED();
   TraceRecorder::global().enable();
   {
     const auto w = CorrelationScope::for_window(3);
@@ -201,7 +187,6 @@ TEST_F(Tracing, ChromeExportBalancedAndStamped) {
 }
 
 TEST_F(Tracing, OnlineEngineEmitsWindowLifecycleEvents) {
-  SKIP_IF_METRICS_DISABLED();
   sim::Simulator sim;
   collector::Collector col;
   auto net = eval::build_single_firewall(sim, &col, 700);

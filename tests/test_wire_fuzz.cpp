@@ -508,10 +508,9 @@ TEST(WireFuzz, SalvageTruncatedFile) {
 TEST(WireFuzz, V1TraceFormatIsByteStableAndLoads) {
   const collector::Collector col = make_store();
   const std::string path = "/tmp/microscope_fuzz_v1.trace";
-  collector::save_trace(col, path, collector::kTraceFileV1);
 
-  // The v1 writer must produce exactly the legacy layout: header + node
-  // table + raw (unframed) records in node-major rx-then-tx order.
+  // The legacy v1 layout, built by hand: header + node table + raw
+  // (unframed) records in node-major rx-then-tx order.
   std::vector<std::byte> expect;
   auto put = [&](const auto& v) {
     const auto* p = reinterpret_cast<const std::byte*>(&v);
@@ -543,20 +542,18 @@ TEST(WireFuzz, V1TraceFormatIsByteStableAndLoads) {
                               pkts, t.full_flow);
     }
   }
-  std::vector<std::byte> raw;
   {
-    std::ifstream is(path, std::ios::binary);
-    char ch;
-    while (is.get(ch)) raw.push_back(static_cast<std::byte>(ch));
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(reinterpret_cast<const char*>(expect.data()),
+             static_cast<std::streamsize>(expect.size()));
   }
-  EXPECT_EQ(raw, expect);
 
-  // Both versions round-trip to an identical store.
+  // v1 files still load, into the same store as their v2 twin.
   const collector::TraceLoadResult v1 = collector::load_trace_ex(path);
   EXPECT_EQ(v1.version, collector::kTraceFileV1);
   EXPECT_TRUE(v1.complete());
   const std::string path2 = "/tmp/microscope_fuzz_v2.trace";
-  collector::save_trace(col, path2);  // defaults to v2
+  collector::save_trace(col, path2);
   const collector::TraceLoadResult v2 = collector::load_trace_ex(path2);
   EXPECT_EQ(v2.version, collector::kTraceFileV2);
   expect_stores_equal(v1.col, col);
