@@ -60,7 +60,7 @@ int main() {
   for (TimeNs t = 0; t <= 6_ms; t += kBin) {
     std::int64_t peak = backlog;
     while (ai < tl.arrivals.size() && tl.arrivals[ai].t <= t) {
-      if (tl.arrivals[ai].accepted()) ++backlog;
+      if (rt.accepted(tl.arrivals[ai])) ++backlog;
       ++ai;
       peak = std::max(peak, backlog);
     }

@@ -75,7 +75,7 @@ int main() {
   for (TimeNs t = 0; t <= 5_ms; t += 100_us) {
     std::int64_t peak = backlog;
     while (ai < tl.arrivals.size() && tl.arrivals[ai].t <= t) {
-      if (tl.arrivals[ai].accepted()) ++backlog;
+      if (rt.accepted(tl.arrivals[ai])) ++backlog;
       ++ai;
       peak = std::max(peak, backlog);
     }

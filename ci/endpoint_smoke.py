@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end smoke of the live introspection plane (DESIGN.md §15).
 
-Phase 0 — a health threshold that is not a finite number >= 0 (inf, nan,
-negative, junk) is a usage error: the CLI exits 2 before running anything.
+Phase 0 — a numeric flag whose value is not a finite number at or above
+its minimum (inf, nan, negative, junk, a zero window) is a usage error: the
+CLI exits 2 before running anything.
 
 Phase 1 — replay the Fig. 10 scenario with the HTTP plane on and assert
 every endpoint answers with a schema-valid body while windows close:
@@ -90,18 +91,23 @@ def get_status(port, path):
 
 
 def phase0():
-    for flag, value in (("--health-lag-ms", "inf,inf"),
-                        ("--health-lag-ms", "100,nan"),
-                        ("--health-drops", "-1,50"),
-                        ("--health-drops", "1,5x")):
+    for args in (["--health-lag-ms", "inf,inf"],
+                 ["--health-lag-ms", "100,nan"],
+                 ["--health-drops", "-1,50"],
+                 ["--health-drops", "1,5x"],
+                 ["--follow", "--window", "0"],
+                 ["--max-retained", "abc"],
+                 ["--sample-every", "-1"],
+                 ["--pace", "5x"]):
+        shown = " ".join(args)
         try:
-            done = subprocess.run([CLI, flag, value], capture_output=True,
+            done = subprocess.run([CLI] + args, capture_output=True,
                                   text=True, timeout=60)
         except subprocess.TimeoutExpired:
-            fail(f"{flag} {value} was accepted (the run did not stop)")
+            fail(f"{shown} was accepted (the run did not stop)")
         if done.returncode != 2:
-            fail(f"{flag} {value}: wanted exit 2, got {done.returncode}")
-    print("endpoint_smoke: phase 0 OK (non-finite thresholds rejected)")
+            fail(f"{shown}: wanted exit 2, got {done.returncode}")
+    print("endpoint_smoke: phase 0 OK (bad numeric flags rejected)")
 
 
 def phase1():

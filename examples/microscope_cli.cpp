@@ -90,6 +90,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -116,12 +117,6 @@ std::map<std::string, std::string> parse_kv(const std::string& s) {
   return out;
 }
 
-double get_num(const std::map<std::string, std::string>& kv,
-               const std::string& key, double fallback) {
-  const auto it = kv.find(key);
-  return it == kv.end() ? fallback : std::atof(it->second.c_str());
-}
-
 struct BurstSpec {
   TimeNs t;
   std::size_t n;
@@ -140,6 +135,36 @@ struct BugSpec {
 [[noreturn]] void usage_error(const std::string& msg) {
   std::cerr << "error: " << msg << "\nsee the header comment for usage\n";
   std::exit(2);
+}
+
+/// Parse the value `s` of a numeric flag and scale it by `scale` into a T;
+/// exits with a usage error unless it is a finite number with nothing after
+/// it, at least `min` (in the flag's own unit), and in T's range once
+/// scaled.
+template <typename T = double>
+T number_or_die(const std::string& flag, const std::string& s,
+                double min = 0.0, double scale = 1.0) {
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (s.empty() || *end != '\0' || !std::isfinite(v) || v < min ||
+      v * scale >= limit) {
+    char range[64];
+    std::snprintf(range, sizeof(range), "[%g, %g)", min, limit / scale);
+    usage_error(flag + " wants a number in " + range + ", got '" + s + "'");
+  }
+  return static_cast<T>(v * scale);
+}
+
+/// Field `key` of a --burst/--interrupt/--bug spec, checked like a flag
+/// (>= 0), or `fallback` when it is absent; scaled by `scale`.
+template <typename T>
+T spec_num_or_die(const std::string& flag,
+                  const std::map<std::string, std::string>& kv,
+                  const std::string& key, double fallback, double scale = 1.0) {
+  const auto it = kv.find(key);
+  if (it == kv.end()) return static_cast<T>(fallback * scale);
+  return number_or_die<T>(flag + " " + key + "=", it->second, 0.0, scale);
 }
 
 /// Parse a byte count with an optional k/m/g suffix (binary multiples).
@@ -361,15 +386,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--duration") {
-      duration = static_cast<DurationNs>(std::atof(next().c_str()) * 1e6);
+      duration = number_or_die<DurationNs>(arg, next(), 0.0, 1e6);
     } else if (arg == "--rate") {
-      rate = std::atof(next().c_str());
+      rate = number_or_die(arg, next());
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      seed = number_or_die<std::uint64_t>(arg, next());
     } else if (arg == "--noise") {
-      noise = std::atof(next().c_str());
+      noise = number_or_die(arg, next());
     } else if (arg == "--threshold") {
-      threshold = static_cast<DurationNs>(std::atof(next().c_str()) * 1e3);
+      threshold = number_or_die<DurationNs>(arg, next(), 0.0, 1e3);
     } else if (arg == "--save") {
       save_path = next();
     } else if (arg == "--save-stream") {
@@ -382,7 +407,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--strict-decode") {
       strict_decode = true;
     } else if (arg == "--window") {
-      window = static_cast<DurationNs>(std::atof(next().c_str()) * 1e6);
+      // At least 1 ns: a window rounding to 0 ns never closes.
+      window = number_or_die<DurationNs>(arg, next(), 1e-6, 1e6);
     } else if (arg == "--agg-memory-budget") {
       agg_memory_budget = parse_bytes_or_die(next());
     } else if (arg == "--patterns") {
@@ -397,18 +423,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics=text") {
       want_metrics = true;
     } else if (arg == "--metrics-every") {
-      metrics_every = static_cast<std::size_t>(std::atoll(next().c_str()));
+      metrics_every = number_or_die<std::size_t>(arg, next());
     } else if (arg == "--http") {
       http_spec = next();
     } else if (arg == "--sample-every") {
-      sample_every_ms = static_cast<std::size_t>(std::atoll(next().c_str()));
-      if (sample_every_ms == 0) usage_error("--sample-every needs ms >= 1");
+      sample_every_ms = number_or_die<std::size_t>(arg, next(), 1.0);
     } else if (arg == "--http-linger") {
-      http_linger_ms = static_cast<std::size_t>(std::atoll(next().c_str()));
+      http_linger_ms = number_or_die<std::size_t>(arg, next());
     } else if (arg == "--pace") {
-      pace_ms = static_cast<std::size_t>(std::atoll(next().c_str()));
+      pace_ms = number_or_die<std::size_t>(arg, next());
     } else if (arg == "--max-retained") {
-      max_retained = static_cast<std::size_t>(std::atoll(next().c_str()));
+      max_retained = number_or_die<std::size_t>(arg, next());
     } else if (arg == "--health-lag-ms") {
       std::tie(health_opts.lag_p95_degraded_ns,
                health_opts.lag_p95_unhealthy_ns) =
@@ -418,9 +443,7 @@ int main(int argc, char** argv) {
                health_opts.drop_rate_unhealthy) =
           parse_thresholds_or_die(arg, next(), 1.0);
     } else if (arg == "--health-recover-ticks") {
-      health_opts.recover_ticks = std::atoi(next().c_str());
-      if (health_opts.recover_ticks < 1)
-        usage_error("--health-recover-ticks needs n >= 1");
+      health_opts.recover_ticks = number_or_die<int>(arg, next(), 1.0);
     } else if (arg == "--trace-out") {
       trace_out = next();
     } else if (arg == "--explain") {
@@ -430,20 +453,20 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--burst") {
       const auto kv = parse_kv(next());
-      bursts.push_back({static_cast<TimeNs>(get_num(kv, "t", 50) * 1e6),
-                        static_cast<std::size_t>(get_num(kv, "n", 1500))});
+      bursts.push_back({spec_num_or_die<TimeNs>(arg, kv, "t", 50, 1e6),
+                        spec_num_or_die<std::size_t>(arg, kv, "n", 1500)});
     } else if (arg == "--interrupt") {
       const auto kv = parse_kv(next());
       InterruptSpec spec;
       spec.nf = kv.count("nf") ? kv.at("nf") : "nat1";
-      spec.t = static_cast<TimeNs>(get_num(kv, "t", 50) * 1e6);
-      spec.len = static_cast<DurationNs>(get_num(kv, "len", 800) * 1e3);
+      spec.t = spec_num_or_die<TimeNs>(arg, kv, "t", 50, 1e6);
+      spec.len = spec_num_or_die<DurationNs>(arg, kv, "len", 800, 1e3);
       interrupts.push_back(spec);
     } else if (arg == "--bug") {
       const auto kv = parse_kv(next());
-      bug = BugSpec{static_cast<int>(get_num(kv, "fw", 1)),
-                    static_cast<TimeNs>(get_num(kv, "t", 60) * 1e6),
-                    static_cast<std::size_t>(get_num(kv, "n", 120))};
+      bug = BugSpec{spec_num_or_die<int>(arg, kv, "fw", 1),
+                    spec_num_or_die<TimeNs>(arg, kv, "t", 60, 1e6),
+                    spec_num_or_die<std::size_t>(arg, kv, "n", 120)};
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "see the header comment of examples/microscope_cli.cpp\n";
       return 0;

@@ -176,11 +176,19 @@ void WireCallbackDecoder::set_framing(WireFraming framing) {
   opts_.framing = framing;
 }
 
+void WireCallbackDecoder::publish_records() {
+  const std::uint64_t counted = decoded_.load(std::memory_order_relaxed);
+  if (stats_.records == counted) return;
+  obs_records_->add(stats_.records - counted);
+  decoded_.store(stats_.records, std::memory_order_release);
+}
+
 void WireCallbackDecoder::feed(std::span<const std::byte> bytes) {
   pending_.insert(pending_.end(), bytes.begin(), bytes.end());
   while (step()) {
   }
   compact();
+  publish_records();
 }
 
 void WireCallbackDecoder::finish() {
@@ -195,6 +203,7 @@ void WireCallbackDecoder::finish() {
   }
   compact();
   resync_ = false;
+  publish_records();
 }
 
 void WireCallbackDecoder::compact() {
@@ -209,8 +218,10 @@ void WireCallbackDecoder::compact() {
 }
 
 void WireCallbackDecoder::fault(DecodeErrorKind kind, NodeId node) {
-  if (opts_.policy == DecodePolicy::kStrict)
+  if (opts_.policy == DecodePolicy::kStrict) {
+    publish_records();  // the records before the fault count
     throw DecodeError(kind, stream_offset_, node, "");
+  }
   // One category increment per corruption episode: while re-synchronizing,
   // failed parse attempts are scanning, not new faults.
   if (resync_) return;
@@ -263,9 +274,7 @@ void WireCallbackDecoder::accept(std::size_t bytes) {
   consumed_ += bytes;
   stream_offset_ += bytes;
   ++stats_.records;
-  obs_records_->add();
   resync_ = false;
-  decoded_.fetch_add(1, std::memory_order_release);
 }
 
 WireCallbackDecoder::Parsed WireCallbackDecoder::parse_record(

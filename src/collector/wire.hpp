@@ -208,8 +208,9 @@ class WireCallbackDecoder {
   const DecodeOptions& options() const { return opts_; }
   const DecodeStats& stats() const { return stats_; }
 
-  /// Number of complete batch records decoded so far (readable from other
-  /// threads; RingCollector::flush polls it).
+  /// Number of complete batch records decoded by the feed() and finish()
+  /// calls returned so far (readable from other threads; RingCollector::
+  /// flush polls it).
   std::uint64_t decoded_batches() const {
     return decoded_.load(std::memory_order_acquire);
   }
@@ -239,6 +240,10 @@ class WireCallbackDecoder {
   void fault(DecodeErrorKind kind, NodeId node);  // count or throw
   void skip_resync(std::size_t bytes);      // advance cursor while resyncing
   void compact();
+  /// Bring decoded_ and collector.decode.records up to stats_.records; the
+  /// end of every feed() and finish() does (and a strict fault before it
+  /// throws), so neither moves per record.
+  void publish_records();
 
   FullFlowFn full_flow_;
   BatchFn on_batch_;
@@ -255,7 +260,7 @@ class WireCallbackDecoder {
   static constexpr std::size_t kMaxTrackedNode = 1 << 16;
   std::vector<std::array<TimeNs, 2>> last_ts_;
   DecodedBatch scratch_;
-  std::atomic<std::uint64_t> decoded_{0};
+  std::atomic<std::uint64_t> decoded_{0};  // stats_.records, published
   // Registry mirrors, resolved once at construction.
   obs::Counter* obs_fault_[8];
   obs::Counter* obs_records_;

@@ -336,7 +336,8 @@ struct Diagnoser::Workspace {
       TimeNs* row = &st.lohi[st.groups.back().lohi];
       const NodeTimeline& tl = rt->timeline(ix.node);
       for (std::uint32_t o = tail; o != st.victim; o = ix.slots[o].prev)
-        fold_times(row, rt->journey(tl.arrivals[ix.first + o].journey),
+        fold_times(row,
+                   rt->journey(rt->journey_of(tl.arrivals[ix.first + o])),
                    gr.len);
     }
     st.skipped = n - members - (st.victim != kNone && vg == kNone ? 1 : 0);
@@ -402,7 +403,7 @@ struct Diagnoser::Workspace {
     for (std::size_t i = ix.first + ix.slots.size(); i < last; ++i) {
       const auto off = static_cast<std::uint32_t>(ix.slots.size());
       Slot s;
-      const std::uint32_t jid = tl.arrivals[i].journey;
+      const std::uint32_t jid = rt->journey_of(tl.arrivals[i]);
       if (jid != kNoJourney) {
         const Journey& j = rt->journey(jid);
         s.flow = flow_id(j.flow);
@@ -503,7 +504,7 @@ struct Diagnoser::Workspace {
                b, e, t,
                [](const trace::Arrival& a, TimeNs x) { return a.t < x; });
            it != e && it->t == t; ++it) {
-        if (it->journey == victim_journey) {
+        if (rt->journey_of(*it) == victim_journey) {
           off = static_cast<std::uint32_t>(it - b);
           break;
         }
@@ -511,7 +512,7 @@ struct Diagnoser::Workspace {
     }
 #ifndef NDEBUG
     for (auto it = b; it != e; ++it)
-      assert((it->journey == victim_journey) ==
+      assert((rt->journey_of(*it) == victim_journey) ==
              (off != kNone && it - b == static_cast<std::ptrdiff_t>(off)));
 #endif
     return off;

@@ -59,7 +59,7 @@ NetMedic::NetMedic(const trace::ReconstructedTrace& rt,
     for (const trace::Arrival& a : tl.arrivals) {
       const std::size_t w = window_of(a.t);
       rows[w].in_rate += 1.0;
-      if (!a.accepted()) rows[w].drops += 1.0;
+      if (!rt.accepted(a)) rows[w].drops += 1.0;
       if (a.from < n && graph_->is_source(a.from))
         metrics_[a.from][w].out_rate += 1.0;
     }
@@ -81,7 +81,7 @@ NetMedic::NetMedic(const trace::ReconstructedTrace& rt,
         const TimeNs next = std::min(ta, tr);
         if (next > boundary || next == kTimeNever) break;
         if (ta <= tr) {
-          if (tl.arrivals[ai].accepted()) ++backlog;
+          if (rt.accepted(tl.arrivals[ai])) ++backlog;
           ++ai;
         } else {
           backlog = std::max<std::int64_t>(0, backlog - tl.reads[ri].count);

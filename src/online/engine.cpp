@@ -27,9 +27,6 @@ DurationNs derive_history(const OnlineOptions& o) {
          o.slack_ns;
 }
 
-namespace {
-
-/// Registry handles for the streaming stage, resolved once per process.
 /// OnlineStats stays the per-engine authoritative accessor; these mirror
 /// the same events into the process-wide registry.
 struct OnlineMetrics {
@@ -66,6 +63,8 @@ struct OnlineMetrics {
     return m;
   }
 };
+
+namespace {
 
 double diagnosis_score(const core::Diagnosis& d) {
   double s = 0.0;
@@ -112,13 +111,14 @@ OnlineEngine::OnlineEngine(trace::GraphView graph,
             ingest(b.dir, b.node, b.peer, b.ts, b.pkts);
           },
           opts.decode,
-          [this](NodeId n) { return store_.has_node(n); }) {
+          [this](NodeId n) { return store_.has_node(n); }),
+      metrics_(OnlineMetrics::get()),
+      recorder_(obs::TraceRecorder::global()) {
   // The ablations match without the FIFO or timing side channel, so no
   // decision would ever be final before the end of the stream.
   if (!opts.reconstruct.align.use_order || !opts.reconstruct.align.use_timing)
     throw std::invalid_argument(
         "OnlineEngine: the use_order/use_timing ablations are offline-only");
-  OnlineMetrics::get();  // the stage's names exist once an engine does
 }
 
 void OnlineEngine::register_node(NodeId id, bool full_flow) {
@@ -156,7 +156,7 @@ std::size_t OnlineEngine::drain_ring(collector::RingCollector& ring,
     total += got;
   }
   stats_.ring_dropped_records = ring.dropped_records();
-  OnlineMetrics::get().ring_dropped_records.set(
+  metrics_.ring_dropped_records.set(
       static_cast<double>(stats_.ring_dropped_records));
   span.set_items(total);
   return total;
@@ -167,12 +167,11 @@ void OnlineEngine::ingest(collector::Direction dir, NodeId node, NodeId peer,
   // The watermark advances even for records we end up dropping: the node's
   // stream demonstrably reached `ts`, and stalling the watermark would
   // wedge every later window behind a drop.
-  OnlineMetrics& m = OnlineMetrics::get();
   wm_.note(node, ts);
   // Window-open lifecycle instants: the first record whose timestamp lands
   // in a not-yet-announced window opens it (mirrors WindowManager, which
   // also derives the window index as ts / window_ns).
-  if (obs::TraceRecorder::global().enabled() && ts >= 0) {
+  if (recorder_.enabled() && ts >= 0) {
     const std::int64_t w = ts / opts_.window_ns;
     if (trace_opened_through_ < 0) trace_opened_through_ = w - 1;
     while (trace_opened_through_ < w) {
@@ -187,20 +186,16 @@ void OnlineEngine::ingest(collector::Direction dir, NodeId node, NodeId peer,
   if (ts < floor_ ||
       (store_.has_node(node) && ts < store_.newest(dir, node))) {
     ++stats_.late_dropped_batches;
-    m.late_dropped.add();
     return;
   }
   if (opts_.max_retained_batches > 0 &&
       store_.retained_batches() >= opts_.max_retained_batches) {
     ++stats_.backpressure_dropped_batches;
-    m.backpressure_dropped.add();
     return;
   }
   store_.add(dir, node, peer, ts, pkts);
   ++stats_.batches_ingested;
   stats_.packets_ingested += pkts.size();
-  m.batches_ingested.add();
-  m.packets_ingested.add(pkts.size());
 }
 
 std::vector<WindowResult> OnlineEngine::poll() { return close_ready(false); }
@@ -213,7 +208,7 @@ std::vector<WindowResult> OnlineEngine::finish() {
 }
 
 std::vector<WindowResult> OnlineEngine::close_ready(bool finishing) {
-  OnlineMetrics& m = OnlineMetrics::get();
+  OnlineMetrics& m = metrics_;
   // Watermark lag: how far the slowest node's stream trails the fastest —
   // the live signal that some NF's records are wedging window closure.
   if (wm_.global_watermark() != WindowManager::kWatermarkNone &&
@@ -258,6 +253,13 @@ std::vector<WindowResult> OnlineEngine::close_ready(bool finishing) {
   }
   m.retained_batches.set(static_cast<double>(store_.retained_batches()));
   m.retained_bytes.set(static_cast<double>(store_.retained_bytes()));
+  m.batches_ingested.add(stats_.batches_ingested - counted_.batches_ingested);
+  m.packets_ingested.add(stats_.packets_ingested - counted_.packets_ingested);
+  m.late_dropped.add(stats_.late_dropped_batches -
+                     counted_.late_dropped_batches);
+  m.backpressure_dropped.add(stats_.backpressure_dropped_batches -
+                             counted_.backpressure_dropped_batches);
+  counted_ = stats_;
   return out;
 }
 
@@ -272,7 +274,7 @@ WindowResult OnlineEngine::diagnose(const WindowBounds& b) {
   // exactly the records <= end + slack. Decisions about records older than
   // end - history are forced: after this window, state below
   // end - history - slack is evicted.
-  OnlineMetrics& m = OnlineMetrics::get();
+  OnlineMetrics& m = metrics_;
   trace::Frontier f;
   f.ceiling = view_hi(b);
   f.force = b.end - history_;

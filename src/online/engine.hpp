@@ -60,6 +60,7 @@
 
 namespace microscope::obs {
 class IntrospectionHub;
+class TraceRecorder;
 }
 
 namespace microscope::online {
@@ -216,6 +217,10 @@ struct OnlineStats {
   std::size_t live_journeys{0};
 };
 
+/// Registry handles of the streaming stage (online.*), resolved once per
+/// process.
+struct OnlineMetrics;
+
 class OnlineEngine : public StreamTarget {
  public:
   OnlineEngine(trace::GraphView graph, std::vector<RatePerNs> peak_rates,
@@ -227,7 +232,7 @@ class OnlineEngine : public StreamTarget {
              std::span<const Packet> batch) override;
 
   /// Bytes are validated per OnlineOptions::decode: lenient faults are
-  /// counted (decode_stats()) and resynced past; strict faults throw
+  /// counted (decode_stats()) and skipped past; strict faults throw
   /// collector::DecodeError.
   void feed_bytes(std::span<const std::byte> bytes) override;
 
@@ -305,7 +310,15 @@ class OnlineEngine : public StreamTarget {
   WindowManager wm_;
   std::unique_ptr<CulpritAggregator> agg_;
   collector::WireCallbackDecoder decoder_;
+  /// The only per-record counts. The registry's ingest counters are
+  /// brought up to them at the end of each poll()/finish(); `counted_`
+  /// holds the counts they were last brought to.
   OnlineStats stats_;
+  OnlineStats counted_;
+  /// Resolved once, so ingesting a record touches neither the registry nor
+  /// the recorder's global lookup.
+  OnlineMetrics& metrics_;
+  obs::TraceRecorder& recorder_;
   /// Highest window index announced with a "window.open" trace instant.
   std::int64_t trace_opened_through_{-1};
 };

@@ -66,18 +66,19 @@ void TraceFileTailer::try_parse_header() {
 std::size_t TraceFileTailer::pump(std::size_t max_bytes) {
   if (max_bytes == 0) return 0;
   obs::TraceSpan span("collector", "drain");
-  std::vector<std::byte> chunk(max_bytes);
+  if (chunk_.size() < max_bytes) chunk_.resize(max_bytes);
   is_.clear();  // recover from a previous EOF: the file may have grown
-  is_.read(reinterpret_cast<char*>(chunk.data()),
-           static_cast<std::streamsize>(chunk.size()));
+  is_.read(reinterpret_cast<char*>(chunk_.data()),
+           static_cast<std::streamsize>(max_bytes));
   const auto got = static_cast<std::size_t>(is_.gcount());
   if (got == 0) return 0;
   span.set_items(got);
   if (!header_done_) {
-    header_buf_.insert(header_buf_.end(), chunk.begin(), chunk.begin() + got);
+    header_buf_.insert(header_buf_.end(), chunk_.begin(),
+                       chunk_.begin() + static_cast<std::ptrdiff_t>(got));
     try_parse_header();
   } else {
-    engine_->feed_bytes(std::span<const std::byte>(chunk.data(), got));
+    engine_->feed_bytes(std::span<const std::byte>(chunk_.data(), got));
   }
   return got;
 }

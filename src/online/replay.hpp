@@ -63,6 +63,7 @@ class TraceFileTailer {
   std::ifstream is_;
   bool header_done_{false};
   std::vector<std::byte> header_buf_;
+  std::vector<std::byte> chunk_;  // read buffer, kept across pumps
 };
 
 }  // namespace microscope::online

@@ -56,7 +56,7 @@ Ref make_ref(Aligner::Stream& s, std::uint32_t committed_head) {
   r.ipids = s.ipid.data();
   r.ts = s.ts.data();
   r.entries = s.entry.data();
-  r.head = committed_head - s.base;
+  r.head = committed_head;
   r.size = static_cast<std::uint32_t>(s.entry.size());
   r.up = s.up;
   r.sorted = s.sorted ? 1 : 0;
@@ -171,10 +171,10 @@ void Aligner::pull(const RecordLanes& lanes, TimeNs ceiling,
     visible(t.tx_batches, kTxDir, first, last, tx_end);
     const std::size_t tx_size = tx_end - a.tx_base;
     a.tx_to_rx.resize(tx_size, kNoEntry);
+    a.tx_consumer.resize(tx_size, kNoEntry);
     a.tx_dropped_downstream.resize(tx_size, 0);
     a.tx_peer.resize(tx_size, kInvalidNode);
     a.tx_entry_ts.resize(tx_size, 0);
-    nd.consumed.resize(tx_size, kNoEntry);
     auto stream_of = [&](NodeId peer, std::uint32_t& sl) -> Stream& {
       if (sl >= nd.out.size() || nd.out[sl].peer != peer) {
         sl = 0;
@@ -310,7 +310,7 @@ void Aligner::link_node_unordered(NodeId d, const RecordLanes& lanes,
       if (candidates > 1) ++local.link_ambiguous;
       const std::uint32_t e = o.entries[best_pos];
       da.rx_origin[j - da.rx_base] = TxRef{o.up, e};
-      nodes_[o.up].consumed[e - out[o.up].tx_base] = j;
+      out[o.up].tx_consumer[e - out[o.up].tx_base] = j;
       const auto at = static_cast<std::ptrdiff_t>(best_pos);
       o.entries.erase(o.entries.begin() + at);
       o.ts.erase(o.ts.begin() + at);
@@ -356,12 +356,10 @@ void Aligner::link_node(NodeId d, const RecordLanes& lanes, const Frontier& f,
   // can never be a candidate, so skipping it is equivalent.
   std::vector<Ref> cur;
   std::vector<NodeAlignment*> up_align;
-  std::vector<Node*> up_node;
   for (const InStream& in : nd.in) {
-    Stream& s = nodes_[in.up].out[in.idx];
+    Stream& s = stream(in);
     cur.push_back(make_ref(s, s.link_head));
     up_align.push_back(&out[in.up]);
-    up_node.push_back(&nodes_[in.up]);
   }
   Ref* refs = cur.data();
   const std::size_t S = cur.size();
@@ -371,7 +369,7 @@ void Aligner::link_node(NodeId d, const RecordLanes& lanes, const Frontier& f,
   auto commit_at = [&](std::uint32_t j) {
     nd.link_done = j;
     for (std::size_t s = 0; s < S; ++s)
-      refs[s].stream->link_head = refs[s].stream->base + refs[s].head;
+      refs[s].stream->link_head = refs[s].head;
   };
   auto flag_dropped = [&](std::size_t s, std::uint32_t k, AlignStats& st) {
     const std::uint32_t e = refs[s].entries[k];
@@ -381,7 +379,7 @@ void Aligner::link_node(NodeId d, const RecordLanes& lanes, const Frontier& f,
   auto consume = [&](std::size_t s, std::uint32_t k, std::uint32_t j) {
     const std::uint32_t e = refs[s].entries[k];
     da.rx_origin[j - da.rx_base] = TxRef{refs[s].up, e};
-    up_node[s]->consumed[e - up_align[s]->tx_base] = j;
+    up_align[s]->tx_consumer[e - up_align[s]->tx_base] = j;
   };
 
   // No head-of-line candidate for entry j: per-link FIFO means that if
@@ -540,7 +538,7 @@ void Aligner::internal_node(NodeId d, const RecordLanes& lanes,
   auto commit_at = [&](std::uint32_t i) {
     nd.int_done = i;
     for (std::size_t s = 0; s < S; ++s)
-      refs[s].stream->int_head = refs[s].stream->base + refs[s].head;
+      refs[s].stream->int_head = refs[s].head;
   };
 
   const std::uint32_t i1 = da.rx_end();
@@ -621,7 +619,7 @@ void Aligner::match(const RecordLanes& lanes, const Frontier& f,
   // Per-node stat shards, merged in node-id order at the end.
   std::vector<AlignStats> node_stats(n);
   AlignMetrics& m = AlignMetrics::get();
-  // Pass 1 writes only out[d], its cursors, and the drop flags / consumer
+  // Pass 1 writes only out[d], its cursors, and the consumer / drop flag
   // slots of entries whose peer is d; pass 2 only out[d] and d's own
   // streams' internal cursors — per-node sharding is race-free.
   {
@@ -670,16 +668,15 @@ void Aligner::rollback(std::vector<NodeAlignment>& out, ThreadPool* pool) {
     for (const InStream& in : nd.in) {
       const Stream& s = stream(in);
       NodeAlignment& ua = out[in.up];
-      Node& un = nodes_[in.up];
       for (std::uint32_t p = s.link_head; p < s.end(); ++p) {
-        const std::uint32_t e = s.entry[p - s.base] - ua.tx_base;
+        const std::uint32_t e = s.entry[p] - ua.tx_base;
+        ua.tx_consumer[e] = kNoEntry;
         ua.tx_dropped_downstream[e] = 0;
-        un.consumed[e] = kNoEntry;
       }
     }
     for (const Stream& s : nd.out)
       for (std::uint32_t p = s.int_head; p < s.end(); ++p)
-        da.tx_to_rx[s.entry[p - s.base] - da.tx_base] = kNoEntry;
+        da.tx_to_rx[s.entry[p] - da.tx_base] = kNoEntry;
   };
   parallel_for_over(pool, n, [&](std::size_t b, std::size_t e) {
     for (std::size_t id = b; id < e; ++id) undo(static_cast<NodeId>(id));
@@ -705,19 +702,18 @@ void Aligner::evict_before(TimeNs horizon, std::vector<NodeAlignment>& out) {
     nd.int_done = std::max(nd.int_done, a.rx_base);
     const std::size_t tx_gone = older(a.tx_entry_ts);
     drop_front(a.tx_to_rx, tx_gone);
+    drop_front(a.tx_consumer, tx_gone);
     drop_front(a.tx_dropped_downstream, tx_gone);
     drop_front(a.tx_peer, tx_gone);
     drop_front(a.tx_entry_ts, tx_gone);
-    drop_front(nd.consumed, tx_gone);
     a.tx_base += static_cast<std::uint32_t>(tx_gone);
     for (Stream& s : nd.out) {
-      const std::size_t gone = older(s.ts);
+      const auto gone = static_cast<std::uint32_t>(older(s.ts));
       drop_front(s.entry, gone);
       drop_front(s.ts, gone);
       drop_front(s.ipid, gone);
-      s.base += static_cast<std::uint32_t>(gone);
-      s.link_head = std::max(s.link_head, s.base);
-      s.int_head = std::max(s.int_head, s.base);
+      for (std::uint32_t* cursor : {&s.link_head, &s.int_head, &s.arrived})
+        *cursor = std::max(*cursor, gone) - gone;
     }
   }
 }
@@ -737,19 +733,13 @@ void Aligner::visit_numbers(std::vector<NodeAlignment>& out,
       if (e != kNoEntry) visit(tx, e);
     for (std::uint32_t& e : a.tx_to_rx)
       if (e != kNoEntry) visit(rx, e);
+    for (std::size_t k = 0; k < a.tx_consumer.size(); ++k)
+      if (a.tx_consumer[k] != kNoEntry)
+        visit({Numbering::kRx, a.tx_peer[k]}, a.tx_consumer[k]);
     visit(rx, nd.link_done);
     visit(rx, nd.int_done);
-    for (std::size_t k = 0; k < nd.consumed.size(); ++k)
-      if (nd.consumed[k] != kNoEntry)
-        visit({Numbering::kRx, a.tx_peer[k]}, nd.consumed[k]);
-    for (std::uint32_t i = 0; i < nd.out.size(); ++i) {
-      Stream& s = nd.out[i];
-      const NumberSpace pos{Numbering::kPosition, id, i};
-      visit(pos, s.base);
-      visit(pos, s.link_head);
-      visit(pos, s.int_head);
+    for (Stream& s : nd.out)
       for (std::uint32_t& e : s.entry) visit(tx, e);
-    }
   }
 }
 
@@ -765,7 +755,7 @@ const Aligner::Stream* stream_to(const Aligner::Node& nd, NodeId peer) {
 /// Entry `tx` of stream `s` lies before position `head`: stream entries
 /// are increasing, so that is comparing it with the entry at `head`.
 bool before(const Aligner::Stream& s, std::uint32_t head, std::uint32_t tx) {
-  return head >= s.end() || tx < s.entry[head - s.base];
+  return head >= s.end() || tx < s.entry[head];
 }
 
 }  // namespace
@@ -785,11 +775,9 @@ bool Aligner::fate_committed(NodeId u, std::uint32_t tx,
 
 std::size_t Aligner::retained_bytes() const {
   std::size_t bytes = 0;
-  for (const Node& nd : nodes_) {
-    bytes += bytes_of(nd.consumed);
+  for (const Node& nd : nodes_)
     for (const Stream& s : nd.out)
       bytes += bytes_of(s.entry) + bytes_of(s.ts) + bytes_of(s.ipid);
-  }
   return bytes;
 }
 

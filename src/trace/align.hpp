@@ -10,8 +10,9 @@
 //          bound of the rx read timestamp,
 //      (3) order: per-link FIFO is preserved, so only each upstream
 //          stream's head-of-line entry is ever a candidate (Fig. 9).
-//    Upstream entries whose delivery deadline passes unmatched are flagged
-//    as dropped at this node's input queue.
+//    A matched upstream entry records the rx entry that read it (its
+//    consumer); upstream entries whose delivery deadline passes unmatched
+//    are flagged as dropped at this node's input queue.
 //
 //  * Internal alignment — which tx entry did each rx entry of this node
 //    become after processing? NFs are FIFO run-to-completion, so the rx
@@ -21,9 +22,11 @@
 // Both problems are sequential merges over time-ordered record streams, so
 // the alignment is resumable: `Aligner` keeps every per-link stream and its
 // cursors across calls, and each `match` continues from the committed
-// cursors over the records pulled since. Offline, one `match` over the whole
-// trace commits everything; the online engine commits only the decisions no
-// later record can change and recomputes the rest per window (DESIGN.md §7).
+// cursors over the records pulled since. Offline, one `match` over the
+// whole trace commits everything; the online engine commits only the
+// decisions no later record can change and recomputes the rest per window
+// (DESIGN.md §7). Entry numbers are the only absolute numbers; stream
+// positions count from the stream's front.
 #pragma once
 
 #include <array>
@@ -74,7 +77,7 @@ struct AlignOptions {
 /// Per-node alignment output. Entries are numbered absolutely: element k of
 /// an rx lane is rx entry rx_base + k, of a tx lane tx entry tx_base + k.
 /// Offline both bases are 0; the online engine's persistent reconstruction
-/// raises them as it evicts old entries, and renumbers every space now and
+/// raises them as it evicts old entries, and renumbers both spaces now and
 /// then (Renumbering).
 struct NodeAlignment {
   std::uint32_t rx_base{0};
@@ -85,7 +88,9 @@ struct NodeAlignment {
   std::vector<std::uint32_t> rx_to_tx;     // per rx entry; kNoEntry = policy drop
   std::vector<std::uint32_t> tx_to_rx;     // per tx entry; kNoEntry for sources
   // Downstream fate of tx entries (filled while aligning the downstream
-  // node): true = dropped at the downstream input queue.
+  // node): the peer's rx entry that read it (kNoEntry: not read), and
+  // whether it was dropped at the peer's input queue.
+  std::vector<std::uint32_t> tx_consumer;
   std::vector<std::uint8_t> tx_dropped_downstream;
   /// Destination of each tx entry (its batch's peer).
   std::vector<NodeId> tx_peer;
@@ -169,23 +174,22 @@ RecordLanes lanes_of(const collector::Collector& col);
 
 // --- Renumbering ---------------------------------------------------------
 // Absolute numbers are 32 bits wide and grow with the stream: a lane at
-// 1.2 Mpps passes 2^32 entries in about an hour. Before any number can
-// wrap, the online engine shifts each number space down by the smallest
-// number still held in it — in the store's lanes and in every lane, cursor,
-// journey and arrival of the reconstruction alike — so the live numbers
-// start near 0 again and every difference between two of them is kept.
+// 1.2 Mpps passes 2^32 entries in about an hour. The only absolute numbers
+// are entry numbers, one sequence per (node, direction). Before any number
+// can wrap, the online engine shifts each sequence down by the smallest
+// number still held in it — in the store's lanes and in every lane, cursor
+// and journey of the reconstruction alike — so the live numbers start near
+// 0 again and every difference between two of them is kept.
 
 /// The engine renumbers once any absolute number reaches this.
 inline constexpr std::uint32_t kRenumberAt = std::uint32_t{1} << 31;
 
 /// The sequences absolute numbers count in: a node's rx entries and tx
-/// entries (the values of collector::Direction), the arrivals at a node,
-/// and the positions of one of a node's outgoing streams.
-enum class Numbering : std::uint8_t { kRx, kTx, kArrival, kPosition };
+/// entries (the values of collector::Direction).
+enum class Numbering : std::uint8_t { kRx, kTx };
 struct NumberSpace {
   Numbering kind{Numbering::kRx};
   NodeId node{kInvalidNode};
-  std::uint32_t stream{0};  // kPosition: index among the node's streams
 };
 /// Reads or rewrites one stored absolute number (sentinels are skipped).
 using NumberVisitor = std::function<void(const NumberSpace&, std::uint32_t&)>;
@@ -214,8 +218,8 @@ struct Frontier {
 class Aligner {
  public:
   /// One packet stream between a (tx node, peer) pair as contiguous SoA
-  /// lanes in FIFO order. Positions are absolute (element k is position
-  /// base + k; positions below `base` are evicted) and so are the cursors.
+  /// lanes in FIFO order. Positions count from the front of the lanes, and
+  /// eviction moves every cursor down by the positions it erases.
   struct Stream {
     NodeId up{kInvalidNode};
     NodeId peer{kInvalidNode};
@@ -223,15 +227,17 @@ class Aligner {
     /// graph upstreams); other streams are never read or dropped.
     bool linked{false};
     bool sorted{true};  // ts nondecreasing
-    std::uint32_t base{0};
     std::vector<std::uint32_t> entry;  // tx entry index at `up`
     std::vector<TimeNs> ts;
     std::vector<std::uint16_t> ipid;
     std::uint32_t link_head{0};  // committed link cursor (run by `peer`)
     std::uint32_t int_head{0};   // committed internal cursor (run by `up`)
+    /// Next position to become an arrival at the peer's timeline (run by
+    /// the reconstruction's timeline shard of `peer`).
+    std::uint32_t arrived{0};
 
     std::uint32_t end() const {
-      return base + static_cast<std::uint32_t>(entry.size());
+      return static_cast<std::uint32_t>(entry.size());
     }
   };
 
@@ -257,9 +263,6 @@ class Aligner {
     /// Linked incoming streams in graph upstream order (link alignment's
     /// order).
     std::vector<InStream> in;
-    /// Per tx entry (absolute - NodeAlignment::tx_base): the peer's rx
-    /// entry that read it.
-    std::vector<std::uint32_t> consumed;
   };
 
   Aligner(const GraphView& graph, const AlignOptions& opts);
@@ -269,6 +272,7 @@ class Aligner {
   const Stream& stream(const InStream& s) const {
     return nodes_[s.up].out[s.idx];
   }
+  Stream& stream(const InStream& s) { return nodes_[s.up].out[s.idx]; }
 
   /// Append every visible record (ts <= ceiling) not pulled yet to the
   /// per-entry lanes of `out` (sized to the graph) and to the streams.
@@ -289,13 +293,14 @@ class Aligner {
   /// Evict every entry older than `horizon` (and the stream positions that
   /// carry them): erase the evicted prefix of every lane and raise its base
   /// past it, the one way every lane evicts (DESIGN.md §7). Committed
-  /// cursors below a base move up to it. An entry is live while it is at
-  /// or above its lane's base.
+  /// cursors below a base move up to it; every cursor of a stream moves
+  /// down by the positions it erased. An entry is live while it is at or
+  /// above its lane's base.
   void evict_before(TimeNs horizon, std::vector<NodeAlignment>& out);
 
   /// Every absolute number held here and in `out` — lane bases, cursors,
-  /// alignment decisions, consumers, stream entries and positions — handed
-  /// to `visit` with its space, each lane base once.
+  /// alignment decisions, consumers and stream entries — handed to `visit`
+  /// with its space, each lane base once.
   void visit_numbers(std::vector<NodeAlignment>& out,
                      const NumberVisitor& visit);
 
@@ -317,7 +322,7 @@ class Aligner {
   bool fate_committed(NodeId u, std::uint32_t tx,
                       const NodeAlignment& a) const;
 
-  /// Bytes held by the streams and the per-entry lanes above.
+  /// Bytes held by the streams.
   std::size_t retained_bytes() const;
 
  private:

@@ -125,16 +125,9 @@ void Reconstruction::free_journey(std::uint32_t id) {
   rt_.recycled_ = true;
 }
 
-void Reconstruction::set_jid_of_tx(NodeId u, std::uint32_t tx,
-                                   std::uint32_t id) {
-  NodeState& ns = nodes_[u];
-  const std::uint32_t k = tx - rt_.alignments_[u].tx_base;
-  ns.jid_of_tx[k] = id;
-  // Keep the arrival this entry became (if any) in step.
-  const std::uint32_t pos = ns.arr_pos[k];
-  if (pos == kNoEntry) return;
-  const NodeId peer = rt_.alignments_[u].tx_peer[k];
-  rt_.timelines_[peer].arrivals[pos - nodes_[peer].arr_base].journey = id;
+void Reconstruction::set_tx_journey(NodeId u, std::uint32_t tx,
+                                    std::uint32_t id) {
+  rt_.tx_journey_[u][tx - rt_.alignments_[u].tx_base] = id;
 }
 
 void Reconstruction::advance(const RecordLanes& lanes, const Frontier& f,
@@ -147,19 +140,12 @@ void Reconstruction::advance(const RecordLanes& lanes, const Frontier& f,
   {
     obs::ScopedTimer t(AlignMetrics::get().prepare_ns);
     aligner_.pull(lanes, f.ceiling, rt_.alignments_, pool);
-    for (NodeId id = 0; id < n; ++id) {
-      const NodeAlignment& a = rt_.alignments_[id];
-      NodeState& ns = nodes_[id];
-      ns.jid_of_tx.resize(a.tx_to_rx.size(), kNoJourney);
-      ns.arr_pos.resize(a.tx_to_rx.size(), kNoEntry);
-      const std::size_t outs = aligner_.node(id).out.size();
-      ns.arrived.resize(outs, 0);
-      ns.synced.resize(outs, 0);
-    }
+    rt_.tx_journey_.resize(n);
+    for (NodeId id = 0; id < n; ++id)
+      rt_.tx_journey_[id].resize(rt_.alignments_[id].tx_to_rx.size(),
+                                 kNoJourney);
   }
   aligner_.match(lanes, f, rt_.alignments_, rt_.align_stats_, pool);
-  // Committed arrivals may carry consumers the passes just decided.
-  for (NodeId d = 0; d < n; ++d) refresh_consumers(d, false);
 
   {
     obs::ScopedTimer t(m.walk_ns);
@@ -309,10 +295,11 @@ bool Reconstruction::walk(const RecordLanes& lanes, Kind kind, NodeId node,
   }
 
   // Walk the packet backward to its source, filling hops in reverse. Reads
-  // only the alignments; writes only this journey and the jid slots of its
-  // own chain. An evicted entry ends the walk like a missing record. Hops
-  // collect in a per-thread buffer and are copied once, so a journey's hop
-  // storage is sized to its path (slots are reused across windows).
+  // only the alignments; writes only this journey and the journey lane
+  // slots of its own chain. An evicted entry ends the walk like a missing
+  // record. Hops collect in a per-thread buffer and are copied once, so a
+  // journey's hop storage is sized to its path (slots are reused across
+  // windows).
   thread_local std::vector<Hop> path;
   path.clear();
   bool committed = true;
@@ -326,7 +313,7 @@ bool Reconstruction::walk(const RecordLanes& lanes, Kind kind, NodeId node,
       j.source_idx = cur_tx;
       j.source_time = tx_ts(cur, cur_tx);
       if (local < sl.trace->tx_flows.size()) j.flow = sl.trace->tx_flows[local];
-      set_jid_of_tx(cur, cur_tx, id);
+      set_tx_journey(cur, cur_tx, id);
       complete = true;
       break;
     }
@@ -345,7 +332,7 @@ bool Reconstruction::walk(const RecordLanes& lanes, Kind kind, NodeId node,
     hop.tx_idx = cur_tx;
     hop.read = a.rx_entry_ts[rx - a.rx_base];
     hop.depart = cur_tx != kNoEntry ? tx_ts(cur, cur_tx) : kTimeNever;
-    if (cur_tx != kNoEntry) set_jid_of_tx(cur, cur_tx, id);
+    if (cur_tx != kNoEntry) set_tx_journey(cur, cur_tx, id);
     committed = committed && aligner_.link_committed(cur, rx);
 
     const TxRef origin = a.rx_origin[rx - a.rx_base];
@@ -378,27 +365,6 @@ bool Reconstruction::walk(const RecordLanes& lanes, Kind kind, NodeId node,
   return committed;
 }
 
-void Reconstruction::refresh_consumers(NodeId d, bool after_rollback) {
-  if (rt_.graph_.kinds[d] != NodeKind::kNf) return;
-  NodeTimeline& tl = rt_.timelines_[d];
-  const std::uint32_t arr_base = nodes_[d].arr_base;
-  for (const Aligner::InStream& in : aligner_.node(d).in) {
-    const Aligner::Stream& s = aligner_.stream(in);
-    NodeState& us = nodes_[in.up];
-    const Aligner::Node& un = aligner_.node(in.up);
-    std::uint32_t& synced = us.synced[in.idx];
-    const std::uint32_t tx_base = rt_.alignments_[in.up].tx_base;
-    const std::uint32_t from = std::max(
-        after_rollback ? s.link_head : synced, s.base);
-    for (std::uint32_t p = from; p < us.arrived[in.idx]; ++p) {
-      const std::uint32_t k = s.entry[p - s.base] - tx_base;
-      const std::uint32_t pos = us.arr_pos[k];
-      if (pos != kNoEntry) tl.arrivals[pos - arr_base].rx_idx = un.consumed[k];
-    }
-    if (after_rollback) synced = s.link_head;
-  }
-}
-
 void Reconstruction::build_timelines(const RecordLanes& lanes,
                                      const Frontier& f, ThreadPool* pool) {
   const GraphView& g = rt_.graph_;
@@ -412,7 +378,8 @@ void Reconstruction::build_timelines(const RecordLanes& lanes,
   // identically. Entries before the ceiling are final in position (no
   // record still to come sorts before them); entries at it are appended
   // as a speculative tail. Writes land on d's timeline and on the arrival
-  // slots of entries whose peer is d, so the per-node shards are disjoint.
+  // cursors of the streams whose peer is d, so the per-node shards are
+  // disjoint.
   auto build = [&](NodeId d) {
     if (g.kinds[d] != NodeKind::kNf || d >= lanes.size() ||
         lanes[d].trace == nullptr)
@@ -434,46 +401,32 @@ void Reconstruction::build_timelines(const RecordLanes& lanes,
 
     struct Run {
       const Aligner::Stream* s;
-      NodeState* us;
       std::uint32_t p;    // next position
       std::uint32_t cut;  // first position at or past the ceiling
     };
     std::vector<Run> runs;
     bool sorted = true;
     for (const Aligner::InStream& in : aligner_.node(d).in) {
-      const Aligner::Stream& s = aligner_.stream(in);
-      NodeState& us = nodes_[in.up];
-      Run r{&s, &us, std::max(us.arrived[in.idx], s.base), s.end()};
+      Aligner::Stream& s = aligner_.stream(in);
+      Run r{&s, s.arrived, s.end()};
       if (!f.final()) {
         r.cut = r.p;
-        while (r.cut < s.end() && s.ts[r.cut - s.base] < f.ceiling) ++r.cut;
+        while (r.cut < s.end() && s.ts[r.cut] < f.ceiling) ++r.cut;
       }
-      us.arrived[in.idx] = r.cut;
+      s.arrived = r.cut;
       sorted &= s.sorted;
       runs.push_back(r);
     }
     auto emit = [&](const Run& r, std::uint32_t p) {
-      const Aligner::Stream& s = *r.s;
-      const std::uint32_t e = s.entry[p - s.base];
-      const std::uint32_t k = e - rt_.alignments_[s.up].tx_base;
-      const Aligner::Node& un = aligner_.node(s.up);
-      Arrival ar;
-      ar.t = s.ts[p - s.base] + prop;
-      ar.from = s.up;
-      ar.up_tx_idx = e;
-      ar.rx_idx = un.consumed[k];
-      ar.journey = r.us->jid_of_tx[k];
-      r.us->arr_pos[k] =
-          ns.arr_base + static_cast<std::uint32_t>(tl.arrivals.size());
-      tl.arrivals.push_back(ar);
+      tl.arrivals.push_back({r.s->ts[p] + prop, r.s->up, r.s->entry[p]});
     };
     auto key_before = [&](const Run& a, std::uint32_t pa, const Run& b,
                           std::uint32_t pb) {
-      const TimeNs ta = a.s->ts[pa - a.s->base];
-      const TimeNs tb = b.s->ts[pb - b.s->base];
+      const TimeNs ta = a.s->ts[pa];
+      const TimeNs tb = b.s->ts[pb];
       if (ta != tb) return ta < tb;
       if (a.s->up != b.s->up) return a.s->up < b.s->up;
-      return a.s->entry[pa - a.s->base] < b.s->entry[pb - b.s->base];
+      return a.s->entry[pa] < b.s->entry[pb];
     };
     // Merge each stream's run [p, cut); a regressed stream (offline only:
     // the engine keeps every lane time-ordered) falls back to a sort.
@@ -484,12 +437,6 @@ void Reconstruction::build_timelines(const RecordLanes& lanes,
           for (std::uint32_t p = r.p; p < r.cut; ++p) emit(r, p);
         std::sort(tl.arrivals.begin() + static_cast<std::ptrdiff_t>(at),
                   tl.arrivals.end(), arrival_before);
-        for (std::size_t i = at; i < tl.arrivals.size(); ++i) {
-          const Arrival& ar = tl.arrivals[i];
-          nodes_[ar.from].arr_pos[ar.up_tx_idx -
-                                  rt_.alignments_[ar.from].tx_base] =
-              ns.arr_base + static_cast<std::uint32_t>(i);
-        }
         return;
       }
       while (true) {
@@ -536,9 +483,10 @@ void Reconstruction::rebuild_order() {
 }
 
 void Reconstruction::unlink(const Journey& j) {
-  if (j.source != kInvalidNode) set_jid_of_tx(j.source, j.source_idx, kNoJourney);
+  if (j.source != kInvalidNode)
+    set_tx_journey(j.source, j.source_idx, kNoJourney);
   for (const Hop& h : j.hops)
-    if (h.tx_idx != kNoEntry) set_jid_of_tx(h.node, h.tx_idx, kNoJourney);
+    if (h.tx_idx != kNoEntry) set_tx_journey(h.node, h.tx_idx, kNoJourney);
 }
 
 void Reconstruction::discard_speculative(ThreadPool* pool) {
@@ -552,18 +500,9 @@ void Reconstruction::discard_speculative(ThreadPool* pool) {
       ns.spec[k].clear();
     }
   }
-  for (NodeId d = 0; d < nodes_.size(); ++d) {
-    NodeTimeline& tl = rt_.timelines_[d];
-    NodeState& ns = nodes_[d];
-    for (std::size_t i = ns.arr_committed; i < tl.arrivals.size(); ++i) {
-      const Arrival& ar = tl.arrivals[i];
-      nodes_[ar.from].arr_pos[ar.up_tx_idx -
-                              rt_.alignments_[ar.from].tx_base] = kNoEntry;
-    }
-    tl.arrivals.resize(ns.arr_committed);
-  }
+  for (NodeId d = 0; d < nodes_.size(); ++d)
+    rt_.timelines_[d].arrivals.resize(nodes_[d].arr_committed);
   aligner_.rollback(rt_.alignments_, pool);
-  for (NodeId d = 0; d < nodes_.size(); ++d) refresh_consumers(d, true);
   rt_.order_.clear();  // rebuilt by the next advance
   tail_held_ = false;
 }
@@ -571,22 +510,19 @@ void Reconstruction::discard_speculative(ThreadPool* pool) {
 void Reconstruction::evict_before(TimeNs horizon) {
   obs::ScopedTimer timer(ReconstructMetrics::get().evict_ns);
   aligner_.evict_before(horizon, rt_.alignments_);
+  // An arrival goes with its upstream tx entry: its time is that entry's
+  // plus the propagation delay.
+  const TimeNs arr_horizon = horizon + rt_.opts_.prop_delay;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     NodeState& ns = nodes_[id];
     const NodeAlignment& a = rt_.alignments_[id];
-    // jid_of_tx and arr_pos run parallel to the alignment's tx lanes: drop
-    // as many entries as those just dropped.
-    const std::size_t tx_gone = ns.jid_of_tx.size() - a.tx_to_rx.size();
-    drop_front(ns.jid_of_tx, tx_gone);
-    drop_front(ns.arr_pos, tx_gone);
+    // The journey lane runs parallel to the alignment's tx lanes: drop as
+    // many entries as those just dropped.
+    std::vector<std::uint32_t>& journeys = rt_.tx_journey_[id];
+    drop_front(journeys, journeys.size() - a.tx_to_rx.size());
     ns.term_next[kDelivered] = std::max(ns.term_next[kDelivered], a.tx_base);
     ns.term_next[kQueueDrop] = std::max(ns.term_next[kQueueDrop], a.tx_base);
     ns.term_next[kPolicyDrop] = std::max(ns.term_next[kPolicyDrop], a.rx_base);
-    const std::vector<Aligner::Stream>& out = aligner_.node(id).out;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      ns.arrived[i] = std::max(ns.arrived[i], out[i].base);
-      ns.synced[i] = std::max(ns.synced[i], out[i].base);
-    }
     for (std::vector<Held>& held : ns.held) {
       std::size_t gone = 0;
       while (gone < held.size() && held[gone].end < horizon)
@@ -596,11 +532,9 @@ void Reconstruction::evict_before(TimeNs horizon) {
     NodeTimeline& tl = rt_.timelines_[id];
     const auto arr_cut = std::find_if(
         tl.arrivals.begin(), tl.arrivals.end(),
-        [&](const Arrival& ar) { return ar.t >= horizon; });
-    const auto gone = static_cast<std::size_t>(arr_cut - tl.arrivals.begin());
+        [&](const Arrival& ar) { return ar.t >= arr_horizon; });
+    ns.arr_committed -= static_cast<std::size_t>(arr_cut - tl.arrivals.begin());
     tl.arrivals.erase(tl.arrivals.begin(), arr_cut);
-    ns.arr_base += static_cast<std::uint32_t>(gone);
-    ns.arr_committed -= gone;
     const auto read_cut = std::find_if(
         tl.reads.begin(), tl.reads.end(),
         [&](const NodeTimeline::Read& r) { return r.ts >= horizon; });
@@ -623,13 +557,8 @@ void Reconstruction::visit_numbers(const NumberVisitor& visit) {
   };
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     NodeState& ns = nodes_[id];
-    const NodeAlignment& a = rt_.alignments_[id];
     const NumberSpace rx{Numbering::kRx, id};
     const NumberSpace tx{Numbering::kTx, id};
-    // arr_pos runs parallel to the alignment's tx lanes (same base).
-    for (std::size_t k = 0; k < ns.arr_pos.size(); ++k)
-      if (ns.arr_pos[k] != kNoEntry)
-        visit({Numbering::kArrival, a.tx_peer[k]}, ns.arr_pos[k]);
     visit(tx, ns.term_next[kDelivered]);
     visit(tx, ns.term_next[kQueueDrop]);
     visit(rx, ns.term_next[kPolicyDrop]);
@@ -639,30 +568,15 @@ void Reconstruction::visit_numbers(const NumberVisitor& visit) {
         visit_journey(rt_.journeys_[h.id]);
       }
     }
-    visit({Numbering::kArrival, id}, ns.arr_base);
-    for (std::uint32_t i = 0; i < ns.arrived.size(); ++i) {
-      const NumberSpace pos{Numbering::kPosition, id, i};
-      visit(pos, ns.arrived[i]);
-      visit(pos, ns.synced[i]);
-    }
-    for (Arrival& ar : rt_.timelines_[id].arrivals) {
+    for (Arrival& ar : rt_.timelines_[id].arrivals)
       visit({Numbering::kTx, ar.from}, ar.up_tx_idx);
-      if (ar.rx_idx != kNoEntry) visit(rx, ar.rx_idx);
-    }
   }
 }
 
 std::uint32_t Reconstruction::numbers_end() const {
   std::uint32_t end = 0;
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    const NodeAlignment& a = rt_.alignments_[id];
-    const std::uint32_t arrivals_end =
-        nodes_[id].arr_base +
-        static_cast<std::uint32_t>(rt_.timelines_[id].arrivals.size());
-    end = std::max({end, a.rx_end(), a.tx_end(), arrivals_end});
-    for (const Aligner::Stream& s : aligner_.node(id).out)
-      end = std::max(end, s.end());
-  }
+  for (const NodeAlignment& a : rt_.alignments_)
+    end = std::max({end, a.rx_end(), a.tx_end()});
   return end;
 }
 
@@ -671,39 +585,26 @@ EntryShifts Reconstruction::renumber(const RecordLanes& lanes,
   if (tail_held_)
     throw std::logic_error(
         "Reconstruction::renumber: a speculative tail is held");
-  // Smallest number per space, then the shift that moves it to `lowest`:
-  // [node][Numbering] for entries and arrivals, [node][stream] for
-  // positions. A space holding no number is not shifted.
+  // Smallest number per (node, direction), then the shift that moves it to
+  // `lowest`. A space holding no number is not shifted.
   constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
-  const std::size_t n = nodes_.size();
-  std::vector<std::array<std::uint32_t, 3>> low(n, {kNone, kNone, kNone});
-  std::vector<std::vector<std::uint32_t>> low_pos(n);
-  for (NodeId id = 0; id < n; ++id)
-    low_pos[id].assign(aligner_.node(id).out.size(), kNone);
+  EntryShifts shifts(nodes_.size(), {kNone, kNone});
   auto slot = [&](const NumberSpace& sp) -> std::uint32_t& {
-    if (sp.kind == Numbering::kPosition) return low_pos[sp.node][sp.stream];
-    return low[sp.node][static_cast<std::size_t>(sp.kind)];
+    return shifts[sp.node][static_cast<std::size_t>(sp.kind)];
   };
-  for (NodeId id = 0; id < n && id < lanes.size(); ++id) {
+  for (NodeId id = 0; id < shifts.size() && id < lanes.size(); ++id) {
     if (lanes[id].trace == nullptr) continue;
     for (const std::size_t dir : {kRxDir, kTxDir})
-      low[id][dir] = std::min(low[id][dir], lanes[id].entry_base[dir]);
+      shifts[id][dir] = std::min(shifts[id][dir], lanes[id].entry_base[dir]);
   }
   visit_numbers([&](const NumberSpace& sp, std::uint32_t& v) {
     std::uint32_t& m = slot(sp);
     m = std::min(m, v);
   });
-  const auto to_shift = [&](std::uint32_t& m) {
-    m = m == kNone ? 0 : m - lowest;
-  };
-  for (auto& l : low) std::for_each(l.begin(), l.end(), to_shift);
-  for (auto& l : low_pos) std::for_each(l.begin(), l.end(), to_shift);
+  for (auto& s : shifts)
+    for (std::uint32_t& m : s) m = m == kNone ? 0 : m - lowest;
   visit_numbers(
       [&](const NumberSpace& sp, std::uint32_t& v) { v -= slot(sp); });
-
-  EntryShifts shifts(n);
-  for (NodeId id = 0; id < n; ++id)
-    shifts[id] = {low[id][kRxDir], low[id][kTxDir]};
   return shifts;
 }
 
@@ -730,17 +631,15 @@ std::size_t Reconstruction::retained_bytes() const {
   std::size_t bytes = aligner_.retained_bytes();
   for (const NodeAlignment& a : rt_.alignments_) {
     bytes += bytes_of(a.rx_origin) + bytes_of(a.rx_to_tx) +
-             bytes_of(a.tx_to_rx) + bytes_of(a.tx_dropped_downstream) +
-             bytes_of(a.tx_peer) + bytes_of(a.rx_entry_ts) +
-             bytes_of(a.tx_entry_ts);
+             bytes_of(a.tx_to_rx) + bytes_of(a.tx_consumer) +
+             bytes_of(a.tx_dropped_downstream) + bytes_of(a.tx_peer) +
+             bytes_of(a.rx_entry_ts) + bytes_of(a.tx_entry_ts);
   }
-  for (std::size_t id = 0; id < nodes_.size(); ++id) {
-    const NodeState& ns = nodes_[id];
-    bytes += bytes_of(ns.jid_of_tx) + bytes_of(ns.arr_pos);
-    const NodeTimeline& tl = rt_.timelines_[id];
+  for (const std::vector<std::uint32_t>& journeys : rt_.tx_journey_)
+    bytes += bytes_of(journeys);
+  for (const NodeTimeline& tl : rt_.timelines_)
     bytes += bytes_of(tl.arrivals) + bytes_of(tl.reads) +
              bytes_of(tl.reads_cum);
-  }
   // Every journey slot, live or free, keeps its hop capacity.
   for (const Journey& j : rt_.journeys_)
     bytes += sizeof(Journey) + j.hops.capacity() * sizeof(Hop);

@@ -1,6 +1,8 @@
 // Full trace reconstruction: per-packet journeys across the NF DAG and
 // per-NF queue timelines, built purely from collector records (plus the
-// static DAG) — the offline front half of Microscope's diagnosis.
+// static DAG) — the offline front half of Microscope's diagnosis. A
+// timeline's arrivals are upstream tx entries; their journey and consumer
+// are read from that entry's lanes, where each fact has its one home.
 #pragma once
 
 #include <cstdint>
@@ -82,15 +84,13 @@ struct Journey {
   friend bool operator==(const Journey&, const Journey&) = default;
 };
 
-/// One packet arriving at an NF's input queue (accepted or dropped).
+/// One packet arriving at an NF's input queue (accepted or dropped): the
+/// upstream tx entry it was. Its journey and the rx entry that read it live
+/// in the upstream's tx lanes (ReconstructedTrace::journey_of / consumer_of).
 struct Arrival {
   TimeNs t{0};
   NodeId from{kInvalidNode};
   std::uint32_t up_tx_idx{kNoEntry};
-  /// rx entry index at this node; kNoEntry if dropped at the queue.
-  std::uint32_t rx_idx{kNoEntry};
-  std::uint32_t journey{kNoJourney};
-  bool accepted() const { return rx_idx != kNoEntry; }
 
   friend bool operator==(const Arrival&, const Arrival&) = default;
 };
@@ -158,6 +158,21 @@ class ReconstructedTrace {
     return id < timelines_.size() && !timelines_[id].reads.empty();
   }
 
+  /// The journey through tx entry `tx` of node `u` (kNoJourney: none).
+  std::uint32_t journey_of_tx(NodeId u, std::uint32_t tx) const {
+    return tx_journey_[u][tx - alignments_[u].tx_base];
+  }
+  /// The journey of an arrival (kNoJourney: none), and the rx entry that
+  /// read it (kNoEntry: dropped at the queue, or not read yet).
+  std::uint32_t journey_of(const Arrival& a) const {
+    return journey_of_tx(a.from, a.up_tx_idx);
+  }
+  std::uint32_t consumer_of(const Arrival& a) const {
+    const NodeAlignment& u = alignments_[a.from];
+    return u.tx_consumer[a.up_tx_idx - u.tx_base];
+  }
+  bool accepted(const Arrival& a) const { return consumer_of(a) != kNoEntry; }
+
   const AlignStats& align_stats() const { return align_stats_; }
   const std::vector<NodeAlignment>& alignments() const { return alignments_; }
 
@@ -170,6 +185,9 @@ class ReconstructedTrace {
   std::vector<std::uint32_t> order_;
   std::vector<NodeTimeline> timelines_;  // by node id
   std::vector<NodeAlignment> alignments_;
+  /// Per node, parallel to its alignment's tx lanes: the journey through
+  /// each tx entry.
+  std::vector<std::vector<std::uint32_t>> tx_journey_;
   AlignStats align_stats_{};
   /// Some journey id was freed for reuse.
   bool recycled_{false};
@@ -177,11 +195,13 @@ class ReconstructedTrace {
 
 /// The resumable reconstruction: alignment, journeys and timelines extended
 /// record by record. Each `advance` pulls the records visible under a
-/// Frontier, commits every alignment decision, journey and arrival field no
-/// later record can change, and recomputes the rest as a speculative tail;
-/// `discard_speculative` drops that tail again. Offline, one final advance
-/// over a whole collector is the reconstruction (see reconstruct()); the
-/// online engine advances once per window, with absolute entry numbers and
+/// Frontier, commits every alignment decision, journey and arrival no later
+/// record can change, and recomputes the rest as a speculative tail;
+/// `discard_speculative` drops that tail again. An arrival is written once:
+/// its journey and consumer are read from the upstream's tx lanes, which
+/// the walk and the alignment keep current. Offline, one final advance over
+/// a whole collector is the reconstruction (see reconstruct()); the online
+/// engine advances once per window, with absolute entry numbers and
 /// eviction keeping the state bounded (DESIGN.md §7).
 class Reconstruction {
  public:
@@ -197,16 +217,17 @@ class Reconstruction {
   /// Undo everything the last advance left uncommitted.
   void discard_speculative(ThreadPool* pool);
 
-  /// Evict every entry, journey, arrival and read older than `horizon`:
-  /// erase the evicted prefix of every per-entry lane, held journey list
-  /// and timeline, the one way every lane evicts (DESIGN.md §7).
+  /// Evict every entry, journey and read older than `horizon`, and every
+  /// arrival with its upstream tx entry: erase the evicted prefix of every
+  /// per-entry lane, held journey list and timeline, the one way every
+  /// lane evicts (DESIGN.md §7).
   void evict_before(TimeNs horizon);
 
-  /// One past the highest absolute number held, over every space.
+  /// One past the highest entry number held, over every space.
   std::uint32_t numbers_end() const;
-  /// Shift every number space so that the smallest number it holds, here
-  /// or among the bases of `lanes` (the store's), becomes `lowest` (mod
-  /// 2^32): renumbering to 0 keeps the absolute numbers from wrapping.
+  /// Shift every entry number space so that the smallest number it holds,
+  /// here or among the bases of `lanes` (the store's), becomes `lowest`
+  /// (mod 2^32): renumbering to 0 keeps the absolute numbers from wrapping.
   /// Returns the entry shifts for the store to apply. Only with no
   /// speculative tail held (throws std::logic_error otherwise).
   EntryShifts renumber(const RecordLanes& lanes, std::uint32_t lowest = 0);
@@ -254,11 +275,6 @@ class Reconstruction {
     TimeNs end;           // no hop of the journey is later (eviction key)
   };
   struct NodeState {
-    /// Per tx entry (absolute - NodeAlignment::tx_base; parallel to the
-    /// alignment's tx lanes): the journey through it, and its arrival's
-    /// index at the peer's timeline.
-    std::vector<std::uint32_t> jid_of_tx;
-    std::vector<std::uint32_t> arr_pos;
     /// Next entry each terminal kind examines: everything before it is
     /// committed.
     std::uint32_t term_next[kKinds]{0, 0, 0};
@@ -266,17 +282,9 @@ class Reconstruction {
     std::vector<Held> held[kKinds];
     /// Speculative journeys per kind in journey order.
     std::vector<std::uint32_t> spec[kKinds];
-    /// Absolute index of timeline.arrivals[0]; arrivals past `arr_committed`
-    /// are speculative. Per incoming stream, the next position to become
-    /// an arrival.
-    std::uint32_t arr_base{0};
+    /// Arrivals past this one of the timeline are speculative.
     std::size_t arr_committed{0};
     std::uint64_t next_read{0};  // absolute rx batch
-    /// Per outgoing stream (parallel to Aligner::Node::out): the next
-    /// position to become an arrival at the peer, and the position from
-    /// which the arrivals' rx_idx may still change.
-    std::vector<std::uint32_t> arrived;
-    std::vector<std::uint32_t> synced;
   };
 
   void walk_terminals(const RecordLanes& lanes, const Frontier& f,
@@ -285,11 +293,7 @@ class Reconstruction {
             std::uint32_t entry, Journey& j, std::uint32_t id);
   void build_timelines(const RecordLanes& lanes, const Frontier& f,
                        ThreadPool* pool);
-  void set_jid_of_tx(NodeId u, std::uint32_t tx, std::uint32_t id);
-  /// Copy the consumers of d's incoming stream entries into their
-  /// arrivals, from the positions that may have changed since the last
-  /// rollback (`after_rollback`: from the committed cursors).
-  void refresh_consumers(NodeId d, bool after_rollback);
+  void set_tx_journey(NodeId u, std::uint32_t tx, std::uint32_t id);
   void unlink(const Journey& j);
   std::uint32_t alloc_journey();
   void free_journey(std::uint32_t id);

@@ -515,7 +515,7 @@ ReferencePreset reference_preset(const trace::ReconstructedTrace& rt,
   ReferencePreset ref;
   const trace::NodeTimeline& tl = rt.timeline(v.node);
   for (std::size_t i = p.first_arrival; i < p.last_arrival; ++i) {
-    const std::uint32_t jid = tl.arrivals[i].journey;
+    const std::uint32_t jid = rt.journey_of(tl.arrivals[i]);
     if (jid == v.journey) continue;
     if (jid == trace::kNoJourney) {
       ++ref.skipped;
@@ -594,11 +594,11 @@ TEST(Diagnosis, PresetExcludesVictimBeforeSameTimestampArrivals) {
     // Does an arrival after the victim's share its timestamp and its path?
     const trace::NodeTimeline& tl = s.rt.timeline(v.node);
     std::size_t at = p->first_arrival;
-    while (tl.arrivals[at].journey != v.journey) ++at;
+    while (s.rt.journey_of(tl.arrivals[at]) != v.journey) ++at;
     const trace::Journey& vj = s.rt.journey(v.journey);
     for (std::size_t i2 = at + 1;
          i2 < p->last_arrival && tl.arrivals[i2].t == v.time; ++i2) {
-      const std::uint32_t jid = tl.arrivals[i2].journey;
+      const std::uint32_t jid = s.rt.journey_of(tl.arrivals[i2]);
       if (jid == trace::kNoJourney) continue;
       const trace::Journey& j = s.rt.journey(jid);
       if (j.source == vj.source && j.hops.size() == vj.hops.size() &&

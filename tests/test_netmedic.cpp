@@ -2,6 +2,8 @@
 // ranking behaviour, and its characteristic time-window failure mode.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "eval/scenarios.hpp"
 #include "netmedic/netmedic.hpp"
 #include "nf/inject.hpp"
@@ -130,6 +132,38 @@ TEST(NetMedicTest, WindowSizeChangesVerdict) {
   ASSERT_EQ(nat_scores.size(), 3u);
   EXPECT_FALSE(nat_scores[0] == nat_scores[1] &&
                nat_scores[1] == nat_scores[2]);
+}
+
+TEST(NetMedicTest, MetricsDigestIsPinned) {
+  // Every component's per-window metrics on a Fig-2 run whose 3 ms NAT
+  // interrupt overflows the 1024-packet input queue, pinned by an FNV-1a
+  // digest: drops and backlog read which arrivals the NF accepted, and
+  // the other tests check them only approximately. An intended change of
+  // the metrics updates the constant and says so in CHANGES.md.
+  Fig2Run run;
+  const auto rt = run.run_with_interrupt(30_ms, 3_ms);
+  NetMedic nm(rt, eval::busy_intervals(*run.net.topo), {});
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto add = [&h](double v) {
+    unsigned char b[sizeof v];
+    std::memcpy(b, &v, sizeof v);
+    for (const unsigned char c : b) {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+  };
+  double drops = 0.0;
+  for (NodeId id = 0; id < rt.graph().node_count(); ++id) {
+    for (std::size_t w = 0; w < nm.window_count(); ++w) {
+      const MetricRow& r = nm.metric(id, w);
+      for (const double v :
+           {r.in_rate, r.out_rate, r.drops, r.queue_len, r.cpu_util})
+        add(v);
+      drops += r.drops;
+    }
+  }
+  EXPECT_GT(drops, 0.0);
+  EXPECT_EQ(h, 0xa17ddc22283a7e26ULL) << nm.window_count() << " windows";
 }
 
 }  // namespace

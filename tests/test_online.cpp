@@ -462,7 +462,7 @@ void expect_committed_matches_offline(
     if (r.valid()) r.idx = tx_of(r.node, r.idx);
     return r;
   };
-  const auto journey_of = [&](trace::Journey j) {
+  const auto renumbered = [&](trace::Journey j) {
     if (j.source != kInvalidNode) j.source_idx = tx_of(j.source, j.source_idx);
     for (trace::Hop& h : j.hops) {
       h.rx_idx = rx_of(h.node, h.rx_idx);
@@ -513,14 +513,14 @@ void expect_committed_matches_offline(
     const auto it = offline.find({t.kind, t.node, entry});
     ASSERT_NE(it, offline.end()) << label << " terminal kind " << t.kind
                                  << " node " << t.node << " entry " << entry;
-    EXPECT_EQ(journey_of(rt.journey(t.id)), ot.journey(it->second))
+    EXPECT_EQ(renumbered(rt.journey(t.id)), ot.journey(it->second))
         << label << " terminal kind " << t.kind << " node " << t.node
         << " entry " << entry;
     ++n.journeys;
   }
 
-  // Arrivals at their place in the offline order; consumers once decided,
-  // journeys once committed.
+  // Arrivals at their place in the offline order, each with its upstream
+  // entry live; consumers once decided, journeys once committed.
   for (NodeId d = 0; d < rt.graph().node_count(); ++d) {
     if (!rt.graph().is_nf(d)) continue;
     const std::vector<trace::Arrival>& got = rt.timeline(d).arrivals;
@@ -536,14 +536,19 @@ void expect_committed_matches_offline(
       ASSERT_TRUE(it != want.end() && it->t == ar.t && it->from == ar.from &&
                   it->up_tx_idx == up)
           << label << " node " << d << " arrival from " << ar.from;
-      if (ar.up_tx_idx >= rt.alignments()[ar.from].tx_base &&
-          al.fate_committed(ar.from, ar.up_tx_idx,
-                            rt.alignments()[ar.from])) {
-        EXPECT_EQ(rx_of(d, ar.rx_idx), it->rx_idx) << label << " node " << d;
+      const NodeAlignment& ua = rt.alignments()[ar.from];
+      ASSERT_TRUE(ar.up_tx_idx >= ua.tx_base && ar.up_tx_idx < ua.tx_end())
+          << label << " node " << d << " arrival from " << ar.from
+          << " outlives its upstream entry " << up;
+      if (al.fate_committed(ar.from, ar.up_tx_idx, ua)) {
+        EXPECT_EQ(rx_of(d, rt.consumer_of(ar)), ot.consumer_of(*it))
+            << label << " node " << d;
       }
-      if (ar.journey != trace::kNoJourney) {
-        ASSERT_NE(it->journey, trace::kNoJourney) << label << " node " << d;
-        EXPECT_EQ(journey_of(rt.journey(ar.journey)), ot.journey(it->journey))
+      if (const std::uint32_t jid = rt.journey_of(ar);
+          jid != trace::kNoJourney) {
+        ASSERT_NE(ot.journey_of(*it), trace::kNoJourney)
+            << label << " node " << d;
+        EXPECT_EQ(renumbered(rt.journey(jid)), ot.journey(ot.journey_of(*it)))
             << label << " node " << d;
       }
       ++n.arrivals;
@@ -1420,6 +1425,58 @@ TEST(Online, EngineLeavesCollectorCountersAlone) {
   EXPECT_GT(reg.counter("online.batches_ingested").value(), ingested);
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_EQ(reg.counter(names[i]).value(), before[i]) << names[i];
+}
+
+TEST(Online, IngestCountersAreBroughtUpToStats) {
+  // The engine's stats and the decoder's are the only per-record counts:
+  // the registry counters are brought up to them once per poll()/finish()
+  // and once per feed()/finish(). After a hook-fed and a byte-fed replay,
+  // each counter grew by exactly the matching stats value. The retained
+  // cap makes some of the ingest drops real.
+  const Scenario s = make_fig10_scenario();
+  obs::Registry& reg = obs::Registry::global();
+  const char* const names[] = {
+      "online.batches_ingested", "online.packets_ingested",
+      "online.late_dropped_batches", "online.backpressure_dropped_batches",
+      "collector.decode.records"};
+  const auto values = [&] {
+    std::vector<std::uint64_t> v;
+    for (const char* n : names) v.push_back(reg.counter(n).value());
+    return v;
+  };
+  const auto expect_grown_by_stats =
+      [&](const OnlineEngine& eng, const std::vector<std::uint64_t>& before,
+          const std::string& label) {
+        const OnlineStats st = eng.stats();
+        const std::uint64_t want[] = {
+            st.batches_ingested, st.packets_ingested, st.late_dropped_batches,
+            st.backpressure_dropped_batches, eng.decode_stats().records};
+        const std::vector<std::uint64_t> after = values();
+        for (std::size_t i = 0; i < after.size(); ++i)
+          EXPECT_EQ(after[i] - before[i], want[i]) << label << " " << names[i];
+      };
+  OnlineOptions oopt = base_options(s, 5_ms, 1, 100_us);
+  oopt.max_retained_batches = 1500;
+  {
+    const std::vector<std::uint64_t> before = values();
+    OnlineEngine eng(s.graph, s.rates, oopt);
+    replay_collector(s.col, eng, 64);
+    EXPECT_GT(eng.stats().batches_ingested, 0u);
+    EXPECT_GT(eng.stats().backpressure_dropped_batches, 0u);
+    expect_grown_by_stats(eng, before, "hook-fed");
+  }
+  const std::string path = "test_online_ingest_counters.trace";
+  collector::save_trace_stream(s.col, path);
+  {
+    const std::vector<std::uint64_t> before = values();
+    OnlineEngine eng(s.graph, s.rates, oopt);
+    TraceFileTailer tail(path, eng);
+    tail.drain_to_end(1 << 12);
+    EXPECT_GT(eng.decode_stats().records, 0u);
+    EXPECT_GT(eng.stats().backpressure_dropped_batches, 0u);
+    expect_grown_by_stats(eng, before, "byte-fed");
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Online, ReconstructTimersTimeOneOperationEach) {

@@ -45,6 +45,12 @@ void expect_trace_identical(const ReconstructedTrace& a,
   for (NodeId id = 0; id < a.graph().node_count(); ++id) {
     EXPECT_EQ(a.has_timeline(id), b.has_timeline(id)) << "node " << id;
     EXPECT_EQ(a.timeline(id), b.timeline(id)) << "timeline node " << id;
+    // The journey lane is kept beside the alignment, not in it.
+    const NodeAlignment& al = a.alignments()[id];
+    std::size_t differ = 0;
+    for (std::uint32_t e = al.tx_base; e < al.tx_end(); ++e)
+      differ += a.journey_of_tx(id, e) != b.journey_of_tx(id, e) ? 1 : 0;
+    EXPECT_EQ(differ, 0u) << "journey lane node " << id;
   }
 }
 

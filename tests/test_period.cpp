@@ -15,12 +15,9 @@ NodeTimeline make_timeline(
     std::vector<TimeNs> arrivals,
     std::vector<std::tuple<TimeNs, std::uint16_t, bool>> reads) {
   NodeTimeline tl;
-  std::uint32_t jid = 0;
   for (const TimeNs t : arrivals) {
     Arrival a;
     a.t = t;
-    a.rx_idx = jid;
-    a.journey = jid++;
     a.from = 0;
     tl.arrivals.push_back(a);
   }

@@ -43,7 +43,7 @@ TEST_P(SeededProperty, TimelineQueueMatchesLiveQueue) {
     std::uint64_t arrived = 0;
     for (const auto& a : tl.arrivals) {
       if (a.t > t) break;
-      if (a.accepted()) ++arrived;
+      if (rt.accepted(a)) ++arrived;
     }
     const std::uint64_t read = tl.reads_in(-1, t);
     const auto inferred = static_cast<std::int64_t>(arrived - read);

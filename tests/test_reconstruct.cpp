@@ -3,10 +3,13 @@
 // hidden ground truth (uids), which the reconstruction never reads.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "eval/scenarios.hpp"
+#include "nf/inject.hpp"
 #include "nf/traffic.hpp"
 #include "sim/simulator.hpp"
 #include "trace/graph.hpp"
@@ -209,22 +212,80 @@ TEST(Reconstruct, TimelineCountsAndShortBatches) {
 }
 
 TEST(Reconstruct, JourneyOfRxRoundTrips) {
+  // An arrival's journey and consumer, read through its upstream's tx
+  // lanes, against the journeys themselves on the Fig-10 multi-hop trace
+  // with a NAT stalled long enough to overflow its queue. Every hop of a
+  // journey at an NF is exactly one arrival there, with that journey and
+  // the hop's rx entry as consumer (none for a queue-drop pseudo-hop); and
+  // every arrival that has a journey is a hop of it.
+  sim::Simulator sim;
+  collector::Collector col;
+  auto net = eval::build_fig10(sim, &col);
   nf::CaidaLikeOptions opts;
-  opts.duration = 2_ms;
-  opts.rate_mpps = 0.4;
-  SingleNfRun run(nf::generate_caida_like(opts));
+  opts.duration = 10_ms;
+  opts.rate_mpps = 1.0;
+  opts.num_flows = 300;
+  net.topo->source(net.source).load(nf::generate_caida_like(opts));
+  nf::InjectionLog log;
+  nf::schedule_interrupt(sim, net.topo->nf(net.nats[0]), 3_ms, 6_ms, log);
+  sim.run_until(30_ms);
+  ReconstructOptions ropt;
+  ropt.prop_delay = net.topo->options().prop_delay;
+  const auto rt = reconstruct(col, graph_view(*net.topo), ropt);
 
-  const NodeTimeline& tl = run.rt.timeline(run.net.nf);
-  std::size_t checked = 0;
-  for (const Arrival& a : tl.arrivals) {
-    if (a.journey == kNoJourney || !a.accepted()) continue;
-    const Journey& j = run.rt.journey(a.journey);
-    ASSERT_EQ(j.hops.size(), 1u);
-    EXPECT_EQ(j.hops[0].rx_idx, a.rx_idx);
-    EXPECT_EQ(j.hops[0].arrival, a.t);
-    if (++checked > 500) break;
+  // (node, upstream, upstream tx entry) -> the arrivals with that key.
+  std::map<std::tuple<NodeId, NodeId, std::uint32_t>, std::vector<Arrival>>
+      arrivals;
+  for (NodeId d = 0; d < rt.graph().node_count(); ++d)
+    for (const Arrival& a : rt.timeline(d).arrivals)
+      arrivals[{d, a.from, a.up_tx_idx}].push_back(a);
+
+  std::size_t hops = 0, drops = 0;
+  for (std::uint32_t jid = 0; jid < rt.journeys().size(); ++jid) {
+    const Journey& j = rt.journey(jid);
+    for (std::size_t k = 0; k < j.hops.size(); ++k) {
+      const Hop& h = j.hops[k];
+      if (k == 0 && !j.complete()) continue;  // no known upstream entry
+      const NodeId up = k == 0 ? j.source : j.hops[k - 1].node;
+      const std::uint32_t up_tx = k == 0 ? j.source_idx : j.hops[k - 1].tx_idx;
+      const auto it = arrivals.find({h.node, up, up_tx});
+      ASSERT_NE(it, arrivals.end()) << "journey " << jid << " hop " << k;
+      ASSERT_EQ(it->second.size(), 1u) << "journey " << jid << " hop " << k;
+      const Arrival& a = it->second.front();
+      EXPECT_EQ(a.t, h.arrival) << "journey " << jid << " hop " << k;
+      EXPECT_EQ(rt.journey_of(a), jid) << "journey " << jid << " hop " << k;
+      EXPECT_EQ(rt.consumer_of(a), h.rx_idx)
+          << "journey " << jid << " hop " << k;
+      ++hops;
+      if (h.rx_idx == kNoEntry) {
+        EXPECT_FALSE(rt.accepted(a));
+        ++drops;
+      }
+    }
   }
-  EXPECT_GT(checked, 100u);
+  EXPECT_GT(hops, 10000u);
+  EXPECT_GT(drops, 100u);
+
+  std::size_t with_journey = 0;
+  for (const auto& [key, as] : arrivals) {
+    const auto [d, up, up_tx] = key;
+    for (const Arrival& a : as) {
+      const std::uint32_t jid = rt.journey_of(a);
+      if (jid == kNoJourney) continue;
+      ++with_journey;
+      const Journey& j = rt.journey(jid);
+      bool found = false;
+      for (std::size_t k = 0; k < j.hops.size() && !found; ++k) {
+        const NodeId hop_up = k == 0 ? j.source : j.hops[k - 1].node;
+        const std::uint32_t hop_tx =
+            k == 0 ? j.source_idx : j.hops[k - 1].tx_idx;
+        found = j.hops[k].node == d && hop_up == up && hop_tx == up_tx;
+      }
+      EXPECT_TRUE(found) << "arrival at node " << d << " from " << up
+                         << " entry " << up_tx << " journey " << jid;
+    }
+  }
+  EXPECT_EQ(with_journey, hops);
 }
 
 TEST(Reconstruct, MultiHopFig10JourneysConsistent) {

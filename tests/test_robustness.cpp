@@ -10,7 +10,7 @@ namespace {
 
 TEST(Robustness, WireDecoderSurvivesGarbage) {
   // Random bytes must never crash, throw, or corrupt the sink under the
-  // default lenient policy: every fault is counted and resynced past.
+  // default lenient policy: every fault is counted and skipped past.
   collector::Collector sink;
   sink.register_node(1, false);
   collector::WireDecoder dec(sink);
