@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <random>
 #include <set>
@@ -393,6 +394,111 @@ TEST(SketchAggregator, ExactVsSketchTopKOverlapOnFig10) {
   const auto pats =
       sketch_eng.aggregator().patterns(sopt.agg_catalog);
   EXPECT_FALSE(pats.empty());
+}
+
+/// FNV-1a over the bytes of each value added.
+struct Fnv {
+  std::uint64_t h{1469598103934665603ULL};
+  template <typename T>
+  void add(const T& v) {
+    unsigned char b[sizeof(T)];
+    std::memcpy(b, &v, sizeof(T));
+    for (const unsigned char c : b) {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+  }
+  void add_side(const autofocus::SideKey& k) {
+    for (int d = 0; d < autofocus::kSideDims; ++d) add(autofocus::dim_code(k, d));
+  }
+};
+
+/// A deterministic window of diagnoses for the pinned digest: victims and
+/// culprits on catalog nodes and on nodes outside it (the fallback leaf),
+/// both cause kinds, relations with no flows (the zero culprit flow), and
+/// flows drawn from a few heavy ones that stay tracked plus fresh light
+/// ones that churn.
+std::vector<Diagnosis> digest_window(std::mt19937_64& rng,
+                                     const std::vector<FiveTuple>& heavy) {
+  std::vector<Diagnosis> window;
+  for (int i = 0; i < 70; ++i) {
+    Diagnosis d;
+    d.victim.node = static_cast<NodeId>(1 + rng() % 5);  // 4, 5: off catalog
+    d.victim.flow = rng() % 3 == 0 ? heavy[rng() % heavy.size()]
+                                   : random_flow(rng);
+    const int rels = 1 + static_cast<int>(rng() % 3);
+    for (int r = 0; r < rels; ++r) {
+      core::CausalRelation rel;
+      rel.culprit = {static_cast<NodeId>(rng() % 5),
+                     rng() % 4 == 0 ? CauseKind::kSourceTraffic
+                                    : CauseKind::kLocalProcessing};
+      rel.score = static_cast<double>(1 + rng() % 400) / 100.0;
+      rel.culprit_t1 = static_cast<TimeNs>(1000 + i);
+      const int flows = static_cast<int>(rng() % 4);  // 0: no flows
+      for (int f = 0; f < flows; ++f) {
+        const FiveTuple ft =
+            rng() % 2 == 0 ? heavy[rng() % heavy.size()] : random_flow(rng);
+        rel.flows.push_back(
+            {ft, static_cast<double>(1 + rng() % 300) / 1000.0});
+      }
+      d.relations.push_back(rel);
+    }
+    window.push_back(d);
+  }
+  return window;
+}
+
+TEST(SketchAggregator, OutputDigestIsPinned) {
+  // Everything the sketch emits after each of 40 windows, pinned to the
+  // bytes the per-record chain rebuild produced: patterns() at the default
+  // threshold and at 0 (keys by dim_code, kind, score bits), top(), and
+  // stats(). The 8 KiB budget (16 tracked entries) puts more than twice
+  // that many leaves into each window, so entries are evicted mid-window
+  // and at every close and folded into their ancestors; min_score drops
+  // decayed entries. An intended change of the output updates the
+  // constant and says so in CHANGES.md.
+  online::StreamingAggregatorOptions opts;
+  opts.decay = 0.5;
+  opts.min_score = 0.02;
+  opts.top_k = 6;
+  SketchAggregator sk(opts, 8 << 10, small_catalog());
+  ASSERT_LT(2 * sk.stats().tracked_capacity, 70u);
+
+  std::mt19937_64 rng(41);
+  std::vector<FiveTuple> heavy;
+  for (int i = 0; i < 6; ++i) heavy.push_back(random_flow(rng));
+  autofocus::AggregateOptions all;
+  all.threshold_frac = 0.0;
+  Fnv f;
+  for (int w = 0; w < 40; ++w) {
+    sk.ingest(digest_window(rng, heavy));
+    for (const autofocus::AggregateOptions& aopt :
+         {autofocus::AggregateOptions{}, all}) {
+      const auto pats = sk.patterns(small_catalog(), aopt);
+      f.add(pats.size());
+      for (const autofocus::Pattern& p : pats) {
+        f.add_side(p.culprit);
+        f.add(p.kind);
+        f.add_side(p.victim);
+        f.add(p.score);
+      }
+    }
+    const auto top = sk.top();
+    f.add(top.size());
+    for (const online::TopCulprit& t : top) {
+      f.add(t.culprit.node);
+      f.add(t.culprit.kind);
+      f.add(t.score);
+      f.add(t.windows_seen);
+      f.add(t.last_seen);
+    }
+    const SketchStats st = sk.stats();
+    f.add(st.tracked_size);
+    f.add(st.hh_evicted);
+    f.add(st.total_mass);
+  }
+  EXPECT_GT(sk.stats().hh_evicted, 40u * 16u);
+  EXPECT_EQ(f.h, 0x6814353c3fbeb99aULL) << std::hex << "0x" << f.h;
 }
 
 TEST(SketchSizing, BudgetDrivesShapeAndFootprint) {
