@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end smoke of the live introspection plane (DESIGN.md §15).
 
-Phase 0 — a numeric flag whose value is not a finite number at or above
-its minimum (inf, nan, negative, junk, a zero window) is a usage error: the
-CLI exits 2 before running anything.
+Phase 0 — a numeric flag or --explain field whose value is not a finite
+number at or above its minimum and in range (inf, nan, negative, junk, a
+zero window, a byte budget past 2^64) is a usage error: the CLI exits 2
+before running anything.
 
 Phase 1 — replay the Fig. 10 scenario with the HTTP plane on and assert
 every endpoint answers with a schema-valid body while windows close:
@@ -98,7 +99,11 @@ def phase0():
                  ["--follow", "--window", "0"],
                  ["--max-retained", "abc"],
                  ["--sample-every", "-1"],
-                 ["--pace", "5x"]):
+                 ["--pace", "5x"],
+                 ["--agg-memory-budget", "nan"],
+                 ["--agg-memory-budget", "1e30"],
+                 ["--explain", "top=2x"],
+                 ["--explain", "victim=abc"]):
         shown = " ".join(args)
         try:
             done = subprocess.run([CLI] + args, capture_output=True,

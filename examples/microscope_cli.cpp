@@ -167,17 +167,17 @@ T spec_num_or_die(const std::string& flag,
   return number_or_die<T>(flag + " " + key + "=", it->second, 0.0, scale);
 }
 
-/// Parse a byte count with an optional k/m/g suffix (binary multiples).
-std::size_t parse_bytes_or_die(const std::string& s) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || v < 0) usage_error("bad byte count " + s);
+/// Parse the byte count of `flag`: a number with an optional k/m/g suffix
+/// (binary multiples), checked like every numeric flag.
+std::size_t parse_bytes_or_die(const std::string& flag, const std::string& s) {
   double mult = 1.0;
-  if (*end == 'k' || *end == 'K') mult = 1024.0;
-  else if (*end == 'm' || *end == 'M') mult = 1024.0 * 1024.0;
-  else if (*end == 'g' || *end == 'G') mult = 1024.0 * 1024.0 * 1024.0;
-  else if (*end != '\0') usage_error("bad byte count " + s);
-  return static_cast<std::size_t>(v * mult);
+  switch (s.empty() ? '\0' : s.back()) {
+    case 'k': case 'K': mult = 1024.0; break;
+    case 'm': case 'M': mult = 1024.0 * 1024.0; break;
+    case 'g': case 'G': mult = 1024.0 * 1024.0 * 1024.0; break;
+  }
+  const std::string digits = mult > 1.0 ? s.substr(0, s.size() - 1) : s;
+  return number_or_die<std::size_t>(flag, digits, 0.0, mult);
 }
 
 /// Parse a "<degraded>,<unhealthy>" health threshold pair and scale both
@@ -292,16 +292,44 @@ std::uint32_t parse_ipv4_or_die(const std::string& s) {
   return make_ipv4(a, b, c, d);
 }
 
+/// Which victims --explain selects: the `top` heaviest, the one with
+/// journey id `journey`, or those with `ip` as an endpoint.
+struct ExplainSpec {
+  enum class By { kNone, kTop, kVictim, kFlow };
+  By by{By::kNone};
+  std::size_t top{0};
+  std::uint32_t journey{0};
+  std::uint32_t ip{0};
+};
+
+/// Parse --explain top=<k>|victim=<journey>|flow=<a.b.c.d>; exits with a
+/// usage error unless k is a number >= 1, the journey id a number and the
+/// address a dotted quad.
+ExplainSpec parse_explain_or_die(const std::string& s) {
+  ExplainSpec e;
+  if (s.rfind("top=", 0) == 0) {
+    e.by = ExplainSpec::By::kTop;
+    e.top = number_or_die<std::size_t>("--explain top=", s.substr(4), 1.0);
+  } else if (s.rfind("victim=", 0) == 0) {
+    e.by = ExplainSpec::By::kVictim;
+    e.journey = number_or_die<std::uint32_t>("--explain victim=", s.substr(7));
+  } else if (s.rfind("flow=", 0) == 0) {
+    e.by = ExplainSpec::By::kFlow;
+    e.ip = parse_ipv4_or_die(s.substr(5));
+  } else {
+    usage_error("--explain wants top=<k>, victim=<journey> or flow=<ip>");
+  }
+  return e;
+}
+
 /// --explain: re-diagnose the selected victims with provenance capture and
 /// print the attribution trees (or provenance JSON with --json).
 void run_explain(const core::Diagnoser& diag,
                  const std::vector<core::Victim>& victims,
-                 const std::string& spec,
+                 const ExplainSpec& spec,
                  const autofocus::NfCatalog& catalog, bool json) {
   std::vector<core::Victim> sel;
-  if (spec.rfind("top=", 0) == 0) {
-    const int k = std::atoi(spec.c_str() + 4);
-    if (k <= 0) usage_error("--explain top=<k> needs k >= 1");
+  if (spec.by == ExplainSpec::By::kTop) {
     // Rank victims by total diagnosed impact, then explain the heaviest.
     std::vector<std::pair<double, std::size_t>> impact;
     for (std::size_t i = 0; i < victims.size(); ++i) {
@@ -313,23 +341,20 @@ void run_explain(const core::Diagnoser& diag,
     std::stable_sort(
         impact.begin(), impact.end(),
         [](const auto& a, const auto& b) { return a.first > b.first; });
-    const auto take = std::min(impact.size(), static_cast<std::size_t>(k));
+    const auto take = std::min(impact.size(), spec.top);
     for (std::size_t i = 0; i < take; ++i)
       sel.push_back(victims[impact[i].second]);
-  } else if (spec.rfind("victim=", 0) == 0) {
-    const auto jid = static_cast<std::uint32_t>(std::atoll(spec.c_str() + 7));
+  } else if (spec.by == ExplainSpec::By::kVictim) {
     for (const core::Victim& v : victims)
-      if (v.journey == jid) sel.push_back(v);
+      if (v.journey == spec.journey) sel.push_back(v);
     if (sel.empty())
-      usage_error("--explain victim=" + std::to_string(jid) +
+      usage_error("--explain victim=" + std::to_string(spec.journey) +
                   ": no victim with that journey id (see the report)");
-  } else if (spec.rfind("flow=", 0) == 0) {
-    const std::uint32_t ip = parse_ipv4_or_die(spec.substr(5));
-    for (const core::Victim& v : victims)
-      if (v.flow.src_ip == ip || v.flow.dst_ip == ip) sel.push_back(v);
-    if (sel.empty()) usage_error("--explain flow=...: no victim on that flow");
   } else {
-    usage_error("--explain wants top=<k>, victim=<journey> or flow=<ip>");
+    for (const core::Victim& v : victims)
+      if (v.flow.src_ip == spec.ip || v.flow.dst_ip == spec.ip)
+        sel.push_back(v);
+    if (sel.empty()) usage_error("--explain flow=...: no victim on that flow");
   }
 
   if (json) std::cout << "[";
@@ -367,7 +392,7 @@ int main(int argc, char** argv) {
   bool metrics_json = false;
   std::size_t metrics_every = 10;
   std::string trace_out;
-  std::string explain_spec;
+  ExplainSpec explain;
   std::size_t agg_memory_budget = 0;
   std::string http_spec;
   std::size_t sample_every_ms = 1000;
@@ -410,7 +435,7 @@ int main(int argc, char** argv) {
       // At least 1 ns: a window rounding to 0 ns never closes.
       window = number_or_die<DurationNs>(arg, next(), 1e-6, 1e6);
     } else if (arg == "--agg-memory-budget") {
-      agg_memory_budget = parse_bytes_or_die(next());
+      agg_memory_budget = parse_bytes_or_die(arg, next());
     } else if (arg == "--patterns") {
       want_patterns = true;
     } else if (arg == "--json") {
@@ -447,7 +472,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace-out") {
       trace_out = next();
     } else if (arg == "--explain") {
-      explain_spec = next();
+      explain = parse_explain_or_die(next());
     } else if (arg == "--version") {
       std::cout << obs::build_info_text();
       return 0;
@@ -474,14 +499,15 @@ int main(int argc, char** argv) {
       usage_error("unknown option " + arg);
     }
   }
-  if (!explain_spec.empty() && follow)
+  const bool explaining = explain.by != ExplainSpec::By::kNone;
+  if (explaining && follow)
     usage_error(
         "--explain needs the offline pass (drop --follow/--follow-file)");
   // --explain --json promises machine-readable stdout: route the setup
   // narrative to stderr so the provenance array can be piped straight into
   // a JSON parser.
   std::ostream& note =
-      (!explain_spec.empty() && want_json) ? std::cerr : std::cout;
+      (explaining && want_json) ? std::cerr : std::cout;
 
   // ---- build + inject + run ----
   sim::Simulator simulator;
@@ -699,8 +725,8 @@ int main(int argc, char** argv) {
     core::Diagnoser diag(rt, topo.peak_rates());
     const auto victims = diag.latency_victims_by_threshold(threshold);
 
-    if (!explain_spec.empty()) {
-      run_explain(diag, victims, explain_spec, catalog, want_json);
+    if (explaining) {
+      run_explain(diag, victims, explain, catalog, want_json);
       shutdown_introspection();
       dump_metrics();
       write_traces();

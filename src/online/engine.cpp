@@ -211,10 +211,11 @@ std::vector<WindowResult> OnlineEngine::close_ready(bool finishing) {
   OnlineMetrics& m = metrics_;
   // Watermark lag: how far the slowest node's stream trails the fastest —
   // the live signal that some NF's records are wedging window closure.
+  const TimeNs min_watermark = wm_.min_watermark();
   if (wm_.global_watermark() != WindowManager::kWatermarkNone &&
-      wm_.min_watermark() != WindowManager::kWatermarkNone) {
+      min_watermark != WindowManager::kWatermarkNone) {
     m.watermark_lag_ns.set(
-        static_cast<double>(wm_.global_watermark() - wm_.min_watermark()));
+        static_cast<double>(wm_.global_watermark() - min_watermark));
     obs::trace_instant("online", "watermark",
                        static_cast<std::uint64_t>(wm_.global_watermark()));
   }

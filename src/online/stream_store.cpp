@@ -32,11 +32,18 @@ bool has_flows(const NodeTrace& t, Direction dir) {
   return dir == Direction::kTx && t.full_flow;
 }
 
+/// Lane bytes per entry: its IPID, plus its five-tuple on a flow lane.
+std::size_t entry_bytes(const NodeTrace& t, Direction dir) {
+  return sizeof(std::uint16_t) + (has_flows(t, dir) ? sizeof(FiveTuple) : 0);
+}
+
 /// Erase the lane's front batches older than `horizon`, with their
 /// entries, and add them to the bases. A regressed batch waits behind its
-/// positional predecessor. Returns the number of batches erased.
+/// positional predecessor. Returns the number of batches erased; takes
+/// their bytes off `bytes`.
 std::size_t evict_lane(NodeTrace& t, Direction dir, std::uint64_t& batch_base,
-                       std::uint32_t& entry_base, TimeNs horizon) {
+                       std::uint32_t& entry_base, TimeNs horizon,
+                       std::size_t& bytes) {
   std::vector<BatchRecord>& batches = batches_of(t, dir);
   std::size_t gone = 0;
   while (gone < batches.size() && batches[gone].ts < horizon) ++gone;
@@ -52,6 +59,7 @@ std::size_t evict_lane(NodeTrace& t, Direction dir, std::uint64_t& batch_base,
     t.tx_flows.erase(t.tx_flows.begin(), t.tx_flows.begin() + entries);
   batch_base += gone;
   entry_base += static_cast<std::uint32_t>(entries);
+  bytes -= gone * sizeof(BatchRecord) + entries * entry_bytes(t, dir);
   return gone;
 }
 
@@ -61,8 +69,10 @@ void StreamStore::register_node(NodeId id, bool full_flow) {
   if (id >= lanes_.size()) lanes_.resize(id + 1);
   lanes_[id].registered = true;
   NodeTrace& t = lanes_[id].trace;
+  retained_bytes_ -= t.tx_flows.size() * sizeof(FiveTuple);
   t.full_flow = full_flow;
   t.tx_flows.resize(full_flow ? t.tx_ipids.size() : 0);
+  retained_bytes_ += t.tx_flows.size() * sizeof(FiveTuple);
 }
 
 void StreamStore::add(Direction dir, NodeId node, NodeId peer, TimeNs ts,
@@ -86,13 +96,15 @@ void StreamStore::add(Direction dir, NodeId node, NodeId peer, TimeNs ts,
   if (has_flows(t, dir))
     for (const Packet& p : pkts) t.tx_flows.push_back(p.flow);
   ++retained_batches_;
+  retained_bytes_ += sizeof(BatchRecord) + pkts.size() * entry_bytes(t, dir);
 }
 
 void StreamStore::evict_before(TimeNs horizon) {
   for (Lanes& l : lanes_)
     for (const Direction dir : kDirections)
-      retained_batches_ -= evict_lane(l.trace, dir, l.batch_base[lane(dir)],
-                                      l.entry_base[lane(dir)], horizon);
+      retained_batches_ -=
+          evict_lane(l.trace, dir, l.batch_base[lane(dir)],
+                     l.entry_base[lane(dir)], horizon, retained_bytes_);
 }
 
 trace::RecordLanes StreamStore::lanes() const {
@@ -131,19 +143,6 @@ bool StreamStore::empty_in(TimeNs t_lo, TimeNs t_hi) const {
       for (const BatchRecord& b : batches_of(l.trace, dir))
         if (b.ts >= t_lo && b.ts <= t_hi) return false;
   return true;
-}
-
-std::size_t StreamStore::retained_bytes() const {
-  std::size_t bytes = 0;
-  for (const Lanes& l : lanes_) {
-    for (const Direction dir : kDirections) {
-      const std::size_t entries = ipids_of(l.trace, dir).size();
-      bytes += batches_of(l.trace, dir).size() * sizeof(BatchRecord) +
-               entries * sizeof(std::uint16_t);
-      if (has_flows(l.trace, dir)) bytes += entries * sizeof(FiveTuple);
-    }
-  }
-  return bytes;
 }
 
 DurationNs StreamStore::retained_span() const {

@@ -84,8 +84,9 @@ class StreamStore {
 
   std::size_t retained_batches() const { return retained_batches_; }
   /// Bytes of the lane records held: batch records, IPIDs and five-tuples
-  /// (spare capacity is not counted).
-  std::size_t retained_bytes() const;
+  /// (spare capacity is not counted). A running count, kept by add,
+  /// evict_before and register_node.
+  std::size_t retained_bytes() const { return retained_bytes_; }
   /// Timestamp span covered by retained batches (0 when empty) — the
   /// quantity the bounded-memory guarantee is stated over.
   DurationNs retained_span() const;
@@ -104,6 +105,7 @@ class StreamStore {
 
   std::vector<Lanes> lanes_;  // by node id
   std::size_t retained_batches_{0};
+  std::size_t retained_bytes_{0};
 };
 
 }  // namespace microscope::online

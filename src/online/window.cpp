@@ -20,11 +20,14 @@ void WindowManager::register_node(NodeId id) {
     registered_.resize(id + 1, false);
   }
   registered_[id] = true;
+  min_stale_ = true;
 }
 
 void WindowManager::note(NodeId id, TimeNs ts) {
-  if (id < watermarks_.size() && registered_[id])
-    watermarks_[id] = std::max(watermarks_[id], ts);
+  if (id < watermarks_.size() && registered_[id] && ts > watermarks_[id]) {
+    if (watermarks_[id] == min_) min_stale_ = true;
+    watermarks_[id] = ts;
+  }
   global_max_ = std::max(global_max_, ts);
   if (!started_) {
     // Fast-forward past the empty prefix: the first window is the one
@@ -35,6 +38,7 @@ void WindowManager::note(NodeId id, TimeNs ts) {
 }
 
 TimeNs WindowManager::min_watermark() const {
+  if (!min_stale_) return min_;
   TimeNs lo = kTimeNever;
   bool any = false;
   for (NodeId id = 0; id < watermarks_.size(); ++id) {
@@ -42,7 +46,9 @@ TimeNs WindowManager::min_watermark() const {
     lo = std::min(lo, watermarks_[id]);
     any = true;
   }
-  return any ? lo : kWatermarkNone;
+  min_ = any ? lo : kWatermarkNone;
+  min_stale_ = false;
+  return min_;
 }
 
 bool WindowManager::next_closable(WindowBounds& out, bool finishing) const {

@@ -54,7 +54,9 @@ class WindowManager {
   TimeNs closed_end() const { return closed_end_; }
   TimeNs global_watermark() const { return global_max_; }
   /// Minimum watermark across registered nodes (kWatermarkNone when some
-  /// node has not produced a record yet).
+  /// node has not produced a record yet). Scans the nodes only after a
+  /// registration or after a note() raised a node that sat at the minimum,
+  /// so a poll pays at most one scan however often it asks.
   TimeNs min_watermark() const;
 
   DurationNs window_ns() const { return window_ns_; }
@@ -70,6 +72,8 @@ class WindowManager {
   std::vector<TimeNs> watermarks_;   // by node id, kWatermarkNone = unseen
   std::vector<bool> registered_;
   TimeNs global_max_{kWatermarkNone};
+  mutable TimeNs min_{kWatermarkNone};
+  mutable bool min_stale_{false};
   std::int64_t next_index_{0};
   bool started_{false};
   TimeNs closed_end_{kWatermarkNone};

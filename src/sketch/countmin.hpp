@@ -23,27 +23,35 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace microscope::sketch {
 
 class CountMinSketch {
  public:
-  /// `width` counters per row, `depth` rows. Both clamped to >= 1.
+  /// Most rows a sketch has: one per row seed.
+  static constexpr std::size_t kMaxDepth = 8;
+
+  /// `width` counters per row, `depth` rows: width clamped to >= 1, depth
+  /// to [1, kMaxDepth].
   CountMinSketch(std::size_t width, std::size_t depth);
 
-  /// Conservative update: add `mass` to the key's estimate; returns the
-  /// new estimate. `key` is any well-mixed 64-bit key hash.
+  /// Conservative update of each key of `keys` by `mass`, in order; writes
+  /// key i's new estimate to est[i]. Each key's row slots are computed once
+  /// and every counter of the batch is prefetched before the first update;
+  /// the updates then run in key order, so the result equals one add() per
+  /// key even where keys repeat or share a counter. `key`s are any
+  /// well-mixed 64-bit key hashes.
+  void add(std::span<const std::uint64_t> keys, double mass,
+           double* est) noexcept;
+
+  /// Conservative update of one key: add `mass` to its estimate; returns
+  /// the new estimate.
   double add(std::uint64_t key, double mass) noexcept {
-    double est = row_counter(0, key);
-    for (std::size_t r = 1; r < depth_; ++r)
-      est = std::min(est, row_counter(r, key));
-    const double updated = est + mass;
-    for (std::size_t r = 0; r < depth_; ++r) {
-      double& c = counters_[r * width_ + slot(r, key)];
-      if (c < updated) c = updated;
-    }
-    return updated;
+    double est = 0.0;
+    add({&key, 1}, mass, &est);
+    return est;
   }
 
   /// Point query: min across rows (>= the key's true decayed mass).
@@ -72,7 +80,7 @@ class CountMinSketch {
   std::size_t slot(std::size_t row, std::uint64_t key) const noexcept {
     // Per-row mix with fixed odd seeds, then a 128-bit multiply maps the
     // mixed hash uniformly onto [0, width) without modulo bias.
-    std::uint64_t x = key ^ kRowSeeds[row & 7] * (row / 8 + 1);
+    std::uint64_t x = key ^ kRowSeeds[row];
     x ^= x >> 33;
     x *= 0xff51afd7ed558ccdULL;
     x ^= x >> 33;
@@ -85,7 +93,7 @@ class CountMinSketch {
     return counters_[row * width_ + slot(row, key)];
   }
 
-  static constexpr std::uint64_t kRowSeeds[8] = {
+  static constexpr std::uint64_t kRowSeeds[kMaxDepth] = {
       0x9e3779b97f4a7c15ULL, 0xbf58476d1ce4e5b9ULL, 0x94d049bb133111ebULL,
       0x2545f4914f6cdd1dULL, 0xd6e8feb86659fd93ULL, 0xa0761d6478bd642fULL,
       0xe7037ed1a0b428dbULL, 0x8ebc6af09c88c6e3ULL};

@@ -1,6 +1,7 @@
 #include "sketch/sketch_aggregator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -47,36 +48,43 @@ constexpr int kChainDimLevel[kChainLevels][autofocus::kSideDims] = {
     {4, 4, 2, 2, 1, 2},  // 7: root
 };
 
-/// SideKey::leaf that tolerates nodes missing from the catalog (a replay
-/// against a partial catalog): falls back to type 0 instead of throwing
-/// out of type_of.at().
-autofocus::SideKey leaf_side(const FiveTuple& ft, NodeId node,
-                             const autofocus::NfCatalog& cat) {
-  using autofocus::NfSet;
-  if (node < cat.type_of.size())
-    return autofocus::SideKey::leaf(ft, node, cat);
-  autofocus::SideKey k;
-  k.src = Ipv4Prefix::host(ft.src_ip);
-  k.dst = Ipv4Prefix::host(ft.dst_ip);
-  k.sport = autofocus::PortRange::exact(ft.src_port);
-  k.dport = autofocus::PortRange::exact(ft.dst_port);
-  k.proto = ft.proto;
-  k.nf = NfSet{NfSet::Level::kInstance, node, 0};
-  return k;
+constexpr int kRoot = kChainLevels - 1;
+
+/// Where (flow, NF) sits in a side cache of `mask` + 1 entries.
+std::size_t side_cache_slot(const FiveTuple& ft, NodeId node,
+                            std::size_t mask) {
+  std::uint64_t x =
+      (static_cast<std::uint64_t>(ft.src_ip) << 32 | ft.dst_ip) ^
+      (static_cast<std::uint64_t>(ft.src_port) << 48 |
+       static_cast<std::uint64_t>(ft.dst_port) << 32 |
+       static_cast<std::uint64_t>(ft.proto) << 24 | node) *
+          0x9e3779b97f4a7c15ULL;
+  x ^= x >> 31;
+  x *= 0xd6e8feb86659fd93ULL;
+  x ^= x >> 32;
+  return static_cast<std::size_t>(x & mask);
 }
 
 }  // namespace
 
+autofocus::SideKey leaf_side(const FiveTuple& flow, NodeId node,
+                             const autofocus::NfCatalog& catalog) {
+  using autofocus::NfSet;
+  if (node < catalog.type_of.size())
+    return autofocus::SideKey::leaf(flow, node, catalog);
+  autofocus::SideKey k;
+  k.src = Ipv4Prefix::host(flow.src_ip);
+  k.dst = Ipv4Prefix::host(flow.dst_ip);
+  k.sport = autofocus::PortRange::exact(flow.src_port);
+  k.dport = autofocus::PortRange::exact(flow.dst_port);
+  k.proto = flow.proto;
+  k.nf = NfSet{NfSet::Level::kInstance, node, 0};
+  return k;
+}
+
 std::uint64_t pattern_key_hash(const PatternKey& k) noexcept {
   const autofocus::SideKeyHash sh;
-  std::uint64_t h = sh(k.culprit);
-  h ^= static_cast<std::uint64_t>(k.kind) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-       (h >> 2);
-  h ^= sh(k.victim) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  return h;
+  return combine_pattern_hash(sh(k.culprit), k.kind, sh(k.victim));
 }
 
 PatternKey clamp_to_level(PatternKey k, int level) {
@@ -93,41 +101,50 @@ PatternKey clamp_to_level(PatternKey k, int level) {
   return k;
 }
 
-std::array<PatternKey, kChainLevels> chain_from(PatternKey k, int level) {
+void walk_side(const autofocus::SideKey& side, int level, SideChain& out) {
   using autofocus::kSideDims;
-  // Every dimension of k sits at rung `have` of its ladder, the one its
-  // level's table row names, so rung i of the ladder read from k is rung
-  // have + i: read each ladder once and give every higher level rung
-  // want - have (the keys clamp_to_level computes level by level).
+  // Every dimension of the side sits at rung `have` of its ladder, the one
+  // its level's table row names, so rung i of the ladder read from it is
+  // rung have + i: read each ladder once and give every higher level rung
+  // want - have (the sides clamp_to_level computes level by level).
   const int(&have)[kSideDims] = kChainDimLevel[level];
-  std::uint64_t cul[kSideDims][autofocus::kMaxDimLevels];
-  std::uint64_t vic[kSideDims][autofocus::kMaxDimLevels];
-  for (int d = 0; d < kSideDims; ++d) {
-    autofocus::dim_ladder(k.culprit, d, cul[d]);
-    autofocus::dim_ladder(k.victim, d, vic[d]);
-  }
-  std::array<PatternKey, kChainLevels> chain;
-  chain[level] = k;
+  std::uint64_t ladder[kSideDims][autofocus::kMaxDimLevels];
+  for (int d = 0; d < kSideDims; ++d)
+    autofocus::dim_ladder(side, d, ladder[d]);
+  const autofocus::SideKeyHash sh;
+  autofocus::SideKey k = side;
+  out.key[level] = k;
+  out.hash[level] = sh(k);
   for (int l = level + 1; l < kChainLevels; ++l) {
     for (int d = 0; d < kSideDims; ++d) {
       const int want = kChainDimLevel[l][d];
-      if (want == kChainDimLevel[l - 1][d]) continue;
-      autofocus::set_dim_code(k.culprit, d, cul[d][want - have[d]]);
-      autofocus::set_dim_code(k.victim, d, vic[d][want - have[d]]);
+      if (want != kChainDimLevel[l - 1][d])
+        autofocus::set_dim_code(k, d, ladder[d][want - have[d]]);
     }
-    chain[l] = k;
+    out.key[l] = k;
+    out.hash[l] = sh(k);
   }
+}
+
+std::array<PatternKey, kChainLevels> chain_from(const PatternKey& k,
+                                                int level) {
+  SideChain cul;
+  SideChain vic;
+  walk_side(k.culprit, level, cul);
+  walk_side(k.victim, level, vic);
+  std::array<PatternKey, kChainLevels> chain;
+  for (int l = level; l < kChainLevels; ++l)
+    chain[l] = {cul.key[l], k.kind, vic.key[l]};
   return chain;
 }
 
 std::array<PatternKey, kChainLevels> generalization_chain(
     const autofocus::RelationRecord& rec,
     const autofocus::NfCatalog& catalog) {
-  PatternKey k;
-  k.culprit = leaf_side(rec.culprit_flow, rec.culprit_nf, catalog);
-  k.kind = rec.kind;
-  k.victim = leaf_side(rec.victim_flow, rec.victim_nf, catalog);
-  return chain_from(k, 0);
+  return chain_from({leaf_side(rec.culprit_flow, rec.culprit_nf, catalog),
+                     rec.kind,
+                     leaf_side(rec.victim_flow, rec.victim_nf, catalog)},
+                    0);
 }
 
 SketchSizing SketchSizing::from_budget(std::size_t budget_bytes) {
@@ -153,8 +170,76 @@ SketchAggregator::SketchAggregator(
       budget_(memory_budget),
       catalog_(std::move(catalog)),
       sizing_(SketchSizing::from_budget(memory_budget)),
-      cm_(sizing_.width, sizing_.depth) {
+      cm_(sizing_.width, sizing_.depth),
+      // About a tenth of the budget, in a power of two of entries.
+      side_cache_(std::bit_floor(
+          std::max<std::size_t>(1, budget_ / 10 / sizeof(CachedSide)))) {
+  // The table peaks at 2 x capacity plus one root and one admission
+  // (add_record's churn guard); the index is at most 3/4 full there.
+  const std::size_t peak = 2 * sizing_.tracked_capacity + 2;
+  const std::size_t slots = std::bit_ceil(peak + peak / 3 + 1);
+  index_.assign(slots, Slot{0, tracked_.end()});
+  index_mask_ = slots - 1;
+  root_.fill(tracked_.end());
   SketchMetrics::get();
+}
+
+template <typename Same>
+SketchAggregator::Table::iterator SketchAggregator::find(std::uint64_t hash,
+                                                         Same same) const {
+  for (std::size_t i = hash & index_mask_;; i = (i + 1) & index_mask_) {
+    const Slot& s = index_[i];
+    if (s.entry == tracked_.end()) return s.entry;
+    if (s.hash == hash && same(s.entry->first)) return s.entry;
+  }
+}
+
+SketchAggregator::Table::iterator SketchAggregator::find_level(
+    std::uint64_t hash, const SideChain& culprit, core::CauseKind kind,
+    const SideChain& victim, int level) const {
+  return find(hash, [&](const PatternKey& k) {
+    return k.kind == kind && k.culprit == culprit.key[level] &&
+           k.victim == victim.key[level];
+  });
+}
+
+SketchAggregator::Table::iterator SketchAggregator::track(
+    std::uint64_t hash, const PatternKey& key, Tracked t) {
+  const Table::iterator it = tracked_.emplace(key, t).first;
+  std::size_t i = hash & index_mask_;
+  while (index_[i].entry != tracked_.end()) i = (i + 1) & index_mask_;
+  index_[i] = {hash, it};
+  return it;
+}
+
+void SketchAggregator::untrack(Table::iterator it, std::uint64_t hash) {
+  std::size_t hole = hash & index_mask_;
+  while (index_[hole].entry != it) hole = (hole + 1) & index_mask_;
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless its home lies cyclically in (hole, j].
+  for (std::size_t j = (hole + 1) & index_mask_;
+       index_[j].entry != tracked_.end(); j = (j + 1) & index_mask_) {
+    const std::size_t home = index_[j].hash & index_mask_;
+    if (((j - home) & index_mask_) >= ((j - hole) & index_mask_)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole].entry = tracked_.end();
+  tracked_.erase(it);
+}
+
+const SideChain& SketchAggregator::culprit_side(const FiveTuple& flow,
+                                                NodeId node) {
+  CachedSide& c =
+      side_cache_[side_cache_slot(flow, node, side_cache_.size() - 1)];
+  if (!c.valid || c.node != node || c.flow != flow) {
+    c.flow = flow;
+    c.node = node;
+    c.valid = true;
+    walk_side(leaf_side(flow, node, catalog_), 0, c.chain);
+  }
+  return c.chain;
 }
 
 void SketchAggregator::ingest_patterns(
@@ -165,17 +250,26 @@ void SketchAggregator::ingest_patterns(
   cm_.scale(decay);
   total_mass_ *= decay;
   for (auto it = tracked_.begin(); it != tracked_.end();) {
-    it->second.score *= decay;
-    if (!it->second.is_root && it->second.score < options().min_score) {
-      it = tracked_.erase(it);
-    } else {
-      ++it;
-    }
+    const Table::iterator cur = it++;
+    cur->second.score *= decay;
+    if (!cur->second.is_root && cur->second.score < options().min_score)
+      untrack(cur, pattern_key_hash(cur->first));
   }
 
-  for (const autofocus::RelationRecord& rec :
-       autofocus::flatten_diagnoses(diagnoses))
-    add_record(rec);
+  // flatten_diagnoses' records, in its order: a relation with no flows is
+  // one record on the zero flow.
+  for (const core::Diagnosis& d : diagnoses) {
+    if (d.relations.empty()) continue;
+    walk_side(leaf_side(d.victim.flow, d.victim.node, catalog_), 0, victim_);
+    for (const core::CausalRelation& rel : d.relations) {
+      if (rel.flows.empty()) {
+        add_record({}, rel.culprit, rel.score);
+        continue;
+      }
+      for (const core::FlowWeight& fw : rel.flows)
+        add_record(fw.flow, rel.culprit, fw.weight);
+    }
+  }
   evict_tracked_down_to(sizing_.tracked_capacity);
   admission_threshold_ = recompute_admission_threshold();
 
@@ -186,21 +280,30 @@ void SketchAggregator::ingest_patterns(
   m.est_error_bound.set(cm_.epsilon() * total_mass_ * kChainLevels);
 }
 
-void SketchAggregator::add_record(const autofocus::RelationRecord& rec) {
-  if (rec.score <= 0.0) return;
-  total_mass_ += rec.score;
-  const std::array<PatternKey, kChainLevels> chain =
-      generalization_chain(rec, catalog_);
-  double est[kChainLevels];
+void SketchAggregator::add_record(const FiveTuple& culprit_flow,
+                                  const core::Culprit& c, double score) {
+  if (score <= 0.0) return;
+  total_mass_ += score;
+  const SideChain& culprit = culprit_side(culprit_flow, c.node);
+  const SideChain& victim = victim_;
+  const core::CauseKind kind = c.kind;
+  std::uint64_t hash[kChainLevels] = {};
   for (int l = 0; l < kChainLevels; ++l)
-    est[l] = cm_.add(pattern_key_hash(chain[l]), rec.score);
+    hash[l] = combine_pattern_hash(culprit.hash[l], kind, victim.hash[l]);
+  double est[kChainLevels] = {};
+  cm_.add(hash, score, est);
   // The per-kind root is always resident: fold-ups terminate there and its
   // score is the live "unexplained by any specific pattern" residual.
-  tracked_.try_emplace(chain.back(),
-                       Tracked{0.0, kChainLevels - 1, /*is_root=*/true});
-  int first_tracked = kChainLevels - 1;
-  for (int l = 0; l < kChainLevels; ++l) {
-    if (tracked_.count(chain[l])) {
+  Table::iterator& root = root_[static_cast<std::size_t>(kind)];
+  if (root == tracked_.end())
+    root = track(hash[kRoot], PatternKey{{}, kind, {}},
+                 Tracked{0.0, kRoot, /*is_root=*/true});
+  Table::iterator target = root;
+  int first_tracked = kRoot;
+  for (int l = 0; l < kRoot; ++l) {
+    const Table::iterator it = find_level(hash[l], culprit, kind, victim, l);
+    if (it != tracked_.end()) {
+      target = it;
       first_tracked = l;
       break;
     }
@@ -208,15 +311,14 @@ void SketchAggregator::add_record(const autofocus::RelationRecord& rec) {
   // Admit the most specific untracked ancestor whose sketch estimate
   // clears the bar; otherwise the mass lands on the nearest tracked
   // ancestor (residual semantics).
-  int target = first_tracked;
   for (int l = 0; l < first_tracked; ++l) {
     if (est[l] >= admission_threshold_ && est[l] > 0.0) {
-      tracked_.emplace(chain[l], Tracked{0.0, l, /*is_root=*/false});
-      target = l;
+      target = track(hash[l], {culprit.key[l], kind, victim.key[l]},
+                     Tracked{0.0, l, /*is_root=*/false});
       break;
     }
   }
-  tracked_[chain[target]].score += rec.score;
+  target->second.score += score;
   // Mid-window churn guard: never exceed 2x capacity (the sizing's entry
   // budget reserves exactly this headroom).
   if (tracked_.size() > 2 * sizing_.tracked_capacity) {
@@ -227,49 +329,49 @@ void SketchAggregator::add_record(const autofocus::RelationRecord& rec) {
 
 void SketchAggregator::evict_tracked_down_to(std::size_t capacity) {
   if (tracked_.size() <= capacity) return;
-  // Snapshot the non-root entries in ascending (score, key) order. Fold-ups
-  // during the sweep can grow a not-yet-visited entry past its snapshot
-  // rank; the live score is what gets folded, so mass stays conserved.
-  std::vector<std::pair<double, const PatternKey*>> order;
+  // Order the non-root entries by ascending (score, key) as they stand
+  // now. Every entry the sweep visits is evicted, so only the first
+  // to_evict of that order matter. Fold-ups during the sweep can grow a
+  // later entry past its snapshot rank; the live score is what gets
+  // folded, so mass stays conserved.
+  std::vector<std::pair<double, Table::iterator>> order;
   order.reserve(tracked_.size());
-  for (const auto& [key, t] : tracked_)
-    if (!t.is_root) order.emplace_back(t.score, &key);
-  std::sort(order.begin(), order.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return *a.second < *b.second;
-            });
-  std::size_t to_evict = tracked_.size() - capacity;
+  for (auto it = tracked_.begin(); it != tracked_.end(); ++it)
+    if (!it->second.is_root) order.emplace_back(it->second.score, it);
+  const std::size_t to_evict =
+      std::min(tracked_.size() - capacity, order.size());
+  std::partial_sort(order.begin(), order.begin() + to_evict, order.end(),
+                    [](const auto& a, const auto& b) {
+                      if (a.first != b.first) return a.first < b.first;
+                      return a.second->first < b.second->first;
+                    });
   SketchMetrics& m = SketchMetrics::get();
-  for (const auto& [snap_score, keyp] : order) {
-    if (to_evict == 0) break;
-    auto it = tracked_.find(*keyp);
-    if (it == tracked_.end() || it->second.is_root) continue;
-    const PatternKey key = it->first;
+  SideChain cul;
+  SideChain vic;
+  for (std::size_t i = 0; i < to_evict; ++i) {
+    const Table::iterator it = order[i].second;
+    const core::CauseKind kind = it->first.kind;
     const int level = it->second.level;
     const double mass = it->second.score;
-    tracked_.erase(it);
-    fold_into_ancestor(key, level, mass);
+    walk_side(it->first.culprit, level, cul);
+    walk_side(it->first.victim, level, vic);
+    untrack(it, combine_pattern_hash(cul.hash[level], kind, vic.hash[level]));
+    // Fold into the nearest tracked ancestor; the kind's root is always
+    // tracked, so the walk ends there at the latest.
+    Table::iterator into = root_[static_cast<std::size_t>(kind)];
+    for (int l = level + 1; l < kRoot; ++l) {
+      const Table::iterator up = find_level(
+          combine_pattern_hash(cul.hash[l], kind, vic.hash[l]), cul, kind,
+          vic, l);
+      if (up != tracked_.end()) {
+        into = up;
+        break;
+      }
+    }
+    into->second.score += mass;
     ++hh_evicted_;
     m.hh_evicted.add();
-    --to_evict;
   }
-}
-
-void SketchAggregator::fold_into_ancestor(const PatternKey& key, int level,
-                                          double mass) {
-  const std::array<PatternKey, kChainLevels> chain = chain_from(key, level);
-  for (int m = level + 1; m < kChainLevels; ++m) {
-    auto it = tracked_.find(chain[m]);
-    if (it != tracked_.end()) {
-      it->second.score += mass;
-      return;
-    }
-  }
-  // Unreachable while the per-kind root invariant holds; recreate it
-  // rather than drop mass.
-  tracked_[PatternKey{{}, key.kind, {}}] =
-      Tracked{mass, kChainLevels - 1, /*is_root=*/true};
 }
 
 double SketchAggregator::recompute_admission_threshold() const {
@@ -305,8 +407,18 @@ std::vector<autofocus::Pattern> SketchAggregator::patterns(
   return out;
 }
 
+std::optional<double> SketchAggregator::tracked_score(
+    const PatternKey& key) const {
+  const Table::iterator it = find(
+      pattern_key_hash(key), [&](const PatternKey& k) { return k == key; });
+  if (it == tracked_.end()) return std::nullopt;
+  return it->second.score;
+}
+
 std::size_t SketchAggregator::memory_bytes() const {
   return cm_.memory_bytes() + tracked_.size() * kTrackedEntryBytes +
+         index_.size() * sizeof(Slot) +
+         side_cache_.size() * sizeof(CachedSide) +
          board_size() * online::kBoardBytesPerCulprit;
 }
 

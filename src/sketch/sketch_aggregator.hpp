@@ -35,11 +35,32 @@
 // diagonal through the 12-D lattice), keeping the per-record work at
 // kChainLevels sketch updates instead of a lattice explosion. See
 // clamp_to_level().
+//
+// Ingest does constant work per relation record (DESIGN.md §14):
+//
+//   * A chain level's key is its two sides' keys at that level plus the
+//     kind, and a side's keys depend only on its (flow, NF): walk_side()
+//     builds one side's keys and SideKeyHashes once, and
+//     combine_pattern_hash() joins two sides' hashes per level into exactly
+//     pattern_key_hash(). The victim side is walked once per diagnosis,
+//     each culprit side once per (flow, NF) while it stays in a fixed-size
+//     direct-mapped cache; the victim's chain lives outside that cache.
+//   * One count-min call updates all kChainLevels keys in chain order.
+//   * Tracked keys are found in O(1) by their pattern hash through an
+//     open-addressing index over the std::map's nodes; the per-kind roots
+//     are held directly. The map stays: it keeps patterns() and eviction
+//     in key order.
+//   * Records are read straight from diagnoses -> relations -> flows, in
+//     flatten_diagnoses' order.
+// Every step keeps the record order, the hashes, the admission rule and the
+// eviction order of adding each record's generalization_chain() key by
+// key, so the output is the same (SketchAggregator.OutputDigestIsPinned).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -60,7 +81,23 @@ struct PatternKey {
   friend auto operator<=>(const PatternKey&, const PatternKey&) = default;
 };
 
-/// Well-mixed 64-bit hash of a pattern key (sketch addressing).
+/// A pattern key's hash from its parts: the SideKeyHash of each side and
+/// the kind.
+inline std::uint64_t combine_pattern_hash(std::uint64_t culprit,
+                                          core::CauseKind kind,
+                                          std::uint64_t victim) noexcept {
+  std::uint64_t h = culprit;
+  h ^= static_cast<std::uint64_t>(kind) + 0x9e3779b97f4a7c15ULL + (h << 6) +
+       (h >> 2);
+  h ^= victim + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return h;
+}
+
+/// Well-mixed 64-bit hash of a pattern key (sketch addressing and the
+/// tracked-key index): combine_pattern_hash of its sides' SideKeyHashes.
 std::uint64_t pattern_key_hash(const PatternKey& k) noexcept;
 
 /// Levels of the diagonal generalization chain (level 0 = the exact leaf,
@@ -79,16 +116,39 @@ inline constexpr int kChainLevels = 8;
 ///   level 3: ports -> any          level 7: root (all dims any, NF any)
 PatternKey clamp_to_level(PatternKey k, int level);
 
-/// The chain above `k`, a key of chain level `level` (each dimension at
-/// the rung that level's row names, as on every chain): chain[level] == k
+/// One pattern side along the chain: its key and SideKeyHash at each level
+/// from the walk's start up (the entries below it are left default).
+struct SideChain {
+  std::array<autofocus::SideKey, kChainLevels> key{};
+  std::array<std::uint64_t, kChainLevels> hash{};
+};
+
+/// Walk one side up the chain from `side`, a side of chain level `level`
+/// (each dimension at the rung that level's row names): out.key[level] ==
+/// side, out.key[m] is the side of clamp_to_level at every m > level, and
+/// out.hash[m] is SideKeyHash of out.key[m]. Reads each of the side's 6
+/// ladders once. Level m of a pattern chain is {culprit.key[m], kind,
+/// victim.key[m]}, with hash combine_pattern_hash(culprit.hash[m], kind,
+/// victim.hash[m]).
+void walk_side(const autofocus::SideKey& side, int level, SideChain& out);
+
+/// The leaf side of a flow at a node: SideKey::leaf, except that a node
+/// missing from the catalog (a replay against a partial catalog) gets type
+/// 0 instead of a throw.
+autofocus::SideKey leaf_side(const FiveTuple& flow, NodeId node,
+                             const autofocus::NfCatalog& catalog);
+
+/// The chain above `k`, a key of chain level `level`: chain[level] == k
 /// and chain[m] == clamp_to_level(k, m) for every m > level (the entries
-/// below `level` are left default). Reads each of k's 12 ladders once.
-std::array<PatternKey, kChainLevels> chain_from(PatternKey k, int level);
+/// below `level` are left default). walk_side() on each side.
+std::array<PatternKey, kChainLevels> chain_from(const PatternKey& k,
+                                                int level);
 
 /// The full ancestor chain of a relation record, most specific first:
-/// chain_from(leaf, 0), chain.back() the per-kind root. Adjacent duplicate
-/// keys are NOT removed (fixed length keeps sketch totals comparable across
-/// records); callers dedupe when it matters.
+/// chain_from(leaf, 0) for the leaf_side()s of the record's two (flow,
+/// NF)s, chain.back() the per-kind root. Adjacent duplicate keys are NOT
+/// removed (fixed length keeps sketch totals comparable across records);
+/// callers dedupe when it matters.
 std::array<PatternKey, kChainLevels> generalization_chain(
     const autofocus::RelationRecord& rec, const autofocus::NfCatalog& catalog);
 
@@ -135,6 +195,9 @@ class SketchAggregator : public online::CulpritAggregator {
   /// factory level, never here).
   SketchAggregator(const online::StreamingAggregatorOptions& opts,
                    std::size_t memory_budget, autofocus::NfCatalog catalog);
+  // The tracked-key index points into the table's nodes.
+  SketchAggregator(const SketchAggregator&) = delete;
+  SketchAggregator& operator=(const SketchAggregator&) = delete;
 
   /// Emit the tracked heavy-hitter patterns. Residual compression is
   /// structural (tracked scores already exclude tracked-descendant mass),
@@ -144,6 +207,12 @@ class SketchAggregator : public online::CulpritAggregator {
       const autofocus::NfCatalog& catalog,
       const autofocus::AggregateOptions& opts = {}) const override;
 
+  /// The residual score tracked at `key`, found through the tracked-key
+  /// index; nullopt when `key` is not tracked.
+  std::optional<double> tracked_score(const PatternKey& key) const;
+
+  /// Counters, tracked entries (kTrackedEntryBytes each), the tracked-key
+  /// index, the culprit-side cache and the board.
   std::size_t memory_bytes() const override;
 
   /// The sketch's own tables; the board's numbers are the base class's
@@ -156,21 +225,66 @@ class SketchAggregator : public online::CulpritAggregator {
     int level{0};       // chain level the key was admitted at
     bool is_root{false};
   };
+  // std::map: deterministic iteration -> byte-stable patterns()/JSON.
+  using Table = std::map<PatternKey, Tracked>;
+
+  /// One slot of the tracked-key index: a table node and its key's
+  /// pattern_key_hash; empty when `entry` is the table's end().
+  struct Slot {
+    std::uint64_t hash{0};
+    Table::iterator entry;
+  };
+
+  /// A culprit side's chain, cached by (flow, NF).
+  struct CachedSide {
+    FiveTuple flow{};
+    NodeId node{kInvalidNode};
+    bool valid{false};
+    SideChain chain;
+  };
 
   void ingest_patterns(std::span<const core::Diagnosis> diagnoses) override;
-  void add_record(const autofocus::RelationRecord& rec);
+  /// One relation record of the diagnosis whose victim side victim_
+  /// holds: `culprit_flow` at the culprit's NF, of the culprit's kind.
+  void add_record(const FiveTuple& culprit_flow, const core::Culprit& c,
+                  double score);
+  /// The chain of the culprit side (flow, node), from the cache or walked
+  /// into it. Valid until the next call.
+  const SideChain& culprit_side(const FiveTuple& flow, NodeId node);
+
+  /// The tracked entry with pattern hash `hash` whose key `same` accepts,
+  /// or tracked_.end().
+  template <typename Same>
+  Table::iterator find(std::uint64_t hash, Same same) const;
+  /// find() for chain level `level` of the sides `culprit` and `victim`:
+  /// the key {culprit.key[level], kind, victim.key[level]}.
+  Table::iterator find_level(std::uint64_t hash, const SideChain& culprit,
+                             core::CauseKind kind, const SideChain& victim,
+                             int level) const;
+  /// Track `key` (untracked, with pattern hash `hash`) as `t`.
+  Table::iterator track(std::uint64_t hash, const PatternKey& key, Tracked t);
+  /// Stop tracking `it` (its key has pattern hash `hash`).
+  void untrack(Table::iterator it, std::uint64_t hash);
+
   /// Evict lowest-score non-root tracked entries until size <= capacity,
   /// folding each victim's mass into its nearest tracked ancestor.
   void evict_tracked_down_to(std::size_t capacity);
-  void fold_into_ancestor(const PatternKey& key, int level, double mass);
   double recompute_admission_threshold() const;
 
   std::size_t budget_;
   autofocus::NfCatalog catalog_;
   SketchSizing sizing_;
   CountMinSketch cm_;
-  // std::map: deterministic iteration -> byte-stable patterns()/JSON.
-  std::map<PatternKey, Tracked> tracked_;
+  Table tracked_;
+  /// Linear probing over a power-of-two slot count, at most 3/4 full at
+  /// the table's peak; deletion shifts back, so there are no tombstones.
+  std::vector<Slot> index_;
+  std::size_t index_mask_{0};
+  /// Each kind's root entry, or tracked_.end() before its first record.
+  std::array<Table::iterator, 2> root_;
+  std::vector<CachedSide> side_cache_;
+  /// The chain of the diagnosis being ingested.
+  SideChain victim_;
   /// Admission bar for new tracked keys; refreshed at every window close
   /// (and after mid-window evictions) to the minimum tracked non-root
   /// score once the table has been full.

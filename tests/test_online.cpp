@@ -1597,6 +1597,78 @@ TEST(Online, TraceReadersRejectBadHeadersAlike) {
   std::remove(path.c_str());
 }
 
+TEST(Online, StreamStoreRetainedBytesMatchALaneWalk) {
+  // retained_bytes() is a running count; after every add, eviction,
+  // renumber and full-flow switch it equals a walk over the lanes.
+  using collector::Direction;
+  StreamStore store;
+  store.register_node(0, true);
+  store.register_node(1, false);
+  store.register_node(3, false);
+  const auto walk = [&] {
+    std::size_t bytes = 0;
+    for (const trace::NodeLanes& l : store.lanes()) {
+      if (l.trace == nullptr) continue;
+      const collector::NodeTrace& t = *l.trace;
+      bytes += (t.rx_batches.size() + t.tx_batches.size()) *
+                   sizeof(collector::BatchRecord) +
+               (t.rx_ipids.size() + t.tx_ipids.size()) *
+                   sizeof(std::uint16_t) +
+               t.tx_flows.size() * sizeof(FiveTuple);
+    }
+    return bytes;
+  };
+  std::mt19937_64 rng(61);
+  TimeNs ts = 0;
+  for (int step = 0; step < 400; ++step) {
+    const NodeId node = std::array<NodeId, 3>{0, 1, 3}[rng() % 3];
+    const Direction dir = rng() % 2 == 0 ? Direction::kRx : Direction::kTx;
+    std::vector<Packet> pkts(1 + rng() % 5);
+    for (Packet& p : pkts) p.ipid = static_cast<std::uint16_t>(rng());
+    ts += static_cast<TimeNs>(rng() % 20);
+    store.add(dir, node, 1, ts, pkts);
+    ASSERT_EQ(store.retained_bytes(), walk()) << "add " << step;
+    if (step % 25 == 24) {
+      store.evict_before(ts - static_cast<TimeNs>(rng() % 300));
+      ASSERT_EQ(store.retained_bytes(), walk()) << "evict " << step;
+    }
+    if (step == 150) {
+      store.renumber({{1, 1}, {2, 2}, {0, 0}, {3, 3}});
+      ASSERT_EQ(store.retained_bytes(), walk()) << "renumber";
+    }
+    if (step == 200 || step == 300) {
+      // Full flow switched on (node 1) and off (node 0) with tx records
+      // held: their five-tuples appear and go.
+      store.register_node(step == 200 ? 1 : 0, step == 200);
+      ASSERT_EQ(store.retained_bytes(), walk()) << "switch " << step;
+    }
+  }
+  EXPECT_GT(store.retained_bytes(), 0u);
+  store.evict_before(ts + 1);
+  EXPECT_EQ(store.retained_bytes(), 0u);
+}
+
+TEST(Online, WindowManagerMinWatermarkFollowsEveryNote) {
+  // The minimum watermark is rescanned only when it may have moved; it
+  // must still equal the minimum over the nodes after every note.
+  WindowManager wm(10, 2, 0);
+  std::vector<TimeNs> model(5, WindowManager::kWatermarkNone);
+  for (NodeId id = 0; id < 4; ++id) wm.register_node(id);
+  EXPECT_EQ(wm.min_watermark(), WindowManager::kWatermarkNone);
+  std::mt19937_64 rng(67);
+  for (int i = 0; i < 500; ++i) {
+    if (i == 250) wm.register_node(4);  // a late node: unseen again
+    const NodeId id = static_cast<NodeId>(rng() % (i < 250 ? 4 : 5));
+    const TimeNs ts = static_cast<TimeNs>(rng() % 1000) + i;
+    wm.note(id, ts);
+    model[id] = std::max(model[id], ts);
+    const std::size_t nodes = i < 250 ? 4 : 5;
+    ASSERT_EQ(wm.min_watermark(),
+              *std::min_element(model.begin(), model.begin() + nodes))
+        << "note " << i;
+  }
+}
+
 TEST(Online, WindowManagerWatermarkRules) {
   WindowManager wm(10, 2, 0);
   wm.register_node(0);

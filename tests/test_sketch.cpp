@@ -1,8 +1,10 @@
 // Bounded-memory sketch aggregation (src/sketch/, DESIGN.md §14): the
 // count-min error bound on seeded Zipf traffic, exact halving decay, the
-// diagonal generalization chain's lattice properties, mass conservation
-// under heavy-hitter eviction, exact-vs-sketch agreement on the Fig-10
-// trace, byte-stable JSON, budget sizing, and the flat-memory soak the
+// batched update against sequential ones, the diagonal generalization
+// chain's lattice properties and its per-side walks, mass conservation
+// under heavy-hitter eviction, the tracked-key index under churn,
+// exact-vs-sketch agreement on the Fig-10 trace, byte-stable JSON, the
+// pinned output digest, budget sizing, and the flat-memory soak the
 // nightly job scales up via MICROSCOPE_SKETCH_SOAK_WINDOWS.
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -146,6 +149,34 @@ TEST(CountMin, ScaleFlushesDustToZero) {
   EXPECT_EQ(cm.estimate(123), 0.0);
 }
 
+TEST(CountMin, BatchedAddEqualsSequentialAdds) {
+  // One add() over a chain of keys is the sequential add()s of its keys,
+  // bit for bit: later keys see the counters earlier ones raised. A narrow
+  // table makes keys share counters, and some chains repeat a key.
+  for (std::size_t depth = 1; depth <= 5; ++depth) {
+    CountMinSketch batched(16, depth);
+    CountMinSketch sequential(16, depth);
+    std::mt19937_64 rng(100 + depth);
+    std::vector<std::uint64_t> seen;
+    for (int rec = 0; rec < 300; ++rec) {
+      std::uint64_t keys[kChainLevels];
+      for (std::uint64_t& k : keys) {
+        k = !seen.empty() && rng() % 3 == 0 ? seen[rng() % seen.size()] : rng();
+        seen.push_back(k);
+      }
+      if (rec % 4 == 0) keys[5] = keys[2];  // a key twice in one chain
+      const double mass = 0.25 * static_cast<double>(1 + rng() % 8);
+      double est[kChainLevels];
+      batched.add(keys, mass, est);
+      for (int l = 0; l < kChainLevels; ++l)
+        ASSERT_EQ(est[l], sequential.add(keys[l], mass))
+            << "depth " << depth << " record " << rec << " level " << l;
+    }
+    for (const std::uint64_t k : seen)
+      ASSERT_EQ(batched.estimate(k), sequential.estimate(k)) << depth;
+  }
+}
+
 // ---- generalization chain -----------------------------------------------
 
 TEST(Chain, LevelsCoverAndTerminateAtRoot) {
@@ -250,6 +281,60 @@ TEST(Chain, WalkFromEveryLevelContinuesTheLeafChain) {
       EXPECT_EQ(up[l], chain[l]) << l;
       for (int m = l + 1; m < kChainLevels; ++m) {
         EXPECT_EQ(up[m], chain[m]) << "from " << l << " to " << m;
+      }
+    }
+  }
+}
+
+TEST(Chain, SideWalksComposeTheChainAndItsHashes) {
+  // Level l of a record's chain is its two sides' walks at level l plus
+  // the kind, and its pattern_key_hash combines the walks' SideKeyHashes;
+  // a walk from any level continues the leaf's. Nodes 4 and 9 lie outside
+  // the catalog (leaf_side's type-0 fallback), and a zero culprit flow is
+  // what a relation without flows contributes.
+  const auto cat = small_catalog();
+  std::mt19937_64 rng(43);
+  const autofocus::SideKeyHash sh;
+  for (int i = 0; i < 200; ++i) {
+    autofocus::RelationRecord rec;
+    rec.culprit_flow = i % 5 == 0 ? FiveTuple{} : random_flow(rng);
+    rec.culprit_nf = static_cast<NodeId>(rng() % 5);
+    rec.kind = rng() % 2 == 0 ? CauseKind::kSourceTraffic
+                              : CauseKind::kLocalProcessing;
+    rec.victim_flow = random_flow(rng);
+    rec.victim_nf = i % 7 == 0 ? 9 : static_cast<NodeId>(rng() % 4);
+    const auto chain = generalization_chain(rec, cat);
+
+    const autofocus::SideKey cleaf =
+        leaf_side(rec.culprit_flow, rec.culprit_nf, cat);
+    const autofocus::SideKey vleaf =
+        leaf_side(rec.victim_flow, rec.victim_nf, cat);
+    if (rec.culprit_nf < cat.type_of.size()) {
+      EXPECT_EQ(cleaf,
+                autofocus::SideKey::leaf(rec.culprit_flow, rec.culprit_nf, cat));
+    } else {
+      EXPECT_EQ(cleaf.nf.level, autofocus::NfSet::Level::kInstance);
+      EXPECT_EQ(cleaf.nf.instance, rec.culprit_nf);
+      EXPECT_EQ(cleaf.nf.type, 0);
+    }
+    SideChain cul;
+    SideChain vic;
+    walk_side(cleaf, 0, cul);
+    walk_side(vleaf, 0, vic);
+    for (int l = 0; l < kChainLevels; ++l) {
+      const PatternKey k{cul.key[l], rec.kind, vic.key[l]};
+      ASSERT_EQ(k, chain[l]) << "record " << i << " level " << l;
+      ASSERT_EQ(k, clamp_to_level(chain[0], l)) << i << " level " << l;
+      EXPECT_EQ(cul.hash[l], sh(cul.key[l]));
+      EXPECT_EQ(vic.hash[l], sh(vic.key[l]));
+      EXPECT_EQ(combine_pattern_hash(cul.hash[l], rec.kind, vic.hash[l]),
+                pattern_key_hash(chain[l]))
+          << "record " << i << " level " << l;
+      SideChain up;
+      walk_side(cul.key[l], l, up);
+      for (int m = l; m < kChainLevels; ++m) {
+        EXPECT_EQ(up.key[m], cul.key[m]) << "from " << l << " to " << m;
+        EXPECT_EQ(up.hash[m], cul.hash[m]) << "from " << l << " to " << m;
       }
     }
   }
@@ -394,6 +479,59 @@ TEST(SketchAggregator, ExactVsSketchTopKOverlapOnFig10) {
   const auto pats =
       sketch_eng.aggregator().patterns(sopt.agg_catalog);
   EXPECT_FALSE(pats.empty());
+}
+
+TEST(SketchAggregator, TrackedKeysStayFindableThroughEviction) {
+  // Under an 8 KiB budget (16 tracked entries) most admitted keys are
+  // evicted again, mid-window and at every close, and min_score drops
+  // more: after every window each tracked key is found through the
+  // tracked-key index with its score, and no key that left the table is.
+  online::StreamingAggregatorOptions opts;
+  opts.decay = 0.5;
+  opts.min_score = 0.05;
+  SketchAggregator sk(opts, 8 << 10, small_catalog());
+  std::mt19937_64 rng(47);
+  std::vector<FiveTuple> heavy;
+  for (int i = 0; i < 4; ++i) heavy.push_back(random_flow(rng));
+  autofocus::AggregateOptions all;
+  all.threshold_frac = 0.0;
+  std::set<PatternKey> ever;
+  for (int w = 0; w < 30; ++w) {
+    std::vector<Diagnosis> window;
+    for (int i = 0; i < 60; ++i) {
+      const FiveTuple cf =
+          rng() % 2 == 0 ? heavy[rng() % heavy.size()] : random_flow(rng);
+      window.push_back(synth_diag(static_cast<NodeId>(1 + rng() % 3), cf,
+                                  random_flow(rng),
+                                  static_cast<double>(1 + rng() % 20) / 10.0,
+                                  rng() % 3 == 0 ? CauseKind::kSourceTraffic
+                                                 : CauseKind::kLocalProcessing));
+    }
+    sk.ingest(window);
+    std::map<PatternKey, double> now;
+    for (const autofocus::Pattern& p : sk.patterns(small_catalog(), all))
+      now[{p.culprit, p.kind, p.victim}] = p.score;
+    for (const CauseKind kind :
+         {CauseKind::kSourceTraffic, CauseKind::kLocalProcessing}) {
+      const PatternKey root{{}, kind, {}};
+      ASSERT_TRUE(sk.tracked_score(root).has_value()) << "window " << w;
+      if (!now.count(root)) now[root] = *sk.tracked_score(root);
+    }
+    EXPECT_EQ(now.size(), sk.stats().tracked_size) << "window " << w;
+    for (const auto& [key, score] : now) {
+      const std::optional<double> got = sk.tracked_score(key);
+      ASSERT_TRUE(got.has_value()) << "window " << w;
+      EXPECT_EQ(*got, score) << "window " << w;
+      ever.insert(key);
+    }
+    for (const PatternKey& key : ever) {
+      if (!now.count(key)) {
+        EXPECT_FALSE(sk.tracked_score(key).has_value()) << "window " << w;
+      }
+    }
+  }
+  EXPECT_GT(ever.size(), 4 * sk.stats().tracked_capacity);
+  EXPECT_GT(sk.stats().hh_evicted, 30u * 16u);
 }
 
 /// FNV-1a over the bytes of each value added.
