@@ -168,9 +168,15 @@ TEST(CountMin, BatchedAddEqualsSequentialAdds) {
       const double mass = 0.25 * static_cast<double>(1 + rng() % 8);
       double est[kChainLevels];
       batched.add(keys, mass, est);
-      for (int l = 0; l < kChainLevels; ++l)
-        ASSERT_EQ(est[l], sequential.add(keys[l], mass))
+      for (int l = 0; l < kChainLevels; ++l) {
+        // A conservative update raises the key's estimate by exactly mass.
+        const double before = sequential.estimate(keys[l]);
+        const double after = sequential.add(keys[l], mass);
+        ASSERT_EQ(after, before + mass);
+        ASSERT_EQ(sequential.estimate(keys[l]), after);
+        ASSERT_EQ(est[l], after)
             << "depth " << depth << " record " << rec << " level " << l;
+      }
     }
     for (const std::uint64_t k : seen)
       ASSERT_EQ(batched.estimate(k), sequential.estimate(k)) << depth;
