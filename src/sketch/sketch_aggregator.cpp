@@ -6,6 +6,7 @@
 #include <limits>
 #include <utility>
 
+#include "common/flow.hpp"
 #include "obs/metrics.hpp"
 
 namespace microscope::sketch {
@@ -49,21 +50,6 @@ constexpr int kChainDimLevel[kChainLevels][autofocus::kSideDims] = {
 };
 
 constexpr int kRoot = kChainLevels - 1;
-
-/// Where (flow, NF) sits in a side cache of `mask` + 1 entries.
-std::size_t side_cache_slot(const FiveTuple& ft, NodeId node,
-                            std::size_t mask) {
-  std::uint64_t x =
-      (static_cast<std::uint64_t>(ft.src_ip) << 32 | ft.dst_ip) ^
-      (static_cast<std::uint64_t>(ft.src_port) << 48 |
-       static_cast<std::uint64_t>(ft.dst_port) << 32 |
-       static_cast<std::uint64_t>(ft.proto) << 24 | node) *
-          0x9e3779b97f4a7c15ULL;
-  x ^= x >> 31;
-  x *= 0xd6e8feb86659fd93ULL;
-  x ^= x >> 32;
-  return static_cast<std::size_t>(x & mask);
-}
 
 }  // namespace
 
@@ -231,8 +217,9 @@ void SketchAggregator::untrack(Table::iterator it, std::uint64_t hash) {
 
 const SideChain& SketchAggregator::culprit_side(const FiveTuple& flow,
                                                 NodeId node) {
-  CachedSide& c =
-      side_cache_[side_cache_slot(flow, node, side_cache_.size() - 1)];
+  // The low bits of node * odd are a permutation of the node's low bits.
+  const std::uint64_t h = flow_hash(flow) ^ node * 0x9e3779b97f4a7c15ULL;
+  CachedSide& c = side_cache_[h & (side_cache_.size() - 1)];
   if (!c.valid || c.node != node || c.flow != flow) {
     c.flow = flow;
     c.node = node;

@@ -316,8 +316,8 @@ TEST(Chain, SideWalksComposeTheChainAndItsHashes) {
     const autofocus::SideKey vleaf =
         leaf_side(rec.victim_flow, rec.victim_nf, cat);
     if (rec.culprit_nf < cat.type_of.size()) {
-      EXPECT_EQ(cleaf,
-                autofocus::SideKey::leaf(rec.culprit_flow, rec.culprit_nf, cat));
+      EXPECT_EQ(cleaf, autofocus::SideKey::leaf(rec.culprit_flow,
+                                                rec.culprit_nf, cat));
     } else {
       EXPECT_EQ(cleaf.nf.level, autofocus::NfSet::Level::kInstance);
       EXPECT_EQ(cleaf.nf.instance, rec.culprit_nf);
@@ -507,11 +507,12 @@ TEST(SketchAggregator, TrackedKeysStayFindableThroughEviction) {
     for (int i = 0; i < 60; ++i) {
       const FiveTuple cf =
           rng() % 2 == 0 ? heavy[rng() % heavy.size()] : random_flow(rng);
+      const CauseKind kind = rng() % 3 == 0 ? CauseKind::kSourceTraffic
+                                            : CauseKind::kLocalProcessing;
       window.push_back(synth_diag(static_cast<NodeId>(1 + rng() % 3), cf,
                                   random_flow(rng),
                                   static_cast<double>(1 + rng() % 20) / 10.0,
-                                  rng() % 3 == 0 ? CauseKind::kSourceTraffic
-                                                 : CauseKind::kLocalProcessing));
+                                  kind));
     }
     sk.ingest(window);
     std::map<PatternKey, double> now;
